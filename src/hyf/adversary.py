@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObservationSeries
+from .core import ObservationSeries, first_shared_time
 from .errors import NonPositiveRate, RejectionBudgetExceeded
 
 DEFAULT_SEED = 1729
@@ -106,12 +106,6 @@ def _strictly_increasing(t: np.ndarray) -> bool:
     return bool(np.all(np.diff(t) > 0))
 
 
-def _shares_a_value(sorted_a: np.ndarray, sorted_b: np.ndarray) -> bool:
-    idx = np.searchsorted(sorted_a, sorted_b)
-    idx = np.minimum(idx, sorted_a.size - 1)
-    return bool(np.any(sorted_a[idx] == sorted_b))
-
-
 def _boundary_aligned(ta: np.ndarray, tb: np.ndarray) -> bool:
     # first overlap must be (1, 1), last must be (M1, M2)
     return bool(
@@ -145,7 +139,7 @@ def generate_inputs(
             continue
         if not (_strictly_increasing(ta) and _strictly_increasing(tb)):
             continue
-        if _shares_a_value(ta, tb):
+        if first_shared_time(ta, tb) is not None:
             continue
         if not _boundary_aligned(ta, tb):
             continue

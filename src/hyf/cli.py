@@ -33,7 +33,7 @@ from .adversary import (
     attach_random_walk,
     generate_inputs,
 )
-from .core import ObservationSeries, merge_labels, validate_series
+from .core import ObservationSeries, first_shared_time, merge_labels, validate_series
 from .errors import RejectionBudgetExceeded, ValidationError
 from .estimator import hy_covariance, telescope_rows
 from .montecarlo import loss_table
@@ -125,16 +125,6 @@ def _tie_jitter(times_a: np.ndarray, times_b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _raise_on_shared_time(ta: np.ndarray, tb: np.ndarray) -> None:
-    idx = np.minimum(np.searchsorted(ta, tb), ta.size - 1)
-    hits = ta[idx] == tb
-    if np.any(hits):
-        raise ValidationError(
-            f"time {tb[hits][0]!r} appears in both files; asynchronous inputs "
-            "must not share timestamps (rerun with --jitter to break ties)"
-        )
-
-
 def _load_pair(args) -> tuple[ObservationSeries, ObservationSeries]:
     file_a = read_tick_file(args.file_a)
     file_b = read_tick_file(args.file_b)
@@ -143,8 +133,12 @@ def _load_pair(args) -> tuple[ObservationSeries, ObservationSeries]:
         times_b = _tie_jitter(file_a.times, times_b)
     # a fully synchronous pair is well defined for the interval algebra;
     # a partial timestamp collision is ambiguous data and gets rejected
-    if not np.array_equal(file_a.times, times_b):
-        _raise_on_shared_time(file_a.times, times_b)
+    shared = first_shared_time(file_a.times, times_b)
+    if shared is not None and not np.array_equal(file_a.times, times_b):
+        raise ValidationError(
+            f"time {shared!r} appears in both files; asynchronous inputs "
+            "must not share timestamps (rerun with --jitter to break ties)"
+        )
     s1 = validate_series(file_a.times, file_a.prices, "A")
     s2 = validate_series(times_b, file_b.prices, "B")
     return s1, s2
@@ -262,9 +256,9 @@ def _cmd_estimate(args) -> int:
     terms = telescope_rows(s1, s2)
     results = {
         "covariance": covariance,
-        "overlaps": len(terms.raw_terms),
-        "raw_terms": len(terms.raw_terms),
-        "grouped_terms": len(terms.grouped_terms),
+        "overlaps": len(terms.pairs),
+        "raw_terms": len(terms.pairs),
+        "grouped_terms": len(terms.groups),
     }
     payload = {
         "command": "estimate",

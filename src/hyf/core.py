@@ -230,35 +230,62 @@ class OverlapSet:
         return iter(map(tuple, self.pairs.tolist()))
 
 
-def _check_no_cross_ties(s1: ObservationSeries, s2: ObservationSeries) -> None:
-    t1, t2 = s1.times, s2.times
-    idx = np.searchsorted(t1, t2)
-    idx = np.minimum(idx, t1.size - 1)
-    hits = t1[idx] == t2
-    if np.any(hits):
-        raise CrossSeriesTie(f"time {t2[hits][0]!r} appears in both series")
+def overlap_ranges(
+    t_opp: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw opposite-interval index range of each span ``(starts[k], ends[k]]``.
+
+    Returns ``first = searchsorted(t_opp, starts, "right")`` and
+    ``last = searchsorted(t_opp, ends, "left")``.  With ``M`` opposite
+    intervals ``(t_opp[j-1], t_opp[j]]``:
+
+    * span ``k`` meets exactly the opposite intervals
+      ``max(1, first[k]) .. min(M, last[k])`` (none when that is empty);
+    * span ``k`` lies inside a single opposite interval exactly when
+      ``first[k] == last[k]`` and ``1 <= first[k] <= M``.
+
+    These are strict endpoint comparisons, exact for the half-open
+    convention even when the legs share timestamps.  Every overlap,
+    count, coefficient and containment test in the package derives from
+    this one range.
+    """
+    return (
+        np.searchsorted(t_opp, starts, side="right"),
+        np.searchsorted(t_opp, ends, side="left"),
+    )
+
+
+def clip_ranges(
+    first: np.ndarray, last: np.ndarray, m_opp: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """First opposite interval met and how many are met, per raw range.
+
+    ``lo = max(1, first)`` and ``count = max(0, min(M, last) - lo + 1)``;
+    the met intervals are ``lo .. lo + count - 1``, and ``lo - 1`` is
+    always a valid opposite point index.
+    """
+    lo = np.maximum(1, first)
+    return lo, np.maximum(np.minimum(m_opp, last) - lo + 1, 0)
+
+
+def first_shared_time(sorted_a: np.ndarray, sorted_b: np.ndarray):
+    """First value of ascending ``sorted_b`` also in ascending ``sorted_a``, or None."""
+    if sorted_a.size == 0:
+        return None
+    idx = np.minimum(np.searchsorted(sorted_a, sorted_b), sorted_a.size - 1)
+    hits = np.flatnonzero(sorted_a[idx] == sorted_b)
+    return sorted_b[hits[0]] if hits.size else None
 
 
 def enumerate_overlaps(s1: ObservationSeries, s2: ObservationSeries) -> OverlapSet:
-    """Two-pointer sweep over both interval partitions.
+    """Every pair ``(i, j)`` of intersecting intervals, in staircase order.
 
-    Emits every pair ``(i, j)`` with ``t1[i] > t2[j-1]`` and
-    ``t1[i-1] < t2[j]``, the exact nonempty-intersection test for
-    half-open ``(lo, hi]`` intervals.  Runs in O(|s1| + |s2| + m).
+    Leg-1 interval ``i`` meets the leg-2 intervals of its
+    :func:`overlap_ranges` range, so the pairs are each such range
+    repeated out per ``i``.  Runs in O((|s1| + m) + |s1| log |s2|).
     """
-    t1 = s1.times.tolist()
-    t2 = s2.times.tolist()
-    m1 = len(t1) - 1
-    m2 = len(t2) - 1
-    out: list[tuple[int, int]] = []
-    i = j = 1
-    while i <= m1 and j <= m2:
-        if t1[i] > t2[j - 1] and t2[j] > t1[i - 1]:
-            out.append((i, j))
-        # advance whichever interval ends first; on a shared endpoint both
-        # advances are safe, the strict tests above never double-count
-        if t1[i] < t2[j]:
-            i += 1
-        else:
-            j += 1
-    return OverlapSet(np.array(out, dtype=np.int64).reshape(-1, 2))
+    t1 = s1.times
+    lo, count = clip_ranges(*overlap_ranges(s2.times, t1[:-1], t1[1:]), s2.n_intervals)
+    i = np.repeat(np.arange(1, t1.size), count)
+    j = np.arange(i.size) + np.repeat(lo - (np.cumsum(count) - count), count)
+    return OverlapSet(np.column_stack([i, j]))

@@ -15,11 +15,18 @@ form entirely; :mod:`hyf.nonextant` locates them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .core import Label, ObservationSeries, OverlapSet, enumerate_overlaps
+from .core import (
+    Label,
+    ObservationSeries,
+    clip_ranges,
+    enumerate_overlaps,
+    overlap_ranges,
+)
 from .errors import IndexOutOfRange
 
 Anchoring = Literal["row", "alternative"]
@@ -58,12 +65,47 @@ class GroupedTerm:
         return self.multiplier * self.endpoint_delta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TermList:
-    """Raw summands plus one telescoped grouping of them."""
+    """The double sum's overlap pairs plus one telescoped grouping of them.
 
-    raw_terms: tuple[RawTerm, ...]
-    grouped_terms: tuple[GroupedTerm, ...]
+    ``pairs`` holds the 1-based overlap pairs ``(i, j)`` in staircase
+    order, one raw summand each.  ``groups`` holds one row
+    ``(axis, anchor, lo, hi)`` per telescoped run, in the order of the
+    run's first pair: axis 0 is a row (leg-2 interval ``anchor`` against
+    leg-1 intervals ``lo..hi``), axis 1 a column (leg-1 interval
+    ``anchor`` against leg-2 intervals ``lo..hi``).  :attr:`raw_terms`
+    and :attr:`grouped_terms` build the per-term objects on first access.
+    """
+
+    s1: ObservationSeries
+    s2: ObservationSeries
+    pairs: np.ndarray
+    groups: np.ndarray
+
+    @cached_property
+    def raw_terms(self) -> tuple[RawTerm, ...]:
+        da = self.s1.increments
+        db = self.s2.increments
+        return tuple(
+            RawTerm(i, j, float(da[i - 1]), float(db[j - 1])) for i, j in self.pairs.tolist()
+        )
+
+    @cached_property
+    def grouped_terms(self) -> tuple[GroupedTerm, ...]:
+        # axis 0 anchors on leg 2 and sweeps leg 1, axis 1 the other way round
+        legs = ((self.s2, self.s1), (self.s1, self.s2))
+        increments = (self.s2.increments, self.s1.increments)
+        return tuple(
+            GroupedTerm(
+                anchor_leg=legs[axis][0].label,
+                anchor_index=anchor,
+                multiplier=float(increments[axis][anchor - 1]),
+                span=(lo - 1, hi),
+                endpoint_delta=float(legs[axis][1].values[hi] - legs[axis][1].values[lo - 1]),
+            )
+            for axis, anchor, lo, hi in self.groups.tolist()
+        )
 
     def raw_total(self) -> float:
         return float(sum(t.value for t in self.raw_terms))
@@ -72,59 +114,84 @@ class TermList:
         return float(sum(g.value for g in self.grouped_terms))
 
 
-def hy_covariance(s1: ObservationSeries, s2: ObservationSeries) -> float:
-    """Evaluate the raw double sum, accumulated in ascending (i, j) order."""
-    pairs = enumerate_overlaps(s1, s2).pairs
-    if pairs.size == 0:
-        return 0.0
-    da = s1.increments
-    db = s2.increments
-    return float(np.sum(da[pairs[:, 0] - 1] * db[pairs[:, 1] - 1]))
+def _opposite_sums(series: ObservationSeries, opposite: ObservationSeries) -> np.ndarray:
+    """Telescoped opposite-leg increment sum over each own interval.
 
-
-def _runs(pairs: list[tuple[int, int]], k: int) -> tuple[int, int]:
-    """Lengths of the same-j (row) and same-i (column) runs starting at k."""
-    i0, j0 = pairs[k]
-    r = k + 1
-    while r < len(pairs) and pairs[r][1] == j0 and pairs[r][0] == pairs[r - 1][0] + 1:
-        r += 1
-    c = k + 1
-    while c < len(pairs) and pairs[c][0] == i0 and pairs[c][1] == pairs[c - 1][1] + 1:
-        c += 1
-    return r - k, c - k
-
-
-def _greedy_groups(pairs: list[tuple[int, int]]) -> list[tuple[str, int, int, int]]:
-    """Partition staircase pairs into maximal telescoping runs.
-
-    At each position take the longer of the row run (fixed j) and the
-    column run (fixed i); ties go to the row.  Returns
-    ``(axis, anchor, lo, hi)`` with lo..hi the swept indices.
+    The opposite increments over a met range ``lo..hi`` sum to
+    ``values[hi] - values[lo - 1]``, which is 0 for an empty range.
     """
-    groups: list[tuple[str, int, int, int]] = []
-    k = 0
-    while k < len(pairs):
-        row_len, col_len = _runs(pairs, k)
-        i0, j0 = pairs[k]
-        if col_len > row_len:
-            groups.append(("col", i0, j0, pairs[k + col_len - 1][1]))
-            k += col_len
-        else:
-            groups.append(("row", j0, i0, pairs[k + row_len - 1][0]))
-            k += row_len
-    return groups
+    t = series.times
+    lo, count = clip_ranges(
+        *overlap_ranges(opposite.times, t[:-1], t[1:]), opposite.n_intervals
+    )
+    v = opposite.values
+    return v[lo + count - 1] - v[lo - 1]
 
 
-def _first_full_column(pairs: list[tuple[int, int]]) -> tuple[int, int] | None:
-    """Slice bounds of the column at the first upward corner, if any."""
-    for k in range(len(pairs) - 1):
-        if pairs[k + 1][0] == pairs[k][0] and pairs[k + 1][1] == pairs[k][1] + 1:
-            i0 = pairs[k][0]
-            end = k + 1
-            while end + 1 < len(pairs) and pairs[end + 1][0] == i0:
-                end += 1
-            return k, end + 1
-    return None
+def hy_covariance(s1: ObservationSeries, s2: ObservationSeries) -> float:
+    """Evaluate the double sum, telescoped per leg-1 interval.
+
+    Each leg-1 increment multiplies the summed leg-2 increments over the
+    intervals it overlaps, so no pair is materialised.
+    """
+    return float(np.dot(s1.increments, _opposite_sums(s1, s2)))
+
+
+def _step_runs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of the staircase's step types: (type, first step, length).
+
+    Step ``k`` leads from pair ``k`` to pair ``k + 1``.  Type 0 is a row
+    step ``(i + 1, j)``, type 1 a column step ``(i, j + 1)`` and type 2
+    any other step; one extra type-2 step closes the last pair.
+    """
+    d = np.diff(pairs, axis=0)
+    kind = np.full(len(pairs), 2)
+    kind[:-1][(d[:, 0] == 1) & (d[:, 1] == 0)] = 0
+    kind[:-1][(d[:, 0] == 0) & (d[:, 1] == 1)] = 1
+    first = np.flatnonzero(np.diff(kind, prepend=-1))
+    return kind[first], first, np.diff(first, append=len(pairs))
+
+
+def _greedy_groups(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Longest-run greedy partition of a staircase into telescoping runs.
+
+    At each pair take the longer of the row run and the column run that
+    start there (the row on ties, so a lone pair is a row) and continue
+    after it.  A row or column run of ``r`` steps so becomes one group of
+    ``r + 1`` pairs, and the step after it is swallowed as the group's
+    boundary.  A run whose first step was swallowed keeps its other
+    steps; when that was its only step, the next run starts whole, so
+    swallowing alternates along a chain of one-step runs.  Every other
+    step left open closes a single-pair group.
+
+    Returns the ``(axis, anchor, lo, hi)`` rows and each group's first
+    pair index.
+    """
+    if len(pairs) == 0:
+        return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64)
+    kind, first, length = _step_runs(pairs)
+    runs = np.arange(kind.size)
+    telescoping = kind < 2
+    # swallowed[r] is fixed unless run r - 1 is a one-step row or column
+    # run; otherwise it flips once per such run since the last fixed one
+    fixed = runs.copy()
+    fixed[1:][telescoping[:-1] & (length[:-1] == 1)] = 0
+    fixed = np.maximum.accumulate(fixed)
+    swallowed = np.zeros(kind.size, dtype=np.int64)
+    swallowed[1:] = telescoping[:-1]
+    swallowed = swallowed[fixed] ^ ((runs - fixed) & 1)
+    open_steps = length - swallowed
+    per_run = np.where(telescoping, open_steps > 0, open_steps)
+    run = np.repeat(runs, per_run)
+    # an other-type run's groups are its open steps, one pair each
+    offset = np.arange(run.size) - np.repeat(np.cumsum(per_run) - per_run, per_run)
+    start = first[run] + swallowed[run] + offset
+    end = np.where(telescoping[run], first[run] + length[run], start)
+    axis = np.where(telescoping[run], kind[run], 0)
+    groups = np.column_stack(
+        [axis, pairs[start, 1 - axis], pairs[start, axis], pairs[end, axis]]
+    )
+    return groups, start
 
 
 def telescope_rows(
@@ -142,71 +209,21 @@ def telescope_rows(
     """
     if anchoring not in ("row", "alternative"):
         raise ValueError(f"unknown anchoring {anchoring!r}")
-    overlaps: OverlapSet = enumerate_overlaps(s1, s2)
-    da = s1.increments
-    db = s2.increments
-    pair_list: list[tuple[int, int]] = [tuple(p) for p in overlaps.pairs.tolist()]
-    raw = tuple(
-        RawTerm(i, j, float(da[i - 1]), float(db[j - 1])) for i, j in pair_list
-    )
-
-    extracted: list[tuple[str, int, int, int]] = []
-    if anchoring == "alternative":
-        bounds = _first_full_column(pair_list)
-        if bounds is not None:
-            a, b = bounds
-            extracted.append(("col", pair_list[a][0], pair_list[a][1], pair_list[b - 1][1]))
-            pair_list = pair_list[:a] + pair_list[b:]
-
-    groups = _greedy_groups(pair_list) + extracted
-    # present groups in sweep order of their first pair
-    groups.sort(key=lambda g: (g[2], g[1]) if g[0] == "row" else (g[1], g[2]))
-
-    grouped = []
-    for axis, anchor, lo, hi in groups:
-        if axis == "row":
-            grouped.append(
-                GroupedTerm(
-                    anchor_leg=s2.label,
-                    anchor_index=anchor,
-                    multiplier=float(db[anchor - 1]),
-                    span=(lo - 1, hi),
-                    endpoint_delta=float(s1.values[hi] - s1.values[lo - 1]),
-                )
-            )
-        else:
-            grouped.append(
-                GroupedTerm(
-                    anchor_leg=s1.label,
-                    anchor_index=anchor,
-                    multiplier=float(da[anchor - 1]),
-                    span=(lo - 1, hi),
-                    endpoint_delta=float(s2.values[hi] - s2.values[lo - 1]),
-                )
-            )
-    return TermList(raw_terms=raw, grouped_terms=tuple(grouped))
-
-
-def _interval_bounds(t_self: np.ndarray, t_opp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Opposite-interval index range overlapped by each own interval.
-
-    For own interval ``i`` (1-based) the overlapping opposite intervals
-    are ``lo[i-1] .. hi[i-1]``; the range is empty when lo > hi.  Strict
-    endpoint comparisons make this exact in the presence of shared
-    timestamps.
-    """
-    m_opp = t_opp.size - 1
-    lo = np.maximum(1, np.searchsorted(t_opp, t_self[:-1], side="right"))
-    hi = np.minimum(m_opp, np.searchsorted(t_opp, t_self[1:], side="left"))
-    return lo, hi
-
-
-def _interval_opposite_sums(series: ObservationSeries, opposite: ObservationSeries) -> np.ndarray:
-    """Telescoped opposite-leg increment sum for each own interval."""
-    lo, hi = _interval_bounds(series.times, opposite.times)
-    v = opposite.values
-    sums = np.where(lo <= hi, v[hi] - v[np.maximum(lo, 1) - 1], 0.0)
-    return sums
+    pairs = enumerate_overlaps(s1, s2).pairs
+    remainder, column = pairs, None
+    if anchoring == "alternative" and len(pairs):
+        kind, first, length = _step_runs(pairs)
+        corners = np.flatnonzero(kind == 1)
+        if corners.size:
+            a = first[corners[0]]
+            b = a + length[corners[0]] + 1
+            remainder = np.concatenate([pairs[:a], pairs[b:]])
+            column = (1, pairs[a, 0], pairs[a, 1], pairs[b - 1, 1])
+    groups, starts = _greedy_groups(remainder)
+    if column is not None:
+        # present groups in sweep order of their first pair
+        groups = np.insert(groups, np.searchsorted(starts, a), column, axis=0)
+    return TermList(s1, s2, pairs, groups)
 
 
 def point_coefficients(series: ObservationSeries, opposite: ObservationSeries) -> np.ndarray:
@@ -216,7 +233,7 @@ def point_coefficients(series: ObservationSeries, opposite: ObservationSeries) -
     exact derivative of :func:`hy_covariance` with respect to
     ``series.values[k]``.
     """
-    sums = _interval_opposite_sums(series, opposite)
+    sums = _opposite_sums(series, opposite)
     padded = np.concatenate([[0.0], sums, [0.0]])
     return padded[:-1] - padded[1:]
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelSequence, ObservationSeries
+from .core import LabelSequence, ObservationSeries, clip_ranges, overlap_ranges
 from .errors import EmptyPattern, IndexOutOfRange, ZeroOverlaps
 from .estimator import point_coefficients
 
@@ -107,46 +107,34 @@ def _build_report(
 
 def overlap_count(s1: ObservationSeries, s2: ObservationSeries) -> int:
     """Number of overlapping interval pairs, without materialising them."""
-    t1, t2 = s1.times, s2.times
-    m1 = t1.size - 1
-    lo = np.maximum(1, np.searchsorted(t1, t2[:-1], side="right"))
-    hi = np.minimum(m1, np.searchsorted(t1, t2[1:], side="left"))
-    return int(np.maximum(hi - lo + 1, 0).sum())
+    t2 = s2.times
+    first, last = overlap_ranges(s1.times, t2[:-1], t2[1:])
+    return int(clip_ranges(first, last, s1.n_intervals)[1].sum())
 
 
-def _contained_mask(t_self: np.ndarray, t_opp: np.ndarray) -> np.ndarray:
-    """Containment test for every candidate index 1..M-1 of ``t_self``.
+def _span_ranges(
+    series: ObservationSeries, opposite: ObservationSeries
+) -> tuple[np.ndarray, np.ndarray]:
+    """Opposite intervals met by, and containment of, each candidate span.
 
-    ``mask[j - 1]`` is True when ``(t_self[j-1], t_self[j+1]]`` lies
-    inside a single opposite interval.  Strict endpoint comparisons make
-    this exact for the half-open convention even with shared timestamps.
+    Candidate ``j = 1..M-1`` of ``series`` spans ``(t[j-1], t[j+1]]``;
+    returns ``(met, contained)`` with entry ``j - 1`` for candidate ``j``.
     """
-    m_opp = t_opp.size - 1
-    left = t_self[:-2]
-    right = t_self[2:]
-    fit_hi = np.searchsorted(t_opp, left, side="right")   # opposite i <= fit_hi
-    fit_lo = np.searchsorted(t_opp, right, side="left")   # opposite i >= fit_lo
-    return np.minimum(m_opp, fit_hi) >= np.maximum(1, fit_lo)
+    t = series.times
+    first, last = overlap_ranges(opposite.times, t[:-2], t[2:])
+    met = clip_ranges(first, last, opposite.n_intervals)[1]
+    return met, (first == last) & (met == 1)
 
 
-def _interval_rule_side(t_self: np.ndarray, t_opp: np.ndarray) -> tuple[list[int], list[int]]:
-    """Nonextant indices of the ``t_self`` leg: (containment, edge-fallback)."""
-    m_self = t_self.size - 1
-    m_opp = t_opp.size - 1
+def _rule_side(met: np.ndarray, contained: np.ndarray) -> tuple[list[int], list[int]]:
+    """Nonextant candidates of one leg: (containment, edge-fallback).
 
-    contained = _contained_mask(t_self, t_opp)
-    interior = (np.flatnonzero(contained) + 1).tolist()
-
-    boundary: list[int] = []
-    for j in {1, m_self - 1}:
-        if not 1 <= j <= m_self - 1 or contained[j - 1]:
-            continue
-        alpha = int(np.searchsorted(t_opp, t_self[j - 1], side="right"))
-        beta = int(np.searchsorted(t_opp, t_self[j + 1], side="left"))
-        touched = min(m_opp, beta) - max(1, alpha) + 1
-        if touched == 1:
-            boundary.append(j)
-    return interior, sorted(boundary)
+    The second and penultimate points that fail containment fall back to
+    the exactly-one-overlap test.
+    """
+    edges = sorted({1, contained.size}) if contained.size else []
+    boundary = [j for j in edges if not contained[j - 1] and met[j - 1] == 1]
+    return (np.flatnonzero(contained) + 1).tolist(), boundary
 
 
 def detect_interval_rule(
@@ -162,43 +150,10 @@ def detect_interval_rule(
     containment are additionally tested with the exactly-one-overlap
     fallback, and those extra detections enter the index sets.
     """
-    leg1 = _interval_rule_side(s1.times, s2.times)
-    leg2 = _interval_rule_side(s2.times, s1.times)
+    leg1 = _rule_side(*_span_ranges(s1, s2))
+    leg2 = _rule_side(*_span_ranges(s2, s1))
     m = overlap_count(s1, s2)
     return _build_report(leg1, leg2, m, "interval_rule", include_boundary)
-
-
-def _label_positions(labels: LabelSequence) -> dict[str, np.ndarray]:
-    return {lab: np.flatnonzero(labels.labels == lab) for lab in ("A", "B")}
-
-
-def _label_rule_side(
-    pos_self: np.ndarray,
-    opp_before: np.ndarray,
-    m_opp: int,
-) -> tuple[list[int], list[int]]:
-    """Label-sequence version of the interval rule for one leg.
-
-    ``opp_before[p]`` counts opposite-label entries before merged
-    position ``p``; with tie-free inputs every endpoint comparison in the
-    interval rule reduces to such a count.
-    """
-    m_self = pos_self.size - 1
-
-    # middle of a same-label triple: own neighbours are adjacent in the merge
-    middle = pos_self[2:] - pos_self[:-2] == 2
-    interior = (np.flatnonzero(middle) + 1).tolist()
-
-    boundary: list[int] = []
-    for j in {1, m_self - 1}:
-        if not 1 <= j <= m_self - 1 or middle[j - 1]:
-            continue
-        alpha = int(opp_before[pos_self[j - 1]])
-        beta = int(opp_before[pos_self[j + 1]])
-        touched = min(m_opp, beta) - max(1, alpha) + 1
-        if touched == 1:
-            boundary.append(j)
-    return interior, sorted(boundary)
 
 
 def detect_label_rule(
@@ -213,21 +168,24 @@ def detect_label_rule(
     exactly-one-overlap test, evaluated on merge positions.  Runs in
     O(n).
     """
-    pos = _label_positions(labels)
     is_a = labels.labels == "A"
+    pos_a = np.flatnonzero(is_a)
+    pos_b = np.flatnonzero(~is_a)
+    # with tie-free legs, the opposite entries before a merge position
+    # are exactly the counts overlap_ranges takes from the times
     before_a = np.concatenate([[0], np.cumsum(is_a)])
     before_b = np.concatenate([[0], np.cumsum(~is_a)])
-    m_a = pos["A"].size - 1
-    m_b = pos["B"].size - 1
+    m_a = pos_a.size - 1
+    m_b = pos_b.size - 1
 
-    leg1 = _label_rule_side(pos["A"], before_b, m_b)
-    leg2 = _label_rule_side(pos["B"], before_a, m_a)
+    sides = []
+    for pos, before, m_opp in ((pos_a, before_b, m_b), (pos_b, before_a, m_a)):
+        first, last = before[pos[:-2]], before[pos[2:]]
+        # equal counts: the own neighbours are adjacent in the merge
+        sides.append(_rule_side(clip_ranges(first, last, m_opp)[1], first == last))
 
-    # overlap count from prefix sums: opposite intervals touched per own interval
-    alpha = before_a[pos["B"][:-1]]
-    beta = before_a[pos["B"][1:]]
-    m = int(np.maximum(np.minimum(m_a, beta) - np.maximum(1, alpha) + 1, 0).sum())
-    return _build_report(leg1, leg2, m, "label_rule", include_boundary)
+    m = int(clip_ranges(before_a[pos_b[:-1]], before_a[pos_b[1:]], m_a)[1].sum())
+    return _build_report(sides[0], sides[1], m, "label_rule", include_boundary)
 
 
 def count_pattern(labels: LabelSequence | str, pattern: str) -> int:
@@ -283,13 +241,12 @@ def oracle_detect(
     for series, opposite in ((s1, s2), (s2, s1)):
         coeff = point_coefficients(series, opposite)
         scale = float(np.median(np.abs(opposite.increments)))
-        tol = ORACLE_RELATIVE_TOLERANCE * scale
-        detected = np.flatnonzero(np.abs(coeff) <= tol).tolist()
-        contained = _contained_mask(series.times, opposite.times)
-        last = series.n_points - 1
-        interior = [k for k in detected if 1 <= k <= last - 1 and contained[k - 1]]
-        boundary = [k for k in detected if k not in interior]
-        sides.append((interior, boundary))
+        detected = np.abs(coeff) <= ORACLE_RELATIVE_TOLERANCE * scale
+        interior = np.zeros_like(detected)
+        interior[1:-1] = _span_ranges(series, opposite)[1]
+        interior &= detected
+        boundary = detected & ~interior
+        sides.append((np.flatnonzero(interior).tolist(), np.flatnonzero(boundary).tolist()))
     m = overlap_count(s1, s2)
     return _build_report(sides[0], sides[1], m, "oracle", include_boundary)
 
@@ -311,29 +268,15 @@ def nonextant_interval(
     if not 1 <= i <= m1:
         raise IndexOutOfRange(f"interval index {i} outside 1..{m1}")
     t1, t2 = s1.times, s2.times
-
-    def first_after(x: float) -> float | None:
-        k = int(np.searchsorted(t2, x, side="right"))
-        return float(t2[k]) if k < t2.size else None
-
-    def last_before(x: float) -> float | None:
-        k = int(np.searchsorted(t2, x, side="left"))
-        return float(t2[k - 1]) if k >= 1 else None
-
-    if i == 1:
-        candidates = [v for v in (last_before(t1[0]), first_after(t1[0])) if v is not None]
-        lo = min(candidates) if candidates else None
-    else:
-        lo = first_after(t1[i - 1])
-    if i == m1:
-        candidates = [v for v in (last_before(t1[m1]), first_after(t1[m1])) if v is not None]
-        hi = max(candidates) if candidates else None
-    else:
-        hi = last_before(t1[i])
-
-    if lo is None or hi is None:
+    # degenerate spans (x, x]: after = first leg-2 index past x,
+    # before = number of leg-2 times below x
+    ends = t1[[i - 1, i]]
+    (after_lo, after_hi), (before_lo, before_hi) = overlap_ranges(t2, ends, ends)
+    lo = before_lo - 1 if i == 1 and before_lo >= 1 else after_lo
+    hi = after_hi if i == m1 and after_hi < t2.size else before_hi - 1
+    if lo >= t2.size or hi < 0:
         return OpenInterval.empty()
-    return OpenInterval(lo, hi)
+    return OpenInterval(float(t2[lo]), float(t2[hi]))
 
 
 def data_loss_ratio(report: NonextantReport) -> float:

@@ -88,6 +88,82 @@ def random_tie_free_pair(rng: np.random.Generator, max_points: int = 14):
     )
 
 
+def random_tied_pair(rng: np.random.Generator, max_points: int = 14):
+    """Small random pair on one shared integer grid, so timestamps may
+    coincide across legs; one draw in four is fully synchronous."""
+    na = int(rng.integers(2, max_points))
+    ta = np.cumsum(rng.integers(1, 4, size=na))
+    if rng.random() < 0.25:
+        tb = ta.copy()
+    else:
+        tb = np.cumsum(rng.integers(1, 4, size=int(rng.integers(2, max_points))))
+    va = rng.integers(-20, 21, size=ta.size).astype(float)
+    vb = rng.integers(-20, 21, size=tb.size).astype(float)
+    return (
+        validate_series(ta.astype(float), va, "A"),
+        validate_series(tb.astype(float), vb, "B"),
+    )
+
+
+def _runs(pairs: list[tuple[int, int]], k: int) -> tuple[int, int]:
+    """Lengths of the same-j (row) and same-i (column) runs starting at k."""
+    i0, j0 = pairs[k]
+    r = k + 1
+    while r < len(pairs) and pairs[r][1] == j0 and pairs[r][0] == pairs[r - 1][0] + 1:
+        r += 1
+    c = k + 1
+    while c < len(pairs) and pairs[c][0] == i0 and pairs[c][1] == pairs[c - 1][1] + 1:
+        c += 1
+    return r - k, c - k
+
+
+def _greedy_groups(pairs: list[tuple[int, int]]) -> list[tuple[str, int, int, int]]:
+    """Partition staircase pairs into maximal telescoping runs.
+
+    At each position take the longer of the row run (fixed j) and the
+    column run (fixed i); ties go to the row.  Returns
+    ``(axis, anchor, lo, hi)`` with lo..hi the swept indices.
+    """
+    groups: list[tuple[str, int, int, int]] = []
+    k = 0
+    while k < len(pairs):
+        row_len, col_len = _runs(pairs, k)
+        i0, j0 = pairs[k]
+        if col_len > row_len:
+            groups.append(("col", i0, j0, pairs[k + col_len - 1][1]))
+            k += col_len
+        else:
+            groups.append(("row", j0, i0, pairs[k + row_len - 1][0]))
+            k += row_len
+    return groups
+
+
+def _first_full_column(pairs: list[tuple[int, int]]) -> tuple[int, int] | None:
+    """Slice bounds of the column at the first upward corner, if any."""
+    for k in range(len(pairs) - 1):
+        if pairs[k + 1][0] == pairs[k][0] and pairs[k + 1][1] == pairs[k][1] + 1:
+            i0 = pairs[k][0]
+            end = k + 1
+            while end + 1 < len(pairs) and pairs[end + 1][0] == i0:
+                end += 1
+            return k, end + 1
+    return None
+
+
+def loop_groups(pairs: list[tuple[int, int]], anchoring: str) -> list[tuple]:
+    """Reference grouping of ``telescope_rows`` by the pair-by-pair loop."""
+    extracted: list[tuple[str, int, int, int]] = []
+    if anchoring == "alternative":
+        bounds = _first_full_column(pairs)
+        if bounds is not None:
+            a, b = bounds
+            extracted.append(("col", pairs[a][0], pairs[a][1], pairs[b - 1][1]))
+            pairs = pairs[:a] + pairs[b:]
+    groups = _greedy_groups(pairs) + extracted
+    groups.sort(key=lambda g: (g[2], g[1]) if g[0] == "row" else (g[1], g[2]))
+    return groups
+
+
 def adversary_instance(trial: int, rate_a=1.0, rate_b=1.0, horizon=50.0, seed=97):
     """Accepted asynchronous pair with random-walk prices attached."""
     config = AdversaryConfig(rate_a=rate_a, rate_b=rate_b, horizon=horizon, seed=seed)

@@ -73,6 +73,13 @@ class TestEstimate:
         assert code == 3
         assert "2.0" in err
 
+    def test_empty_file_exits_3(self, capsys, tmp_path):
+        a = write_csv(tmp_path / "a.csv", [], [])
+        b = write_csv(tmp_path / "b.csv", [2.0, 4.0], [0, 0])
+        code, _, err = run_cli(capsys, "estimate", a, b)
+        assert code == 3
+        assert "Traceback" not in err
+
     def test_jitter_breaks_partial_tie(self, capsys, tmp_path):
         a = write_csv(tmp_path / "a.csv", [1.0, 2.0, 3.0], [0, 1, 2])
         b = write_csv(tmp_path / "b.csv", [2.0, 4.0], [0, 1])

@@ -11,13 +11,19 @@ from hyf import (
     NonMonotoneTimes,
     TooFewPoints,
     ValidationError,
+    detect_interval_rule,
     enumerate_overlaps,
     merge_labels,
     overlap_count,
     validate_series,
 )
 
-from _support import brute_overlap_pairs, random_tie_free_pair
+from _support import (
+    algorithm1_count,
+    brute_overlap_pairs,
+    random_tie_free_pair,
+    random_tied_pair,
+)
 from conftest import GOLDEN_MERGE, GOLDEN_PAIRS
 
 
@@ -158,15 +164,24 @@ class TestEnumerateOverlaps:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_sweep_equals_brute_force(self, seed):
-        s1, s2 = random_tie_free_pair(np.random.default_rng(seed))
-        sweep = [tuple(p) for p in enumerate_overlaps(s1, s2).pairs.tolist()]
-        assert sweep == brute_overlap_pairs(s1.times, s2.times)
-        assert overlap_count(s1, s2) == len(sweep)
+        rng = np.random.default_rng(seed)
+        for make_pair in (random_tie_free_pair, random_tied_pair):
+            s1, s2 = make_pair(rng)
+            sweep = [tuple(p) for p in enumerate_overlaps(s1, s2).pairs.tolist()]
+            assert sweep == brute_overlap_pairs(s1.times, s2.times)
+            assert overlap_count(s1, s2) == len(sweep)
+            # containment detections away from the edge candidates
+            report = detect_interval_rule(s1, s2)
+            for a, b, found in ((s1, s2, report.nonextant_1), (s2, s1, report.nonextant_2)):
+                inner = [k for k in found if 2 <= k <= a.n_intervals - 2]
+                assert len(inner) == algorithm1_count(a.times.tolist(), b.times.tolist())
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_overlap_symmetry(self, seed):
-        s1, s2 = random_tie_free_pair(np.random.default_rng(seed))
-        forward = {tuple(p) for p in enumerate_overlaps(s1, s2).pairs.tolist()}
-        backward = {tuple(p) for p in enumerate_overlaps(s2, s1).pairs.tolist()}
-        assert forward == {(i, j) for j, i in backward}
+        rng = np.random.default_rng(seed)
+        for make_pair in (random_tie_free_pair, random_tied_pair):
+            s1, s2 = make_pair(rng)
+            forward = {tuple(p) for p in enumerate_overlaps(s1, s2).pairs.tolist()}
+            backward = {tuple(p) for p in enumerate_overlaps(s2, s1).pairs.tolist()}
+            assert forward == {(i, j) for j, i in backward}

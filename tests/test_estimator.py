@@ -8,13 +8,20 @@ from hypothesis import strategies as st
 from hyf import (
     IndexOutOfRange,
     coefficient_of,
+    enumerate_overlaps,
     hy_covariance,
     point_coefficients,
     telescope_rows,
     validate_series,
 )
 
-from _support import brute_hy, finite_difference_coefficient, random_tie_free_pair
+from _support import (
+    brute_hy,
+    finite_difference_coefficient,
+    loop_groups,
+    random_tie_free_pair,
+    random_tied_pair,
+)
 from conftest import GOLDEN_COVARIANCE
 
 
@@ -91,12 +98,28 @@ class TestTelescopeRows:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_groupings_match_raw_sum(self, seed):
-        s1, s2 = random_tie_free_pair(np.random.default_rng(seed))
-        raw = brute_hy(s1, s2)
-        for anchoring in ("row", "alternative"):
-            terms = telescope_rows(s1, s2, anchoring=anchoring)
-            assert terms.raw_total() == pytest.approx(raw, rel=1e-9, abs=1e-9)
-            assert terms.grouped_total() == pytest.approx(raw, rel=1e-9, abs=1e-9)
+        rng = np.random.default_rng(seed)
+        for make_pair in (random_tie_free_pair, random_tied_pair):
+            s1, s2 = make_pair(rng)
+            raw = brute_hy(s1, s2)
+            assert hy_covariance(s1, s2) == pytest.approx(raw, rel=1e-9, abs=1e-9)
+            for anchoring in ("row", "alternative"):
+                terms = telescope_rows(s1, s2, anchoring=anchoring)
+                assert terms.raw_total() == pytest.approx(raw, rel=1e-9, abs=1e-9)
+                assert terms.grouped_total() == pytest.approx(raw, rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_groups_match_loop_reference(self, seed):
+        # tie-free, partly tied and fully synchronous staircases
+        rng = np.random.default_rng(seed)
+        for make_pair in (random_tie_free_pair, random_tied_pair):
+            s1, s2 = make_pair(rng, max_points=30)
+            pairs = [tuple(p) for p in enumerate_overlaps(s1, s2).pairs.tolist()]
+            for anchoring in ("row", "alternative"):
+                groups = telescope_rows(s1, s2, anchoring=anchoring).groups.tolist()
+                got = [(("row", "col")[axis], *rest) for axis, *rest in groups]
+                assert got == loop_groups(pairs, anchoring)
 
 
 class TestCoefficients:
@@ -140,20 +163,23 @@ class TestCoefficients:
     @given(seed=st.integers(0, 10**6))
     def test_affine_in_every_value(self, seed):
         rng = np.random.default_rng(seed)
-        s1, s2 = random_tie_free_pair(rng)
-        base = hy_covariance(s1, s2)
-        leg = "A" if rng.random() < 0.5 else "B"
-        series = s1 if leg == "A" else s2
-        k = int(rng.integers(0, series.n_points))
-        delta = float(rng.uniform(0.5, 3.0))
-        bumped = series.values.copy()
-        bumped[k] += delta
-        if leg == "A":
-            moved = hy_covariance(s1.with_values(bumped), s2)
-        else:
-            moved = hy_covariance(s1, s2.with_values(bumped))
-        predicted = coefficient_of(s1, s2, leg, k) * delta
-        assert moved - base == pytest.approx(predicted, rel=1e-9, abs=1e-9)
+        for make_pair in (random_tie_free_pair, random_tied_pair):
+            s1, s2 = make_pair(rng)
+            base = hy_covariance(s1, s2)
+            leg = "A" if rng.random() < 0.5 else "B"
+            series = s1 if leg == "A" else s2
+            k = int(rng.integers(0, series.n_points))
+            delta = float(rng.uniform(0.5, 3.0))
+            bumped = series.values.copy()
+            bumped[k] += delta
+            if leg == "A":
+                moved = hy_covariance(s1.with_values(bumped), s2)
+            else:
+                moved = hy_covariance(s1, s2.with_values(bumped))
+            predicted = coefficient_of(s1, s2, leg, k) * delta
+            assert moved - base == pytest.approx(predicted, rel=1e-9, abs=1e-9)
+            slope = finite_difference_coefficient(s1, s2, leg, k, brute_hy, delta)
+            assert slope * delta == pytest.approx(predicted, rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=150, deadline=None)
