@@ -1,15 +1,16 @@
 """Asynchronous input generation from two independent Poisson processes.
 
-Observation times for each leg are homogeneous Poisson arrivals on
-``(0, T]``, sampled through cumulative exponential inter-arrivals.  A
-generated pair is accepted only when the first overlapping interval pair
-is (1, 1) and the last is (M1, M2); rejected draws are regenerated from
-the next substream.  Accepted pairs therefore satisfy
-``m = n_points_total - 3``.
+Two independent homogeneous Poisson legs with rates ``a`` and ``b`` on
+``(0, T]`` are one rate-``(a+b)`` process whose points are labelled A
+independently with probability ``a/(a+b)``.  The generator draws that
+superposed process once, marks its labels, and makes the first two and
+the last two merged points one A and one B, which is the boundary
+alignment: the first overlapping interval pair is (1, 1) and the last is
+(M1, M2).  Accepted pairs therefore satisfy ``m = n_points_total - 3``.
 
-Every random draw is keyed by ``(seed, trial, attempt)`` with one spawned
-child stream per leg, so concurrent trials reproduce bit-identical
-results regardless of scheduling.
+Every random draw comes from one stream keyed by ``(seed, trial,
+attempt)``, so concurrent trials reproduce bit-identical results
+regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObservationSeries, first_shared_time
+from .core import ObservationSeries
 from .errors import NonPositiveRate, RejectionBudgetExceeded
 
 DEFAULT_SEED = 1729
@@ -54,12 +55,14 @@ class AdversaryConfig:
     max_resamples: int = 1000
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.rate_a) and math.isfinite(self.rate_b)):
+            raise ValueError(f"rates must be finite, got ({self.rate_a}, {self.rate_b})")
         if self.rate_a <= 0 or self.rate_b <= 0:
             raise NonPositiveRate(
                 f"rates must be positive, got ({self.rate_a}, {self.rate_b})"
             )
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.min_points < 2:
@@ -96,52 +99,44 @@ def generate_poisson(rate: float, horizon: float, rng: np.random.Generator) -> n
     return times[times <= horizon]
 
 
-def _leg_streams(seed: int, trial: int, attempt: int) -> tuple[np.random.Generator, np.random.Generator]:
-    root = np.random.SeedSequence([int(seed), int(trial), int(attempt)])
-    child_a, child_b = root.spawn(2)
-    return np.random.default_rng(child_a), np.random.default_rng(child_b)
-
-
-def _strictly_increasing(t: np.ndarray) -> bool:
-    return bool(np.all(np.diff(t) > 0))
-
-
-def _boundary_aligned(ta: np.ndarray, tb: np.ndarray) -> bool:
-    # first overlap must be (1, 1), last must be (M1, M2)
-    return bool(
-        ta[1] > tb[0]
-        and ta[0] < tb[1]
-        and ta[-1] > tb[-2]
-        and ta[-2] < tb[-1]
-    )
-
-
 def generate_inputs(
     config: AdversaryConfig,
     trial: int = 0,
 ) -> tuple[ObservationSeries, ObservationSeries]:
     """One accepted asynchronous input pair for the given trial index.
 
+    Draws the merged times of both legs as one rate-``(a+b)`` process
+    and labels each point A with probability ``p = a/(a+b)``.  This is
+    exact for the boundary-aligned pairs of two independent legs: for
+    every merged count ``N >= 4`` the alignment event (first two and last
+    two labels differ) has probability ``(2pq)^2`` and involves only the
+    four end labels.  Conditioning on it therefore leaves ``N`` Poisson
+    given ``N >= 4``, the interior labels i.i.d., and each end pair AB or
+    BA with probability ``pq / 2pq = 1/2``.  Only ``N < 4``, float ties in
+    the times and ``min_points > 2`` lead to a redraw.
+
     Values are left at zero: the cancellation structure depends on the
     observation times only.  Use :func:`attach_random_walk` when a
     value-based check needs continuously distributed prices.
 
     Raises :class:`RejectionBudgetExceeded` when no draw within the
-    budget meets the acceptance conditions (typically a sign that
-    ``rate * horizon`` is too small for ``min_points``).
+    budget has four merged points and ``min_points`` on both legs
+    (typically a sign that ``rate * horizon`` is too small).
     """
-    want = max(2, config.min_points)
+    p = config.rate_a / (config.rate_a + config.rate_b)
     for attempt in range(config.max_resamples):
-        rng_a, rng_b = _leg_streams(config.seed, trial, attempt)
-        ta = generate_poisson(config.rate_a, config.horizon, rng_a)
-        tb = generate_poisson(config.rate_b, config.horizon, rng_b)
-        if ta.size < want or tb.size < want:
+        rng = np.random.default_rng(
+            np.random.SeedSequence([int(config.seed), int(trial), int(attempt)])
+        )
+        times = generate_poisson(config.rate_a + config.rate_b, config.horizon, rng)
+        if times.size < 4 or not np.all(np.diff(times) > 0):
             continue
-        if not (_strictly_increasing(ta) and _strictly_increasing(tb)):
-            continue
-        if first_shared_time(ta, tb) is not None:
-            continue
-        if not _boundary_aligned(ta, tb):
+        is_a = rng.random(times.size) < p
+        first_a, last_a = rng.random(2) < 0.5
+        is_a[:2] = (first_a, not first_a)
+        is_a[-2:] = (not last_a, last_a)
+        ta, tb = times[is_a], times[~is_a]
+        if min(ta.size, tb.size) < config.min_points:
             continue
         return (
             ObservationSeries(ta, np.zeros(ta.size), "A"),

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -145,15 +146,18 @@ def _load_pair(args) -> tuple[ObservationSeries, ObservationSeries]:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("HYF_SEED")
-    if env is not None:
+    seed, source = getattr(args, "seed", None), "--seed"
+    if seed is None:
+        env = os.environ.get("HYF_SEED")
+        if env is None:
+            return DEFAULT_SEED
         try:
-            return int(env)
+            seed, source = int(env), "HYF_SEED"
         except ValueError:
             raise _UsageError(f"HYF_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
+    if not 0 <= seed < 2**64:
+        raise _UsageError(f"{source} must be a 64-bit unsigned integer, got {seed}")
+    return seed
 
 
 def _parse_rate(token: str) -> float:
@@ -176,8 +180,8 @@ def _parse_rate_pairs(text: str) -> list[tuple[float, float]]:
         if len(parts) != 2:
             raise _UsageError(f"rate pair must look like 'a,b', got {chunk!r}")
         a, b = (_parse_rate(p) for p in parts)
-        if a <= 0 or b <= 0:
-            raise _UsageError(f"rates must be positive, got {chunk!r}")
+        if not (0 < a < math.inf and 0 < b < math.inf):
+            raise _UsageError(f"rates must be positive and finite, got {chunk!r}")
         pairs.append((a, b))
     if not pairs:
         raise _UsageError("need at least one rate pair")
@@ -194,8 +198,8 @@ def _parse_horizons(text: str) -> list[float]:
             value = float(chunk)
         except ValueError:
             raise _UsageError(f"cannot parse horizon {chunk!r}") from None
-        if value <= 0:
-            raise _UsageError(f"horizons must be positive, got {chunk!r}")
+        if not 0 < value < math.inf:
+            raise _UsageError(f"horizons must be positive and finite, got {chunk!r}")
         out.append(value)
     if not out:
         raise _UsageError("need at least one horizon")
@@ -312,10 +316,10 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.horizon is None or args.horizon <= 0:
-        raise _UsageError(f"--horizon must be positive, got {args.horizon}")
-    if args.rate_a <= 0 or args.rate_b <= 0:
-        raise _UsageError("--rate-a and --rate-b must be positive")
+    if not 0 < args.horizon < math.inf:
+        raise _UsageError(f"--horizon must be positive and finite, got {args.horizon}")
+    if not (0 < args.rate_a < math.inf and 0 < args.rate_b < math.inf):
+        raise _UsageError("--rate-a and --rate-b must be positive and finite")
     seed = _resolve_seed(args)
     config = AdversaryConfig(
         rate_a=args.rate_a, rate_b=args.rate_b, horizon=args.horizon, seed=seed

@@ -86,7 +86,8 @@ def _build_report(
     method: str,
     include_boundary: bool,
 ) -> NonextantReport:
-    assert method in _METHODS
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     set1 = sorted(set(leg1[0]) | (set(leg1[1]) if include_boundary else set()))
     set2 = sorted(set(leg2[0]) | (set(leg2[1]) if include_boundary else set()))
     f_interior = len(leg1[0]) + len(leg2[0])

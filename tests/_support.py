@@ -6,15 +6,20 @@ reference implementations the fast code is checked against.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from hyf import (
     AdversaryConfig,
     ObservationSeries,
+    RejectionBudgetExceeded,
     attach_random_walk,
     generate_inputs,
+    generate_poisson,
     validate_series,
 )
+from hyf.core import first_shared_time
 
 
 def brute_overlap_pairs(t1, t2) -> list[tuple[int, int]]:
@@ -169,3 +174,90 @@ def adversary_instance(trial: int, rate_a=1.0, rate_b=1.0, horizon=50.0, seed=97
     config = AdversaryConfig(rate_a=rate_a, rate_b=rate_b, horizon=horizon, seed=seed)
     s1, s2 = generate_inputs(config, trial=trial)
     return attach_random_walk(s1, s2, seed=seed, trial=trial)
+
+
+def _leg_streams(seed: int, trial: int, attempt: int) -> tuple[np.random.Generator, np.random.Generator]:
+    root = np.random.SeedSequence([int(seed), int(trial), int(attempt)])
+    child_a, child_b = root.spawn(2)
+    return np.random.default_rng(child_a), np.random.default_rng(child_b)
+
+
+def _strictly_increasing(t: np.ndarray) -> bool:
+    return bool(np.all(np.diff(t) > 0))
+
+
+def _boundary_aligned(ta: np.ndarray, tb: np.ndarray) -> bool:
+    # first overlap must be (1, 1), last must be (M1, M2)
+    return bool(
+        ta[1] > tb[0]
+        and ta[0] < tb[1]
+        and ta[-1] > tb[-2]
+        and ta[-2] < tb[-1]
+    )
+
+
+def two_leg_generate_inputs(
+    config: AdversaryConfig,
+    trial: int = 0,
+) -> tuple[ObservationSeries, ObservationSeries]:
+    """Reference generator: two independent legs, redrawn until aligned.
+
+    Each attempt draws leg A and leg B from their own spawned stream and
+    keeps the pair only when it is tie-free and boundary aligned, which is
+    the definition the superposed generator in ``hyf`` must reproduce in
+    distribution.
+    """
+    want = max(2, config.min_points)
+    for attempt in range(config.max_resamples):
+        rng_a, rng_b = _leg_streams(config.seed, trial, attempt)
+        ta = generate_poisson(config.rate_a, config.horizon, rng_a)
+        tb = generate_poisson(config.rate_b, config.horizon, rng_b)
+        if ta.size < want or tb.size < want:
+            continue
+        if not (_strictly_increasing(ta) and _strictly_increasing(tb)):
+            continue
+        if first_shared_time(ta, tb) is not None:
+            continue
+        if not _boundary_aligned(ta, tb):
+            continue
+        return (
+            ObservationSeries(ta, np.zeros(ta.size), "A"),
+            ObservationSeries(tb, np.zeros(tb.size), "B"),
+        )
+    raise RejectionBudgetExceeded(
+        f"no accepted draw in {config.max_resamples} resamples "
+        f"(rates {config.rate_a}, {config.rate_b}, horizon {config.horizon})"
+    )
+
+
+def exact_interior_loss(rate_a: float, rate_b: float, horizon: float) -> float:
+    """Exact finite-horizon mean of ``f_interior / m`` for aligned pairs.
+
+    Given the merged count ``N``, the labels are i.i.d. A with probability
+    ``p``; an aligned pair has one A and one B in each end pair, each order
+    equally likely, and ``m = N - 3``.  Merged position ``k`` (0-based) is a
+    same-label-triple middle only for ``2 <= k <= N - 3``.  Its triple has
+    i.i.d. labels away from the ends, giving ``p^3 + q^3``; a neighbour in
+    an end pair is a fair coin, giving ``(p^2 + q^2) / 2`` with one such
+    neighbour and ``1/4`` with two (only at ``N = 5``).  ``N`` is Poisson
+    with mean ``(a + b) T`` conditioned on ``N >= 4``.
+    """
+    p = rate_a / (rate_a + rate_b)
+    q = 1.0 - p
+    lam = (rate_a + rate_b) * horizon
+    top = int(lam + 15.0 * math.sqrt(lam) + 50.0)
+    numerator = denominator = 0.0
+    for n in range(4, top + 1):
+        weight = math.exp(n * math.log(lam) - lam - math.lgamma(n + 1))
+        mean_f = 0.0
+        for k in range(2, n - 2):
+            coin_neighbours = (k - 1 <= 1) + (k + 1 >= n - 2)
+            if coin_neighbours == 0:
+                mean_f += p**3 + q**3
+            elif coin_neighbours == 1:
+                mean_f += (p**2 + q**2) / 2
+            else:
+                mean_f += 0.25
+        numerator += weight * mean_f / (n - 3)
+        denominator += weight
+    return numerator / denominator

@@ -5,16 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyf.adversary
 from hyf import (
     AdversaryConfig,
     NonPositiveRate,
     RejectionBudgetExceeded,
     attach_random_walk,
+    data_loss_ratio,
+    detect_interval_rule,
     enumerate_overlaps,
     generate_inputs,
     generate_poisson,
     theoretical_loss,
 )
+
+from _support import two_leg_generate_inputs
 
 rates = st.floats(1e-3, 1e3)
 
@@ -41,6 +46,16 @@ class TestConfig:
             AdversaryConfig(rate_a=1, rate_b=1, horizon=1, seed=-1)
         with pytest.raises(ValueError):
             AdversaryConfig(rate_a=1, rate_b=1, horizon=1, seed=2**64)
+
+    @pytest.mark.parametrize("rate_a,rate_b,horizon", [
+        (math.nan, 1.0, 10.0),
+        (1.0, math.inf, 10.0),
+        (1.0, 1.0, math.nan),
+        (1.0, 1.0, math.inf),
+    ])
+    def test_non_finite_rate_or_horizon_rejected(self, rate_a, rate_b, horizon):
+        with pytest.raises(ValueError):
+            AdversaryConfig(rate_a=rate_a, rate_b=rate_b, horizon=horizon)
 
 
 class TestGeneratePoisson:
@@ -118,6 +133,50 @@ class TestGenerateInputs:
         )
         with pytest.raises(RejectionBudgetExceeded):
             generate_inputs(config)
+
+    def test_one_poisson_draw_per_attempt(self, monkeypatch):
+        calls = []
+
+        def counting(rate, horizon, rng):
+            calls.append(rate)
+            return generate_poisson(rate, horizon, rng)
+
+        monkeypatch.setattr(hyf.adversary, "generate_poisson", counting)
+        generate_inputs(AdversaryConfig(rate_a=1, rate_b=0.25, horizon=50, seed=11))
+        assert calls == [1.25]
+        calls.clear()
+        with pytest.raises(RejectionBudgetExceeded):
+            generate_inputs(AdversaryConfig(
+                rate_a=1, rate_b=1, horizon=0.001, seed=5, max_resamples=20
+            ))
+        assert len(calls) == 20
+
+
+class TestAgainstTwoLegReference:
+    """Two-sample check of the superposed generator against the two-leg
+    rejection generator it replaces: same distribution, different draws."""
+
+    RUNS = 400
+
+    @staticmethod
+    def _statistics(generate, config, runs):
+        rows = []
+        for trial in range(runs):
+            s1, s2 = generate(config, trial=trial)
+            loss = data_loss_ratio(detect_interval_rule(s1, s2))
+            rows.append((loss, s1.n_points, s2.n_points, s1.times[0] < s2.times[0]))
+        return np.array(rows, dtype=float)
+
+    @pytest.mark.parametrize("rate_b", [1.0, 0.25])
+    def test_same_distribution(self, rate_b):
+        config = AdversaryConfig(rate_a=1.0, rate_b=rate_b, horizon=100.0, seed=2718)
+        new = self._statistics(generate_inputs, config, self.RUNS)
+        old = self._statistics(two_leg_generate_inputs, config, self.RUNS)
+        names = ("interior loss", "points A", "points B", "starts with A")
+        for k, name in enumerate(names):
+            error = math.sqrt((new[:, k].var(ddof=1) + old[:, k].var(ddof=1)) / self.RUNS)
+            z = (new[:, k].mean() - old[:, k].mean()) / error
+            assert abs(z) <= 4.0, (name, new[:, k].mean(), old[:, k].mean(), z)
 
 
 class TestAttachRandomWalk:

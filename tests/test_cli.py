@@ -255,6 +255,25 @@ class TestSimulate:
                              "--out-prefix", str(tmp_path / "x"))
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--horizon", "10", "--seed", "-1"],
+        ["--horizon", "nan"],
+        ["--horizon", "inf"],
+        ["--horizon", "10", "--rate-a", "nan"],
+    ])
+    def test_out_of_range_generator_input_is_usage_error(self, capsys, tmp_path, flags):
+        code, _, err = run_cli(capsys, "simulate", *flags,
+                               "--out-prefix", str(tmp_path / "x"))
+        assert code == 1
+        assert err.startswith("hyf: error: ")
+
+    def test_negative_env_seed_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("HYF_SEED", "-3")
+        code, _, err = run_cli(capsys, "simulate", "--horizon", "10",
+                               "--out-prefix", str(tmp_path / "x"))
+        assert code == 1
+        assert err.startswith("hyf: error: HYF_SEED")
+
 
 class TestLossTable:
     def test_small_grid_text(self, capsys):
@@ -303,6 +322,16 @@ class TestLossTable:
     def test_bad_horizon_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "loss-table", "--horizons", "0", "--runs", "5")
         assert code == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--rates", "1,nan"],
+        ["--horizons", "inf"],
+        ["--seed", "-1"],
+    ])
+    def test_out_of_range_generator_input_exits_1(self, capsys, flags):
+        code, _, err = run_cli(capsys, "loss-table", "--runs", "5", *flags)
+        assert code == 1
+        assert err.startswith("hyf: error: ")
 
 
 class TestEntryPoints:

@@ -1,6 +1,19 @@
+import math
+
 import pytest
 
 from hyf import AdversaryConfig, loss_table, run_experiment
+
+from _support import exact_interior_loss
+
+# exact finite-horizon interior loss at T = 100, as published with the
+# benchmark's loss-table check
+PUBLISHED_EXACT_T100 = {
+    (1.0, 1.0): 0.2487,
+    (1.0, 0.5): 0.3303,
+    (1.0, 0.25): 0.5127,
+    (1.0, 0.1): 0.7387,
+}
 
 
 def quick_config(horizon=300.0, seed=314):
@@ -48,6 +61,21 @@ class TestRunExperiment:
         assert gaps[0] >= gaps[2]
         final = run_experiment(quick_config(horizon=10000.0), runs=runs)
         assert abs(final.mean_loss - final.theoretical) <= 3 * final.std_loss / runs**0.5
+
+
+class TestExactFiniteHorizon:
+    @pytest.mark.parametrize("rates,published", PUBLISHED_EXACT_T100.items())
+    def test_matches_published_values(self, rates, published):
+        assert exact_interior_loss(*rates, 100.0) == pytest.approx(published, abs=1e-4)
+
+    @pytest.mark.parametrize("rates", PUBLISHED_EXACT_T100)
+    def test_mean_within_4_standard_errors(self, rates):
+        config = AdversaryConfig(rate_a=rates[0], rate_b=rates[1], horizon=100.0, seed=1729)
+        summary = run_experiment(config, runs=1000)
+        z = (summary.mean_loss - exact_interior_loss(*rates, 100.0)) / (
+            summary.std_loss / math.sqrt(summary.runs)
+        )
+        assert abs(z) <= 4.0, (rates, summary.mean_loss, z)
 
 
 class TestLossTable:
