@@ -39,7 +39,6 @@ from .estimator import (
     GroupedTerm,
     RawTerm,
     TermList,
-    coefficient_of,
     hy_covariance,
     point_coefficients,
     telescope_rows,
@@ -83,7 +82,6 @@ __all__ = [
     "ValidationError",
     "ZeroOverlaps",
     "attach_random_walk",
-    "coefficient_of",
     "count_pattern",
     "data_loss_ratio",
     "detect_interval_rule",

@@ -28,6 +28,27 @@ DEFAULT_SEED = 1729
 # substream key for price attachment, clear of any attempt index
 _VALUE_STREAM_KEY = 1 << 32
 
+# largest expected point count (a+b)·T one draw may ask for; a draw of
+# 1e8 points holds several 800 MB float64 arrays at once
+MAX_EXPECTED_POINTS = 1e8
+
+
+def check_generator_load(rate_a: float, rate_b: float, horizon: float) -> None:
+    """Reject rates and a horizon whose draw cannot be made.
+
+    Raises ``ValueError`` when ``rate_a + rate_b`` is not finite or the
+    expected point count ``(rate_a + rate_b) * horizon`` exceeds
+    :data:`MAX_EXPECTED_POINTS`.
+    """
+    total = rate_a + rate_b
+    if not math.isfinite(total):
+        raise ValueError(f"rate_a + rate_b must be finite, got {total}")
+    if not total * horizon <= MAX_EXPECTED_POINTS:
+        raise ValueError(
+            f"expected point count (rate_a + rate_b) * horizon = {total * horizon:g} "
+            f"exceeds the generator cap of {MAX_EXPECTED_POINTS:g}"
+        )
+
 
 @dataclass(frozen=True)
 class AdversaryConfig:
@@ -38,7 +59,8 @@ class AdversaryConfig:
     rate_a, rate_b : float
         Events per time unit for legs A and B; strictly positive.
     horizon : float
-        Length of the observation window ``(0, T]``.
+        Length of the observation window ``(0, T]``; see
+        :func:`check_generator_load` for the cap on ``(a+b)·T``.
     seed : int
         Master seed, a 64-bit unsigned integer.
     min_points : int
@@ -55,14 +77,13 @@ class AdversaryConfig:
     max_resamples: int = 1000
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rate_a) and math.isfinite(self.rate_b)):
-            raise ValueError(f"rates must be finite, got ({self.rate_a}, {self.rate_b})")
         if self.rate_a <= 0 or self.rate_b <= 0:
             raise NonPositiveRate(
                 f"rates must be positive, got ({self.rate_a}, {self.rate_b})"
             )
         if not 0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        check_generator_load(self.rate_a, self.rate_b, self.horizon)
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.min_points < 2:

@@ -32,6 +32,7 @@ from .adversary import (
     DEFAULT_SEED,
     AdversaryConfig,
     attach_random_walk,
+    check_generator_load,
     generate_inputs,
 )
 from .core import ObservationSeries, first_shared_time, merge_labels, validate_series
@@ -137,7 +138,7 @@ def _load_pair(args) -> tuple[ObservationSeries, ObservationSeries]:
     shared = first_shared_time(file_a.times, times_b)
     if shared is not None and not np.array_equal(file_a.times, times_b):
         raise ValidationError(
-            f"time {shared!r} appears in both files; asynchronous inputs "
+            f"time {float(shared)!r} appears in both files; asynchronous inputs "
             "must not share timestamps (rerun with --jitter to break ties)"
         )
     s1 = validate_series(file_a.times, file_a.prices, "A")
@@ -316,14 +317,13 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if not 0 < args.horizon < math.inf:
-        raise _UsageError(f"--horizon must be positive and finite, got {args.horizon}")
-    if not (0 < args.rate_a < math.inf and 0 < args.rate_b < math.inf):
-        raise _UsageError("--rate-a and --rate-b must be positive and finite")
     seed = _resolve_seed(args)
-    config = AdversaryConfig(
-        rate_a=args.rate_a, rate_b=args.rate_b, horizon=args.horizon, seed=seed
-    )
+    try:
+        config = AdversaryConfig(
+            rate_a=args.rate_a, rate_b=args.rate_b, horizon=args.horizon, seed=seed
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     s1, s2 = generate_inputs(config)
     s1, s2 = attach_random_walk(s1, s2, seed=seed)
     path_a = f"{args.out_prefix}_a.csv"
@@ -361,6 +361,12 @@ def _cmd_loss_table(args) -> int:
     rate_pairs = _parse_rate_pairs(args.rates)
     horizons = _parse_horizons(args.horizons)
     seed = _resolve_seed(args)
+    try:
+        for rate_a, rate_b in rate_pairs:
+            for horizon in horizons:
+                check_generator_load(rate_a, rate_b, horizon)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     mode = "total" if args.include_boundary else "interior"
     table = loss_table(rate_pairs, horizons, args.runs, seed, boundary_mode=mode)
 

@@ -38,7 +38,7 @@ def _frozen_array(data, dtype) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ObservationSeries:
-    """Strictly increasing observation times with one value per time.
+    """Strictly increasing observation times with one finite value per time.
 
     ``label`` identifies which leg of a pair this series plays ("A" or
     "B").  Instances are immutable; the underlying arrays are marked
@@ -64,14 +64,21 @@ class ObservationSeries:
             raise LengthMismatch(
                 f"leg {self.label}: {times.size} times vs {values.size} values"
             )
-        if not np.all(np.isfinite(times)):
+        # ndarray.all() skips np.all's dispatch, which dominates on short legs
+        if not np.isfinite(times).all():
             raise ValidationError(f"leg {self.label}: non-finite observation time")
+        finite = np.isfinite(values)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValidationError(
+                f"leg {self.label}: non-finite value {float(values[k])!r} at position {k}"
+            )
         gaps = np.diff(times)
         if not np.all(gaps > 0):
             k = int(np.argmax(gaps <= 0)) + 1
             raise NonMonotoneTimes(
-                f"leg {self.label}: time {times[k]!r} at position {k} does not "
-                f"increase past {times[k - 1]!r}"
+                f"leg {self.label}: time {float(times[k])!r} at position {k} does not "
+                f"increase past {float(times[k - 1])!r}"
             )
 
     @property
@@ -114,47 +121,34 @@ def validate_series(times, values, label: Label) -> ObservationSeries:
 class LabelSequence:
     """Time-ordered merge of two series' observation times, tagged A/B.
 
-    ``source_index`` maps each entry back to its position within its own
-    leg.  Construction requires a strict total order, so both legs must be
+    ``is_a`` holds one bool per entry, True for a leg-A point.
+    Construction requires a strict total order, so both legs must be
     tie-free against each other, and each must contribute at least two
     points.
     """
 
     times: np.ndarray
-    labels: np.ndarray
-    source_index: np.ndarray
+    is_a: np.ndarray
 
     def __post_init__(self) -> None:
         times = _frozen_array(self.times, float)
-        labels = _frozen_array(self.labels, "U1")
-        source = _frozen_array(self.source_index, np.int64)
+        is_a = _frozen_array(self.is_a, bool)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "source_index", source)
-        if not (times.size == labels.size == source.size):
-            raise LengthMismatch("times, labels and source_index differ in length")
+        object.__setattr__(self, "is_a", is_a)
+        if times.size != is_a.size:
+            raise LengthMismatch("times and is_a differ in length")
         gaps = np.diff(times)
         if np.any(gaps == 0):
             k = int(np.argmax(gaps == 0))
-            raise CrossSeriesTie(
-                f"time {times[k]!r} appears in both series"
-            )
+            raise CrossSeriesTie(f"time {float(times[k])!r} appears in both series")
         if np.any(gaps < 0):
             raise NonMonotoneTimes("merged entries are not sorted by time")
         for lab in _LABELS:
-            mask = labels == lab
-            count = int(mask.sum())
+            count = self.leg_count(lab)
             if count < 2:
                 raise TooFewPoints(
                     f"both legs must be present with >= 2 points; leg {lab} has {count}"
                 )
-            if not np.array_equal(source[mask], np.arange(count)):
-                raise ValidationError(
-                    f"leg {lab}: source indices are not 0..{count - 1} in time order"
-                )
-        unknown = ~np.isin(labels, _LABELS)
-        if np.any(unknown):
-            raise ValidationError(f"unknown label {labels[unknown][0]!r}")
 
     @classmethod
     def from_string(cls, pattern: str, times=None) -> "LabelSequence":
@@ -163,14 +157,12 @@ class LabelSequence:
         Times default to 0, 1, 2, ...; they only need to be ordered, the
         label-based operations never look at the actual values.
         """
-        labels = np.array(list(pattern), dtype="U1")
+        unknown = set(pattern) - set(_LABELS)
+        if unknown:
+            raise ValidationError(f"unknown label {min(unknown)!r}")
         if times is None:
             times = np.arange(len(pattern), dtype=float)
-        source = np.empty(len(pattern), dtype=np.int64)
-        for lab in _LABELS:
-            mask = labels == lab
-            source[mask] = np.arange(int(mask.sum()))
-        return cls(np.asarray(times, dtype=float), labels, source)
+        return cls(times, [ch == "A" for ch in pattern])
 
     @property
     def n(self) -> int:
@@ -178,14 +170,19 @@ class LabelSequence:
 
     @property
     def as_string(self) -> str:
-        return "".join(self.labels.tolist())
+        return np.where(self.is_a, b"A", b"B").tobytes().decode("ascii")
 
     def leg_count(self, label: Label) -> int:
-        return int(np.count_nonzero(self.labels == label))
+        count_a = int(np.count_nonzero(self.is_a))
+        return count_a if label == "A" else self.n - count_a
 
     @property
     def entries(self) -> Iterator[tuple[float, str, int]]:
-        return zip(self.times.tolist(), self.labels.tolist(), self.source_index.tolist())
+        """``(time, label, index within its own leg)`` per entry."""
+        is_a = self.is_a
+        within = np.where(is_a, np.cumsum(is_a), np.cumsum(~is_a)) - 1
+        labels = ("A" if a else "B" for a in is_a.tolist())
+        return zip(self.times.tolist(), labels, within.tolist())
 
 
 def merge_labels(s1: ObservationSeries, s2: ObservationSeries) -> LabelSequence:
@@ -196,14 +193,10 @@ def merge_labels(s1: ObservationSeries, s2: ObservationSeries) -> LabelSequence:
     """
     if s1.label == s2.label:
         raise ValidationError("series must carry distinct labels")
-    n1, n2 = s1.n_points, s2.n_points
     times = np.concatenate([s1.times, s2.times])
-    labels = np.concatenate(
-        [np.full(n1, s1.label, dtype="U1"), np.full(n2, s2.label, dtype="U1")]
-    )
-    source = np.concatenate([np.arange(n1), np.arange(n2)])
+    is_a = np.repeat([s1.label == "A", s2.label == "A"], [s1.n_points, s2.n_points])
     order = np.argsort(times, kind="stable")
-    return LabelSequence(times[order], labels[order], source[order])
+    return LabelSequence(times[order], is_a[order])
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,9 +218,6 @@ class OverlapSet:
     @property
     def m(self) -> int:
         return int(self.pairs.shape[0])
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(map(tuple, self.pairs.tolist()))
 
 
 def overlap_ranges(

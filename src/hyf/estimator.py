@@ -27,7 +27,6 @@ from .core import (
     enumerate_overlaps,
     overlap_ranges,
 )
-from .errors import IndexOutOfRange
 
 Anchoring = Literal["row", "alternative"]
 
@@ -237,26 +236,3 @@ def point_coefficients(series: ObservationSeries, opposite: ObservationSeries) -
     padded = np.concatenate([[0.0], sums, [0.0]])
     return padded[:-1] - padded[1:]
 
-
-def coefficient_of(
-    s1: ObservationSeries,
-    s2: ObservationSeries,
-    leg: Label,
-    point_index: int,
-) -> float:
-    """Coefficient of one observation value in the covariance output.
-
-    Perturbing that value by ``d`` moves :func:`hy_covariance` by exactly
-    ``coefficient * d`` (up to float roundoff in the re-evaluation).
-    """
-    if leg == s1.label:
-        series, opposite = s1, s2
-    elif leg == s2.label:
-        series, opposite = s2, s1
-    else:
-        raise ValueError(f"leg {leg!r} matches neither series")
-    if not 0 <= point_index < series.n_points:
-        raise IndexOutOfRange(
-            f"point index {point_index} outside 0..{series.n_points - 1}"
-        )
-    return float(point_coefficients(series, opposite)[point_index])

@@ -9,7 +9,7 @@ The default boundary mode is ``"interior"``: only detections at indices
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
@@ -83,8 +83,6 @@ def loss_table(
     runs: int,
     seed: int,
     boundary_mode: BoundaryMode = "interior",
-    min_points: int = 2,
-    max_resamples: int = 1000,
 ) -> LossTable:
     """Empirical loss grid over all (horizon, rate pair) combinations."""
     if not rate_pairs:
@@ -94,24 +92,18 @@ def loss_table(
     rate_pairs = tuple((float(a), float(b)) for a, b in rate_pairs)
     horizons = tuple(float(t) for t in horizons)
 
-    base = AdversaryConfig(
-        rate_a=rate_pairs[0][0],
-        rate_b=rate_pairs[0][1],
-        horizon=horizons[0],
-        seed=seed,
-        min_points=min_points,
-        max_resamples=max_resamples,
+    # build every config first, so a bad cell fails before any trial runs
+    configs = [
+        [AdversaryConfig(rate_a, rate_b, horizon, seed) for rate_a, rate_b in rate_pairs]
+        for horizon in horizons
+    ]
+    rows = tuple(
+        tuple(run_experiment(config, runs, boundary_mode) for config in row)
+        for row in configs
     )
-    rows = []
-    for horizon in horizons:
-        row = []
-        for rate_a, rate_b in rate_pairs:
-            config = replace(base, rate_a=rate_a, rate_b=rate_b, horizon=horizon)
-            row.append(run_experiment(config, runs, boundary_mode))
-        rows.append(tuple(row))
     return LossTable(
         horizons=horizons,
         rate_pairs=rate_pairs,
-        rows=tuple(rows),
+        rows=rows,
         theoretical=tuple(theoretical_loss(a, b) for a, b in rate_pairs),
     )

@@ -23,6 +23,7 @@ edge-fallback detections, which enter the index sets only when
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,6 @@ class NonextantReport:
     f_interior: int
     f_total: int
     m: int
-    loss_interior: float
     loss_total: float
     method: str
 
@@ -92,7 +92,6 @@ def _build_report(
     set2 = sorted(set(leg2[0]) | (set(leg2[1]) if include_boundary else set()))
     f_interior = len(leg1[0]) + len(leg2[0])
     f_total = len(set1) + len(set2)
-    loss_interior = f_interior / m if m > 0 else math.nan
     loss_total = f_total / m if m > 0 else math.nan
     return NonextantReport(
         nonextant_1=tuple(set1),
@@ -100,7 +99,6 @@ def _build_report(
         f_interior=f_interior,
         f_total=f_total,
         m=m,
-        loss_interior=loss_interior,
         loss_total=loss_total,
         method=method,
     )
@@ -169,7 +167,7 @@ def detect_label_rule(
     exactly-one-overlap test, evaluated on merge positions.  Runs in
     O(n).
     """
-    is_a = labels.labels == "A"
+    is_a = labels.is_a
     pos_a = np.flatnonzero(is_a)
     pos_b = np.flatnonzero(~is_a)
     # with tie-free legs, the opposite entries before a merge position
@@ -190,37 +188,11 @@ def detect_label_rule(
 
 
 def count_pattern(labels: LabelSequence | str, pattern: str) -> int:
-    """Count (overlapping) occurrences of ``pattern`` in the label string.
-
-    Linear-time failure-function matcher.
-    """
+    """Count (overlapping) occurrences of ``pattern`` in the label string."""
     if len(pattern) == 0:
         raise EmptyPattern("pattern must contain at least one label")
     text = labels.as_string if isinstance(labels, LabelSequence) else labels
-    n, p = len(text), len(pattern)
-    if n < p:
-        return 0
-
-    fail = [0] * p
-    k = 0
-    for q in range(1, p):
-        while k > 0 and pattern[q] != pattern[k]:
-            k = fail[k - 1]
-        if pattern[q] == pattern[k]:
-            k += 1
-        fail[q] = k
-
-    count = 0
-    k = 0
-    for ch in text:
-        while k > 0 and ch != pattern[k]:
-            k = fail[k - 1]
-        if ch == pattern[k]:
-            k += 1
-        if k == p:
-            count += 1
-            k = fail[k - 1]
-    return count
+    return len(re.findall(f"(?={re.escape(pattern)})", text))
 
 
 def oracle_detect(

@@ -57,6 +57,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             AdversaryConfig(rate_a=rate_a, rate_b=rate_b, horizon=horizon)
 
+    def test_expected_point_count_capped(self):
+        cap = hyf.adversary.MAX_EXPECTED_POINTS
+        AdversaryConfig(rate_a=1.0, rate_b=1.0, horizon=cap / 2)
+        with pytest.raises(ValueError, match="cap"):
+            AdversaryConfig(rate_a=1.0, rate_b=1.0, horizon=cap)
+        with pytest.raises(ValueError, match="finite"):
+            AdversaryConfig(rate_a=1e308, rate_b=1e308, horizon=1.0)
+
 
 class TestGeneratePoisson:
     def test_strictly_increasing_within_horizon(self):

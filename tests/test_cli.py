@@ -72,6 +72,7 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", a, b)
         assert code == 3
         assert "2.0" in err
+        assert "np." not in err
 
     def test_empty_file_exits_3(self, capsys, tmp_path):
         a = write_csv(tmp_path / "a.csv", [], [])
@@ -111,8 +112,18 @@ class TestEstimate:
         bad = tmp_path / "bad.csv"
         bad.write_text("time,price\n2.0,1.0\n1.0,1.0\n")
         good = write_csv(tmp_path / "b.csv", [0.5, 3.5], [0, 0])
-        code, _, _ = run_cli(capsys, "estimate", str(bad), good)
+        code, _, err = run_cli(capsys, "estimate", str(bad), good)
         assert code == 3
+        assert "np." not in err
+
+    def test_non_finite_price_exits_3(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time,price\n1.0,1.0\n2.0,nan\n3.0,2.0\n")
+        good = write_csv(tmp_path / "b.csv", [0.5, 3.5], [0, 0])
+        code, out, err = run_cli(capsys, "estimate", str(bad), good)
+        assert code == 3
+        assert out == ""
+        assert "leg A" in err and "position 1" in err
 
 
 class TestDetect:
@@ -173,6 +184,19 @@ class TestDetect:
             ])
             capsys.readouterr()
             assert code == 0
+
+    @pytest.mark.parametrize("method", ["label", "all"])
+    def test_synchronous_files_rejected_by_label_merge(self, capsys, tmp_path, method):
+        # the label merge needs a strict order, so identical time columns
+        # are a validation error rather than an empty report
+        times = [0.0, 1.0, 2.0, 3.0]
+        a = write_csv(tmp_path / "a.csv", times, [1, 3, 2, 4])
+        b = write_csv(tmp_path / "b.csv", times, [2, 1, 4, 3])
+        code, _, err = run_cli(capsys, "detect", a, b, "--method", method)
+        assert code == 3
+        assert err.count("\n") == 1
+        assert err.startswith("hyf: invalid input: ")
+        assert "np." not in err
 
     def test_label_method(self, capsys, golden_files):
         code, out, _ = run_cli(
@@ -260,6 +284,7 @@ class TestSimulate:
         ["--horizon", "nan"],
         ["--horizon", "inf"],
         ["--horizon", "10", "--rate-a", "nan"],
+        ["--horizon", "1", "--rate-a", "1e308", "--rate-b", "1e308"],
     ])
     def test_out_of_range_generator_input_is_usage_error(self, capsys, tmp_path, flags):
         code, _, err = run_cli(capsys, "simulate", *flags,
@@ -330,6 +355,17 @@ class TestLossTable:
     ])
     def test_out_of_range_generator_input_exits_1(self, capsys, flags):
         code, _, err = run_cli(capsys, "loss-table", "--runs", "5", *flags)
+        assert code == 1
+        assert err.startswith("hyf: error: ")
+
+    def test_overflowing_generator_load_exits_1(self, capsys, monkeypatch):
+        # the whole grid is checked before the first trial
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("hyf.montecarlo.run_experiment", no_trials)
+        code, _, err = run_cli(capsys, "loss-table", "--rates", "1,1;1e200,1",
+                               "--horizons", "10,1e200", "--runs", "2")
         assert code == 1
         assert err.startswith("hyf: error: ")
 

@@ -126,6 +126,28 @@ class TestLabelSequence:
         with pytest.raises(ValidationError):
             LabelSequence.from_string("ABXAB")
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_derived_views_match_legs(self, seed):
+        s1, s2 = random_tie_free_pair(np.random.default_rng(seed))
+        merged = merge_labels(s1, s2)
+        assert np.array_equal(merged.times[merged.is_a], s1.times)
+        assert np.array_equal(merged.times[~merged.is_a], s2.times)
+        entries = list(merged.entries)
+        for leg in (s1, s2):
+            mine = [(t, k) for t, label, k in entries if label == leg.label]
+            assert [k for _, k in mine] == list(range(leg.n_points))
+            assert [t for t, _ in mine] == leg.times.tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(pattern=st.text(alphabet="AB", max_size=40).filter(
+        lambda p: p.count("A") >= 2 and p.count("B") >= 2
+    ))
+    def test_from_string_round_trip_any(self, pattern):
+        seq = LabelSequence.from_string(pattern)
+        assert seq.as_string == pattern
+        assert seq.leg_count("A") == pattern.count("A")
+
 
 class TestEnumerateOverlaps:
     def test_golden_pairs(self, golden_pair):

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyf import (
-    IndexOutOfRange,
-    coefficient_of,
     enumerate_overlaps,
     hy_covariance,
     point_coefficients,
@@ -124,12 +122,12 @@ class TestTelescopeRows:
 
 class TestCoefficients:
     def test_golden_cancelled_point_has_zero_coefficient(self, golden_pair):
-        assert coefficient_of(*golden_pair, leg="A", point_index=1) == 0.0
+        assert point_coefficients(*golden_pair)[1] == 0.0
 
     def test_golden_first_point_coefficient(self, golden_pair):
         # frozen from the finite-difference oracle; equals -(first B increment)
         s1, s2 = golden_pair
-        assert coefficient_of(s1, s2, "A", 0) == -5.0
+        assert point_coefficients(s1, s2)[0] == -5.0
         fd = finite_difference_coefficient(s1, s2, "A", 0, hy_covariance)
         assert fd == pytest.approx(-5.0, rel=1e-12)
 
@@ -140,24 +138,17 @@ class TestCoefficients:
         # diagonal structure: coefficient is the opposite-leg increment
         # change across the two adjacent intervals
         db = np.diff(s2.values)
+        coeffs = point_coefficients(s1, s2)
         for k in (1, 2):
-            assert coefficient_of(s1, s2, "A", k) == pytest.approx(db[k - 1] - db[k])
-
-    def test_out_of_range(self, golden_pair):
-        with pytest.raises(IndexOutOfRange):
-            coefficient_of(*golden_pair, leg="A", point_index=7)
-        with pytest.raises(IndexOutOfRange):
-            coefficient_of(*golden_pair, leg="B", point_index=-1)
-
-    def test_unknown_leg(self, golden_pair):
-        with pytest.raises(ValueError):
-            coefficient_of(*golden_pair, leg="X", point_index=0)
+            assert coeffs[k] == pytest.approx(db[k - 1] - db[k])
 
     def test_point_coefficients_agree_with_scalar(self, golden_pair):
         s1, s2 = golden_pair
-        coeffs = point_coefficients(s1, s2)
-        for k in range(s1.n_points):
-            assert coeffs[k] == coefficient_of(s1, s2, "A", k)
+        for series, opposite in ((s1, s2), (s2, s1)):
+            coeffs = point_coefficients(series, opposite)
+            for k in range(series.n_points):
+                fd = finite_difference_coefficient(s1, s2, series.label, k, hy_covariance)
+                assert coeffs[k] == pytest.approx(fd, rel=1e-12, abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -167,7 +158,7 @@ class TestCoefficients:
             s1, s2 = make_pair(rng)
             base = hy_covariance(s1, s2)
             leg = "A" if rng.random() < 0.5 else "B"
-            series = s1 if leg == "A" else s2
+            series, opposite = (s1, s2) if leg == "A" else (s2, s1)
             k = int(rng.integers(0, series.n_points))
             delta = float(rng.uniform(0.5, 3.0))
             bumped = series.values.copy()
@@ -176,7 +167,7 @@ class TestCoefficients:
                 moved = hy_covariance(s1.with_values(bumped), s2)
             else:
                 moved = hy_covariance(s1, s2.with_values(bumped))
-            predicted = coefficient_of(s1, s2, leg, k) * delta
+            predicted = point_coefficients(series, opposite)[k] * delta
             assert moved - base == pytest.approx(predicted, rel=1e-9, abs=1e-9)
             slope = finite_difference_coefficient(s1, s2, leg, k, brute_hy, delta)
             assert slope * delta == pytest.approx(predicted, rel=1e-9, abs=1e-9)
