@@ -24,6 +24,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
@@ -55,6 +56,10 @@ EXIT_REJECTION = 5
 
 DEFAULT_RATE_PAIRS = "1,1;1,1/2;1,1/4;1,1/10"
 
+# cap on a loss-table cell's total expected points, runs * max((a+b)*T, 4);
+# a trial draws at least 4 points, so this also bounds --runs itself
+MAX_TABLE_POINTS = 1e9
+
 
 class _UsageError(Exception):
     pass
@@ -82,13 +87,55 @@ class TickFile:
     prices: np.ndarray
 
 
+# bytes a plain numeric tick body is made of; any other byte (space,
+# letters, numpy-only whitespace such as \x1c, non-ASCII) goes to the
+# line-by-line parser
+_NUMERIC_BODY_BYTES = b"0123456789eE.+-,\r\n"
+
+
 def read_tick_file(path: str) -> TickFile:
-    """Parse a ``time,price`` CSV; any malformed content is a parse error."""
+    """Parse a ``time,price`` CSV; any malformed content is a parse error.
+
+    A plain numeric body is parsed by ``np.loadtxt``.  Its result counts
+    only when it has one two-column row per body line, so a blank line
+    (which ``loadtxt`` skips) never passes; every other file, and every
+    failure, goes through :func:`_read_tick_lines`, which owns all messages.
+    """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().split("\n")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise TickParseError(path, 0, f"cannot read file: {exc}") from exc
+    header, _, body = raw.partition(b"\n")
+    # loadtxt warns on a body of blank lines only, so the first row must
+    # have content; a lone \r would end a row for loadtxt but not for the
+    # line parser
+    if (
+        header in (b"time,price", b"time,price\r")
+        and body[:1] not in (b"", b"\r", b"\n")
+        and not body.translate(None, _NUMERIC_BODY_BYTES)
+        and (b"\r" not in body or body.count(b"\r") == body.count(b"\r\n"))
+    ):
+        rows = body.count(b"\n") + (not body.endswith(b"\n"))
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                              comments=None, encoding="utf-8")
+        except (OSError, ValueError):  # OSError: the file went away since the read
+            pass
+        else:
+            if data.shape == (rows, 2):
+                return TickFile(path, data[:, 0], data[:, 1])
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise TickParseError(path, line, f"not UTF-8 text (byte {raw[exc.start]:#04x})") from None
+    return _read_tick_lines(path, text)
+
+
+def _read_tick_lines(path: str, text: str) -> TickFile:
+    """Line-by-line parse of a decoded tick file; the reference parser."""
+    lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0].rstrip("\r") != "time,price":
@@ -115,7 +162,11 @@ def write_tick_file(path: str, series: ObservationSeries) -> None:
 
 
 def _tie_jitter(times_a: np.ndarray, times_b: np.ndarray) -> np.ndarray:
-    """Deterministically nudge leg-B timestamps that collide with leg A."""
+    """Deterministically nudge leg-B timestamps that collide with leg A.
+
+    Each tied time moves up by ``1e-9`` of the median merged gap, or by one
+    ulp where that step is too small to change it (as at epoch seconds).
+    """
     merged = np.sort(np.concatenate([times_a, times_b]))
     gaps = np.diff(merged)
     gaps = gaps[gaps > 0]
@@ -123,7 +174,9 @@ def _tie_jitter(times_a: np.ndarray, times_b: np.ndarray) -> np.ndarray:
         return times_b
     eps = 1e-9 * float(np.median(gaps))
     out = times_b.copy()
-    out[np.isin(out, times_a)] += eps
+    tied = np.isin(out, times_a)
+    t = out[tied]
+    out[tied] = np.maximum(t + eps, np.nextafter(t, np.inf))
     return out
 
 
@@ -207,9 +260,35 @@ def _parse_horizons(text: str) -> list[float]:
     return out
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+_JSON_SCALARS = frozenset({int, float, bool, type(None)})
+
+
+def _json_dumps(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, nested at ``pad``.
+
+    ``json`` runs its C encoder only without ``indent``, so a non-empty list
+    of plain numbers, bools and ``None`` is dumped flat and split at its
+    ``", "`` separators, which no such scalar contains.  Dicts with string
+    keys recurse; any other value takes the indenting encoder, whose
+    structural newlines are the only raw newlines in its output.
+    """
+    inner = pad + "  "
+    if isinstance(obj, list) and obj:
+        if set(map(type, obj)) <= _JSON_SCALARS:
+            body = inner + json.dumps(obj)[1:-1].replace(", ", ",\n" + inner)
+        else:
+            body = ",\n".join(inner + _json_dumps(v, inner) for v in obj)
+        return f"[\n{body}\n{pad}]"
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        body = ",\n".join(f"{inner}{json.dumps(k)}: {_json_dumps(v, inner)}" for k, v in obj.items())
+        return f"{{\n{body}\n{pad}}}"
+    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+
+
+def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
+    """Print ``payload`` as JSON, or else ``text_lines``, built only here."""
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_json_dumps(payload))
     else:
         for line in text_lines:
             print(line)
@@ -222,11 +301,11 @@ def _report_payload(report: NonextantReport, s1: ObservationSeries, s2: Observat
         "legs": {
             "A": {
                 "indices": list(report.nonextant_1),
-                "times": [float(s1.times[k]) for k in report.nonextant_1],
+                "times": s1.times[np.asarray(report.nonextant_1, dtype=np.intp)].tolist(),
             },
             "B": {
                 "indices": list(report.nonextant_2),
-                "times": [float(s2.times[k]) for k in report.nonextant_2],
+                "times": s2.times[np.asarray(report.nonextant_2, dtype=np.intp)].tolist(),
             },
         },
         "f_interior": report.f_interior,
@@ -236,18 +315,21 @@ def _report_payload(report: NonextantReport, s1: ObservationSeries, s2: Observat
     }
 
 
-def _report_lines(payload: dict) -> list[str]:
+def _report_lines(payload: dict, leg_text: dict) -> list[str]:
+    """Text form of one report; ``leg_text`` caches each leg's text by its indices."""
+    legs = []
+    for name in ("A", "B"):
+        leg = payload["legs"][name]
+        key = (name, tuple(leg["indices"]))
+        if key not in leg_text:
+            leg_text[key] = "indices={} times={}".format(
+                ",".join(map(str, leg["indices"])), ",".join(map(repr, leg["times"]))
+            )
+        legs.append(f"nonextant_{name} {leg_text[key]}")
     loss = payload["loss"]
     return [
         f"method {payload['method']}",
-        "nonextant_A indices={} times={}".format(
-            ",".join(map(str, payload["legs"]["A"]["indices"])),
-            ",".join(repr(t) for t in payload["legs"]["A"]["times"]),
-        ),
-        "nonextant_B indices={} times={}".format(
-            ",".join(map(str, payload["legs"]["B"]["indices"])),
-            ",".join(repr(t) for t in payload["legs"]["B"]["times"]),
-        ),
+        *legs,
         f"f_interior {payload['f_interior']}",
         f"f_total {payload['f_total']}",
         f"overlaps {payload['m']}",
@@ -305,12 +387,15 @@ def _cmd_detect(args) -> int:
         "seed": None,
         "version": __version__,
     }
-    lines: list[str] = []
-    for p in payloads:
-        lines.extend(_report_lines(p))
-    if args.method == "all":
-        lines.append(f"agreement {'ok' if agree else 'FAILED'}")
-    _emit(args, payload, lines)
+
+    def lines():
+        leg_text: dict = {}
+        for p in payloads:
+            yield from _report_lines(p, leg_text)
+        if args.method == "all":
+            yield f"agreement {'ok' if agree else 'FAILED'}"
+
+    _emit(args, payload, lines())
     if not agree:
         raise _DetectorDisagreement("detectors disagree; this indicates a bug")
     return EXIT_OK
@@ -365,6 +450,12 @@ def _cmd_loss_table(args) -> int:
         for rate_a, rate_b in rate_pairs:
             for horizon in horizons:
                 check_generator_load(rate_a, rate_b, horizon)
+                work = args.runs * max((rate_a + rate_b) * horizon, 4.0)
+                if work > MAX_TABLE_POINTS:
+                    raise _UsageError(
+                        f"--runs {args.runs} times the expected points per trial "
+                        f"is {work:g}, above the loss-table cap of {MAX_TABLE_POINTS:g}"
+                    )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     mode = "total" if args.include_boundary else "interior"

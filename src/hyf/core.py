@@ -67,13 +67,23 @@ class ObservationSeries:
         # ndarray.all() skips np.all's dispatch, which dominates on short legs
         if not np.isfinite(times).all():
             raise ValidationError(f"leg {self.label}: non-finite observation time")
-        finite = np.isfinite(values)
-        if not finite.all():
-            k = int(np.argmin(finite))
+        # with two or more points a non-finite value makes an adjacent
+        # increment non-finite too, so one test covers both
+        with np.errstate(over="ignore", invalid="ignore"):
+            increments = values[1:] - values[:-1]
+            gaps = times[1:] - times[:-1]
+        if not np.isfinite(increments).all():
+            finite = np.isfinite(values)
+            if not finite.all():
+                k = int(np.argmin(finite))
+                raise ValidationError(
+                    f"leg {self.label}: non-finite value {float(values[k])!r} at position {k}"
+                )
+            k = int(np.argmin(np.isfinite(increments))) + 1
             raise ValidationError(
-                f"leg {self.label}: non-finite value {float(values[k])!r} at position {k}"
+                f"leg {self.label}: increment from {float(values[k - 1])!r} to "
+                f"{float(values[k])!r} at position {k} overflows"
             )
-        gaps = np.diff(times)
         if not np.all(gaps > 0):
             k = int(np.argmax(gaps <= 0)) + 1
             raise NonMonotoneTimes(

@@ -2,12 +2,15 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyf import __version__
-from hyf.cli import main
+from hyf.cli import TickParseError, _json_dumps, _read_tick_lines, main, read_tick_file
 
 from conftest import (
     GOLDEN_PRICES_A,
@@ -87,6 +90,22 @@ class TestEstimate:
         code, _, _ = run_cli(capsys, "estimate", a, b, "--jitter")
         assert code == 0
 
+    def test_jitter_breaks_epoch_second_tie(self, capsys, tmp_path):
+        # 1e-9 of the median gap is below one ulp at t ~ 1.7e9
+        a = write_csv(tmp_path / "a.csv", [1700000000, 1700000001, 1700000002], [0, 1, 2])
+        b = write_csv(tmp_path / "b.csv", [1700000001, 1700000003], [0, 1])
+        code, out, err = run_cli(capsys, "estimate", a, b, "--jitter")
+        assert (code, err) == (0, "")
+        assert "overlaps 1" in out
+
+    def test_jitter_onto_another_tie_exits_3(self, capsys, tmp_path):
+        t = 1700000001.0
+        a = write_csv(tmp_path / "a.csv", [1700000000, t, np.nextafter(t, np.inf)], [0, 1, 2])
+        b = write_csv(tmp_path / "b.csv", [t, 1700000003], [0, 1])
+        code, _, err = run_cli(capsys, "estimate", a, b, "--jitter")
+        assert code == 3
+        assert repr(float(np.nextafter(t, np.inf))) in err
+
     def test_bad_header_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("time;price\n1,2\n")
@@ -125,8 +144,77 @@ class TestEstimate:
         assert out == ""
         assert "leg A" in err and "position 1" in err
 
+    def test_overflowing_increment_exits_3(self, capsys, tmp_path):
+        bad = write_csv(tmp_path / "bad.csv", [1.0, 2.0, 3.0], [1e308, -1e308, 2.0])
+        good = write_csv(tmp_path / "b.csv", [0.5, 3.5], [0, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "estimate", bad, good)
+        assert code == 3
+        assert out == ""
+        assert "leg A" in err and "position 1" in err and "overflows" in err
+
+    def test_non_utf8_file_exits_2_with_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"time,price\n1.0,1.0\n2.0,1\xff5\n3.0,2.0\n")
+        good = write_csv(tmp_path / "b.csv", [0.5, 3.5], [0, 0])
+        code, _, err = run_cli(capsys, "estimate", str(bad), good)
+        assert code == 2
+        assert err == f"hyf: parse error: {bad}:3: not UTF-8 text (byte 0xff)\n"
+
+
+# full text stdout of `detect --method all --include-boundary` on the golden
+# pair, where the oracle is misled by the demo prices (exit 4)
+GOLDEN_DETECT_ALL_TEXT = """\
+method interval_rule
+nonextant_A indices=1,2 times=3.0,4.0
+nonextant_B indices=3,4 times=10.0,11.0
+f_interior 3
+f_total 4
+overlaps 10
+loss 0.4
+method label_rule
+nonextant_A indices=1,2 times=3.0,4.0
+nonextant_B indices=3,4 times=10.0,11.0
+f_interior 3
+f_total 4
+overlaps 10
+loss 0.4
+method oracle
+nonextant_A indices=1,2 times=3.0,4.0
+nonextant_B indices=1,3,4 times=6.0,10.0,11.0
+f_interior 3
+f_total 5
+overlaps 10
+loss 0.5
+agreement FAILED
+"""
+
 
 class TestDetect:
+    def test_golden_method_all_text(self, capsys, golden_files):
+        code, out, err = run_cli(
+            capsys, "detect", *golden_files, "--method", "all", "--include-boundary"
+        )
+        assert code == 4
+        assert out == GOLDEN_DETECT_ALL_TEXT
+        assert err == "hyf: detectors disagree; this indicates a bug\n"
+
+    def test_equal_indices_on_both_legs_keep_their_own_times(self, capsys, tmp_path):
+        # merged labels ABAAABBBA: index 2 is nonextant on both legs
+        a = write_csv(tmp_path / "a.csv", [0, 2, 3, 4, 8], [1, 4, 2, 8, 5])
+        b = write_csv(tmp_path / "b.csv", [1, 5, 6, 7], [3, 9, 1, 7])
+        code, out, _ = run_cli(capsys, "detect", a, b, "--method", "all")
+        assert code == 0
+        report = (
+            "nonextant_A indices=2 times=3.0\n"
+            "nonextant_B indices=2 times=6.0\n"
+            "f_interior 2\nf_total 2\noverlaps 6\nloss 0.3333333333333333\n"
+        )
+        assert out == "".join(
+            f"method {m}\n{report}" for m in ("interval_rule", "label_rule", "oracle")
+        ) + "agreement ok\n"
+
     def test_golden_with_boundary(self, capsys, golden_files):
         code, out, _ = run_cli(
             capsys, "detect", *golden_files, "--include-boundary", "--json"
@@ -369,6 +457,21 @@ class TestLossTable:
         assert code == 1
         assert err.startswith("hyf: error: ")
 
+    @pytest.mark.parametrize("flags", [
+        ["--runs", "100", "--horizons", "10"],
+        # a trial draws at least 4 points, however short the horizon
+        ["--runs", "300", "--horizons", "0.1"],
+    ])
+    def test_runs_times_points_capped(self, capsys, monkeypatch, flags):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("hyf.cli.MAX_TABLE_POINTS", 1000.0)
+        monkeypatch.setattr("hyf.montecarlo.run_experiment", no_trials)
+        code, _, err = run_cli(capsys, "loss-table", "--rates", "1,1", *flags)
+        assert code == 1
+        assert err.startswith("hyf: error: --runs ")
+
 
 class TestEntryPoints:
     def test_module_invocation(self, golden_files):
@@ -392,3 +495,83 @@ class TestEntryPoints:
     def test_unknown_command_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
+
+
+def _parsed(parse, *args):
+    """Arrays as raw bytes (so -0.0 and 0.0 differ), or the error text."""
+    try:
+        tick = parse(*args)
+    except TickParseError as exc:
+        return str(exc)
+    return tick.times.tobytes(), tick.prices.tobytes()
+
+
+_FIELD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["", "1_0", "1e", "e5", ".", "-", "+.5", "5.", "-0", "1e400",
+                     "1e-400", "1E3", "--1", "1.2.3", " 1", "1 ", "inf", "nan"]),
+)
+_ROW_END = st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\r\r\n", "\x1c\n", ",\n", ",1\n"])
+_HEADER = st.sampled_from(["time,price\n", "time,price\r\n", "time,price\r\r\n",
+                           "time;price\n", "time,price", ""])
+
+
+@st.composite
+def _near_valid_csv(draw):
+    rows = draw(st.lists(st.tuples(_FIELD, _FIELD, st.one_of(st.just("\n"), _ROW_END)),
+                         max_size=6))
+    text = draw(_HEADER) + "".join(f"{t},{p}{end}" for t, p, end in rows)
+    if draw(st.booleans()):
+        text = text.rstrip("\n")
+    return text.encode("utf-8")
+
+
+class TestTickParsing:
+    """``read_tick_file``'s fast path against the line-by-line reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(raw=st.one_of(
+        _near_valid_csv(),
+        st.binary(max_size=40).map(lambda b: b"time,price\n" + b),
+        st.binary(max_size=40),
+    ))
+    @example(raw=b"time,price\n1,2\x1c\n3,4\n")
+    @example(raw=b"time,price\n1,2\n\n3,4\n")
+    @example(raw=b"time,price\n1,2\r3,4\n\n")
+    @example(raw=b"time,price\n1_0,2\n")
+    @example(raw=b"time,price\n")
+    @example(raw=b"time,price\n\n")
+    def test_matches_line_parser(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("ticks") / "t.csv"
+        path.write_bytes(raw)
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            expected = f"{path}:{line}: not UTF-8 text (byte {raw[exc.start]:#04x})"
+        else:
+            expected = _parsed(_read_tick_lines, str(path), text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would reach stderr
+            assert _parsed(read_tick_file, str(path)) == expected
+
+
+_JSON_TEXT = st.lists(st.sampled_from([", ", '"', "\x00", "a", "\n", "\\", "\u00e9", "1"]),
+                      max_size=4).map("".join)
+_JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(allow_nan=True, allow_infinity=True))
+_JSON_VALUE = st.recursive(
+    st.one_of(_JSON_SCALAR, _JSON_TEXT, st.lists(_JSON_SCALAR, min_size=1, max_size=8)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+class TestJsonOutput:
+    @settings(max_examples=300, deadline=None)
+    @given(obj=_JSON_VALUE)
+    @example(obj={"inputs": {"file_a": "[1, 2]", "file_b": "x, y"}, "times": [1.5, float("nan")]})
+    def test_matches_indenting_encoder(self, obj):
+        assert _json_dumps(obj) == json.dumps(obj, indent=2)
