@@ -18,6 +18,7 @@ variable overrides it, an explicit ``--seed`` wins over both.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -39,7 +40,7 @@ from .adversary import (
 from .core import ObservationSeries, first_shared_time, merge_labels, validate_series
 from .errors import RejectionBudgetExceeded, ValidationError
 from .estimator import hy_covariance, telescope_rows
-from .montecarlo import loss_table
+from .montecarlo import check_runs, loss_table
 from .nonextant import (
     NonextantReport,
     detect_interval_rule,
@@ -55,10 +56,6 @@ EXIT_DISAGREEMENT = 4
 EXIT_REJECTION = 5
 
 DEFAULT_RATE_PAIRS = "1,1;1,1/2;1,1/4;1,1/10"
-
-# cap on a loss-table cell's total expected points, runs * max((a+b)*T, 4);
-# a trial draws at least 4 points, so this also bounds --runs itself
-MAX_TABLE_POINTS = 1e9
 
 
 class _UsageError(Exception):
@@ -108,19 +105,17 @@ def read_tick_file(path: str) -> TickFile:
         raise TickParseError(path, 0, f"cannot read file: {exc}") from exc
     header, _, body = raw.partition(b"\n")
     # loadtxt warns on a body of blank lines only, so the first row must
-    # have content; a lone \r would end a row for loadtxt but not for the
-    # line parser
+    # have content
     if (
         header in (b"time,price", b"time,price\r")
         and body[:1] not in (b"", b"\r", b"\n")
         and not body.translate(None, _NUMERIC_BODY_BYTES)
-        and (b"\r" not in body or body.count(b"\r") == body.count(b"\r\n"))
     ):
         rows = body.count(b"\n") + (not body.endswith(b"\n"))
         try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
-                              comments=None, encoding="utf-8")
-        except (OSError, ValueError):  # OSError: the file went away since the read
+            data = np.loadtxt(io.BytesIO(body), delimiter=",", ndmin=2,
+                              comments=None, encoding="ascii")
+        except ValueError:
             pass
         else:
             if data.shape == (rows, 2):
@@ -315,21 +310,18 @@ def _report_payload(report: NonextantReport, s1: ObservationSeries, s2: Observat
     }
 
 
-def _report_lines(payload: dict, leg_text: dict) -> list[str]:
-    """Text form of one report; ``leg_text`` caches each leg's text by its indices."""
-    legs = []
-    for name in ("A", "B"):
-        leg = payload["legs"][name]
-        key = (name, tuple(leg["indices"]))
-        if key not in leg_text:
-            leg_text[key] = "indices={} times={}".format(
-                ",".join(map(str, leg["indices"])), ",".join(map(repr, leg["times"]))
-            )
-        legs.append(f"nonextant_{name} {leg_text[key]}")
+def _report_lines(payload: dict) -> list[str]:
     loss = payload["loss"]
     return [
         f"method {payload['method']}",
-        *legs,
+        "nonextant_A indices={} times={}".format(
+            ",".join(map(str, payload["legs"]["A"]["indices"])),
+            ",".join(repr(t) for t in payload["legs"]["A"]["times"]),
+        ),
+        "nonextant_B indices={} times={}".format(
+            ",".join(map(str, payload["legs"]["B"]["indices"])),
+            ",".join(repr(t) for t in payload["legs"]["B"]["times"]),
+        ),
         f"f_interior {payload['f_interior']}",
         f"f_total {payload['f_total']}",
         f"overlaps {payload['m']}",
@@ -389,9 +381,8 @@ def _cmd_detect(args) -> int:
     }
 
     def lines():
-        leg_text: dict = {}
         for p in payloads:
-            yield from _report_lines(p, leg_text)
+            yield from _report_lines(p)
         if args.method == "all":
             yield f"agreement {'ok' if agree else 'FAILED'}"
 
@@ -450,12 +441,7 @@ def _cmd_loss_table(args) -> int:
         for rate_a, rate_b in rate_pairs:
             for horizon in horizons:
                 check_generator_load(rate_a, rate_b, horizon)
-                work = args.runs * max((rate_a + rate_b) * horizon, 4.0)
-                if work > MAX_TABLE_POINTS:
-                    raise _UsageError(
-                        f"--runs {args.runs} times the expected points per trial "
-                        f"is {work:g}, above the loss-table cap of {MAX_TABLE_POINTS:g}"
-                    )
+        check_runs(args.runs)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     mode = "total" if args.include_boundary else "interior"

@@ -21,6 +21,20 @@ BoundaryMode = Literal["interior", "total"]
 
 _MODES = ("interior", "total")
 
+# run_experiment holds one 8-byte loss per run, so the cap keeps that array
+# at 80 MB; the time a cell takes is not capped
+MAX_RUNS = 10**7
+
+
+def check_runs(runs: int) -> None:
+    """Reject a run count below 2 or above :data:`MAX_RUNS` with ``ValueError``."""
+    if runs < 2:
+        raise ValueError(f"need at least 2 runs for a deviation estimate, got {runs}")
+    if runs > MAX_RUNS:
+        raise ValueError(
+            f"runs = {runs} exceeds the cap of {MAX_RUNS:g} (one 8-byte loss is kept per run)"
+        )
+
 
 @dataclass(frozen=True)
 class TrialSummary:
@@ -55,10 +69,9 @@ def run_experiment(
     """Aggregate the loss ratio over ``runs`` independent trials.
 
     The sample standard deviation uses the n-1 divisor, hence ``runs``
-    must be at least 2.
+    must be at least 2; see :func:`check_runs` for the upper cap.
     """
-    if runs < 2:
-        raise ValueError(f"need at least 2 runs for a deviation estimate, got {runs}")
+    check_runs(runs)
     if boundary_mode not in _MODES:
         raise ValueError(f"boundary_mode must be one of {_MODES}, got {boundary_mode!r}")
     include = boundary_mode == "total"

@@ -457,20 +457,29 @@ class TestLossTable:
         assert code == 1
         assert err.startswith("hyf: error: ")
 
-    @pytest.mark.parametrize("flags", [
-        ["--runs", "100", "--horizons", "10"],
-        # a trial draws at least 4 points, however short the horizon
-        ["--runs", "300", "--horizons", "0.1"],
-    ])
-    def test_runs_times_points_capped(self, capsys, monkeypatch, flags):
+    def test_runs_above_cap_exit_1_before_any_trial(self, capsys, monkeypatch):
         def no_trials(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr("hyf.cli.MAX_TABLE_POINTS", 1000.0)
+        monkeypatch.setattr("hyf.montecarlo.MAX_RUNS", 100)
         monkeypatch.setattr("hyf.montecarlo.run_experiment", no_trials)
-        code, _, err = run_cli(capsys, "loss-table", "--rates", "1,1", *flags)
+        code, _, err = run_cli(capsys, "loss-table", "--rates", "1,1", "--runs", "101")
         assert code == 1
-        assert err.startswith("hyf: error: --runs ")
+        assert err.startswith(
+            "hyf: error: runs = 101 exceeds the cap of 100 (one 8-byte loss is kept per run)\n"
+        )
+
+    def test_long_table_under_run_cap_reaches_the_trials(self, monkeypatch):
+        # 2e9 expected points in all: slow, but small in memory, so accepted
+        class Reached(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr("hyf.montecarlo.run_experiment", stop)
+        with pytest.raises(Reached):
+            main(["loss-table", "--rates", "1,1", "--horizons", "1e6", "--runs", "1000"])
 
 
 class TestEntryPoints:

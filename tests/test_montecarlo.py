@@ -30,6 +30,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(quick_config(), runs=1)
 
+    def test_runs_above_cap_rejected(self, monkeypatch):
+        monkeypatch.setattr("hyf.montecarlo.MAX_RUNS", 10)
+        with pytest.raises(ValueError, match="exceeds the cap of 10"):
+            run_experiment(quick_config(), runs=11)
+        assert run_experiment(quick_config(), runs=10).runs == 10
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             run_experiment(quick_config(), runs=4, boundary_mode="everything")
