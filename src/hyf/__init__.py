@@ -25,6 +25,7 @@ from .core import (
 )
 from .errors import (
     CrossSeriesTie,
+    DetectorDisagreement,
     EmptyPattern,
     IndexOutOfRange,
     LengthMismatch,
@@ -62,6 +63,7 @@ __all__ = [
     "AdversaryConfig",
     "CrossSeriesTie",
     "DEFAULT_SEED",
+    "DetectorDisagreement",
     "EmptyPattern",
     "GroupedTerm",
     "IndexOutOfRange",

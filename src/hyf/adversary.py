@@ -120,25 +120,17 @@ def generate_poisson(rate: float, horizon: float, rng: np.random.Generator) -> n
     return times[times <= horizon]
 
 
-def generate_inputs(
-    config: AdversaryConfig,
-    trial: int = 0,
-) -> tuple[ObservationSeries, ObservationSeries]:
-    """One accepted asynchronous input pair for the given trial index.
+def draw_labels(config: AdversaryConfig, trial: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Merged times and A-labels ``(times, is_a)`` of one accepted pair.
 
-    Draws the merged times of both legs as one rate-``(a+b)`` process
-    and labels each point A with probability ``p = a/(a+b)``.  This is
-    exact for the boundary-aligned pairs of two independent legs: for
-    every merged count ``N >= 4`` the alignment event (first two and last
-    two labels differ) has probability ``(2pq)^2`` and involves only the
-    four end labels.  Conditioning on it therefore leaves ``N`` Poisson
-    given ``N >= 4``, the interior labels i.i.d., and each end pair AB or
-    BA with probability ``pq / 2pq = 1/2``.  Only ``N < 4``, float ties in
-    the times and ``min_points > 2`` lead to a redraw.
-
-    Values are left at zero: the cancellation structure depends on the
-    observation times only.  Use :func:`attach_random_walk` when a
-    value-based check needs continuously distributed prices.
+    The superposed draw is exact for the boundary-aligned pairs of two
+    independent legs: for every merged count ``N >= 4`` the alignment
+    event (first two and last two labels differ) has probability
+    ``(2pq)^2``, ``p = a/(a+b)``, and involves only the four end labels.
+    Conditioning on it therefore leaves ``N`` Poisson given ``N >= 4``,
+    the interior labels i.i.d., and each end pair AB or BA with
+    probability ``pq / 2pq = 1/2``.  Only ``N < 4``, float ties in the
+    times and ``min_points > 2`` lead to a redraw.
 
     Raises :class:`RejectionBudgetExceeded` when no draw within the
     budget has four merged points and ``min_points`` on both legs
@@ -156,17 +148,28 @@ def generate_inputs(
         first_a, last_a = rng.random(2) < 0.5
         is_a[:2] = (first_a, not first_a)
         is_a[-2:] = (not last_a, last_a)
-        ta, tb = times[is_a], times[~is_a]
-        if min(ta.size, tb.size) < config.min_points:
+        n_a = int(np.count_nonzero(is_a))
+        if min(n_a, times.size - n_a) < config.min_points:
             continue
-        return (
-            ObservationSeries(ta, np.zeros(ta.size), "A"),
-            ObservationSeries(tb, np.zeros(tb.size), "B"),
-        )
+        return times, is_a
     raise RejectionBudgetExceeded(
         f"no accepted draw in {config.max_resamples} resamples "
         f"(rates {config.rate_a}, {config.rate_b}, horizon {config.horizon})"
     )
+
+
+def generate_inputs(
+    config: AdversaryConfig, trial: int = 0
+) -> tuple[ObservationSeries, ObservationSeries]:
+    """One accepted input pair: :func:`draw_labels` split by label.
+
+    Values are zero, as the cancellation structure depends on the times
+    only; :func:`attach_random_walk` fills in continuous prices.
+    """
+    times, is_a = draw_labels(config, trial)
+    ta, tb = times[is_a], times[~is_a]
+    return (ObservationSeries(ta, np.zeros_like(ta), "A"),
+            ObservationSeries(tb, np.zeros_like(tb), "B"))
 
 
 def attach_random_walk(

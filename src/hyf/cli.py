@@ -7,7 +7,8 @@ failure class:
 * 1 usage error (bad flags, bad rate syntax, nonpositive horizon, ...)
 * 2 tick-file parse error (reported with a line number)
 * 3 input validation error (shared timestamps, non-monotone times, ...)
-* 4 detector disagreement under ``--method all``
+* 4 detector disagreement under ``--method all``, or in ``loss-table``'s
+  interval-rule cross-check
 * 5 rejection budget exceeded while generating inputs
 
 Tick files are CSV with the exact header ``time,price``.  The default
@@ -38,7 +39,7 @@ from .adversary import (
     generate_inputs,
 )
 from .core import ObservationSeries, first_shared_time, merge_labels, validate_series
-from .errors import RejectionBudgetExceeded, ValidationError
+from .errors import DetectorDisagreement, RejectionBudgetExceeded, ValidationError
 from .estimator import hy_covariance, telescope_rows
 from .montecarlo import check_runs, loss_table
 from .nonextant import (
@@ -65,10 +66,6 @@ class _UsageError(Exception):
 class TickParseError(Exception):
     def __init__(self, path: str, line: int, message: str):
         super().__init__(f"{path}:{line}: {message}")
-
-
-class _DetectorDisagreement(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -388,7 +385,7 @@ def _cmd_detect(args) -> int:
 
     _emit(args, payload, lines())
     if not agree:
-        raise _DetectorDisagreement("detectors disagree; this indicates a bug")
+        raise DetectorDisagreement("detectors disagree; this indicates a bug")
     return EXIT_OK
 
 
@@ -554,7 +551,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"hyf: invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except _DetectorDisagreement as exc:
+    except DetectorDisagreement as exc:
         print(f"hyf: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT
     except RejectionBudgetExceeded as exc:

@@ -39,3 +39,7 @@ class NonPositiveRate(ValueError):
 
 class RejectionBudgetExceeded(RuntimeError):
     """Too many resamples without meeting the acceptance conditions."""
+
+
+class DetectorDisagreement(RuntimeError):
+    """Two detectors that must agree gave different answers; a bug."""

@@ -27,6 +27,7 @@ from .core import (
     enumerate_overlaps,
     overlap_ranges,
 )
+from .errors import ValidationError
 
 Anchoring = Literal["row", "alternative"]
 
@@ -131,9 +132,14 @@ def hy_covariance(s1: ObservationSeries, s2: ObservationSeries) -> float:
     """Evaluate the double sum, telescoped per leg-1 interval.
 
     Each leg-1 increment multiplies the summed leg-2 increments over the
-    intervals it overlaps, so no pair is materialised.
+    intervals it overlaps, so no pair is materialised.  Raises
+    :class:`ValidationError` when finite prices overflow that sum.
     """
-    return float(np.dot(s1.increments, _opposite_sums(s1, s2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        covariance = float(np.dot(s1.increments, _opposite_sums(s1, s2)))
+    if not np.isfinite(covariance):
+        raise ValidationError(f"covariance is {covariance!r}: the price products overflow")
+    return covariance
 
 
 def _step_runs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,10 +1,10 @@
 """Repeated adversary trials and the empirical loss grid.
 
-Each trial draws an accepted input pair, applies the interval-rule
-detector and records ``f/m``.  Per-trial randomness is keyed by
-``(seed, trial)``, so the aggregate is independent of execution order.
-The default boundary mode is ``"interior"``: only detections at indices
-2..M-2 of each leg enter the count.
+Each trial draws the merged labels of an accepted input pair and counts
+``f/m`` from them alone (label rule, ``m = N - 3``).  Per-trial
+randomness is keyed by ``(seed, trial)``, so the aggregate is independent
+of execution order.  The default boundary mode is ``"interior"``: only
+detections at indices 2..M-2 of each leg enter the count.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .adversary import AdversaryConfig, generate_inputs, theoretical_loss
-from .nonextant import data_loss_ratio, detect_interval_rule
+from .adversary import AdversaryConfig, draw_labels, generate_inputs, theoretical_loss
+from .errors import DetectorDisagreement
+from .nonextant import detect_interval_rule
 
 BoundaryMode = Literal["interior", "total"]
 
@@ -61,6 +62,17 @@ class LossTable:
         return [summary for row in self.rows for summary in row]
 
 
+def label_count(is_a: np.ndarray, include_boundary: bool) -> int:
+    """Label-rule ``f`` of an aligned string: same-label triple middles, plus edge
+    fallbacks where labels 0, 2, 3 (or -1, -3, -4) agree or N = 5 labels alternate."""
+    same = is_a[1:] == is_a[:-1]
+    f = int(np.count_nonzero(same[1:] & same[:-1]))
+    if include_boundary:
+        f += int(is_a[2] == is_a[0] == is_a[3]) + int(is_a[-3] == is_a[-1] == is_a[-4])
+        f += int(is_a.size == 5 and is_a[0] == is_a[2] == is_a[4])
+    return f
+
+
 def run_experiment(
     config: AdversaryConfig,
     runs: int,
@@ -68,8 +80,9 @@ def run_experiment(
 ) -> TrialSummary:
     """Aggregate the loss ratio over ``runs`` independent trials.
 
-    The sample standard deviation uses the n-1 divisor, hence ``runs``
-    must be at least 2; see :func:`check_runs` for the upper cap.
+    Trial ``f/m`` is :func:`label_count` over ``N - 3``, recounted by the interval
+    rule on trials 0 and 1 (:class:`DetectorDisagreement` on a difference).  The
+    sample deviation uses n-1, so ``runs >= 2``; :func:`check_runs` caps it.
     """
     check_runs(runs)
     if boundary_mode not in _MODES:
@@ -77,9 +90,13 @@ def run_experiment(
     include = boundary_mode == "total"
     losses = np.empty(runs, dtype=float)
     for trial in range(runs):
-        s1, s2 = generate_inputs(config, trial=trial)
-        report = detect_interval_rule(s1, s2, include_boundary=include)
-        losses[trial] = data_loss_ratio(report)
+        _, is_a = draw_labels(config, trial)
+        f, m = label_count(is_a, include), is_a.size - 3
+        if trial < 2:
+            report = detect_interval_rule(*generate_inputs(config, trial), include_boundary=include)
+            if (report.f_total, report.m) != (f, m):
+                raise DetectorDisagreement(f"label count != interval rule: trial {trial}, {config}")
+        losses[trial] = f / m
     return TrialSummary(
         config=config,
         runs=runs,

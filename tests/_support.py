@@ -6,6 +6,7 @@ reference implementations the fast code is checked against.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from hyf import (
     ObservationSeries,
     RejectionBudgetExceeded,
     attach_random_walk,
+    data_loss_ratio,
+    detect_interval_rule,
     generate_inputs,
     generate_poisson,
     validate_series,
@@ -91,6 +94,29 @@ def random_tie_free_pair(rng: np.random.Generator, max_points: int = 14):
         validate_series(ta.astype(float), va, "A"),
         validate_series(tb.astype(float), vb, "B"),
     )
+
+
+def random_aligned_labels(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Merged integer-grid times and A-labels of a boundary-aligned pair.
+
+    The merge order of :func:`random_tie_free_pair` with its first two and
+    last two labels set to one A and one B each, the alignment under which
+    the label rule and the interval rule coincide.
+    """
+    s1, s2 = random_tie_free_pair(rng)
+    times = np.concatenate([s1.times, s2.times])
+    order = np.argsort(times)
+    is_a = (np.arange(times.size) < s1.n_points)[order]
+    first, last = rng.random(2) < 0.5
+    is_a[:2] = (first, not first)
+    is_a[-2:] = (not last, last)
+    return times[order], is_a
+
+
+def split_legs(times: np.ndarray, is_a: np.ndarray) -> tuple[ObservationSeries, ObservationSeries]:
+    """Zero-valued legs A and B of a merged, labelled time sequence."""
+    ta, tb = times[is_a], times[~is_a]
+    return validate_series(ta, np.zeros(ta.size), "A"), validate_series(tb, np.zeros(tb.size), "B")
 
 
 def random_tied_pair(rng: np.random.Generator, max_points: int = 14):
@@ -261,3 +287,28 @@ def exact_interior_loss(rate_a: float, rate_b: float, horizon: float) -> float:
         numerator += weight * mean_f / (n - 3)
         denominator += weight
     return numerator / denominator
+
+
+def interval_rule_experiment(
+    config: AdversaryConfig, runs: int, boundary_mode: str
+) -> tuple[float, float]:
+    """Reference Monte Carlo: every trial builds both series and runs the
+    interval rule; returns ``(mean_loss, std_loss)`` as ``run_experiment``
+    reports them."""
+    include = boundary_mode == "total"
+    losses = np.empty(runs, dtype=float)
+    for trial in range(runs):
+        s1, s2 = generate_inputs(config, trial=trial)
+        report = detect_interval_rule(s1, s2, include_boundary=include)
+        losses[trial] = data_loss_ratio(report)
+    return float(losses.mean()), float(losses.std(ddof=1))
+
+
+def aligned_label_strings(n_min: int, n_max: int):
+    """Every boundary-aligned A/B label string (``True`` = A) of length
+    ``n_min..n_max >= 4``: the first two and the last two labels differ,
+    the interior is free, so each leg has at least two points."""
+    for n in range(n_min, n_max + 1):
+        for first, last in itertools.product((False, True), repeat=2):
+            for inner in itertools.product((False, True), repeat=n - 4):
+                yield np.array([first, not first, *inner, not last, last])

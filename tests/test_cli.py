@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyf import __version__
+from hyf import __version__, detect_interval_rule
 from hyf.cli import TickParseError, _json_dumps, _read_tick_lines, main, read_tick_file
 
 from conftest import (
@@ -153,6 +154,21 @@ class TestEstimate:
         assert code == 3
         assert out == ""
         assert "leg A" in err and "position 1" in err and "overflows" in err
+
+    @pytest.mark.parametrize("times_b,prices_b", [
+        ([0.5, 2.5, 3.5], [0.0, 1e200, 0.0]),  # one product overflows: inf
+        ([0.5, 1.5, 2.5, 3.5], [0.0, 1e200, 1e200, 2e200]),  # inf - inf: nan
+    ])
+    def test_overflowing_covariance_exits_3(self, capsys, tmp_path, times_b, prices_b):
+        a = write_csv(tmp_path / "a.csv", [1.0, 2.0, 3.0], [0.0, 1e200, 0.0])
+        b = write_csv(tmp_path / "b.csv", times_b, prices_b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "estimate", a, b)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("hyf: invalid input: covariance is ")
+        assert err.count("\n") == 1
 
     def test_non_utf8_file_exits_2_with_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -468,6 +484,20 @@ class TestLossTable:
         assert err.startswith(
             "hyf: error: runs = 101 exceeds the cap of 100 (one 8-byte loss is kept per run)\n"
         )
+
+    def test_cross_check_disagreement_exits_4(self, capsys, monkeypatch):
+        real = detect_interval_rule
+
+        def skewed(*args, **kwargs):
+            report = real(*args, **kwargs)
+            return dataclasses.replace(report, f_total=report.f_total + 1)
+
+        monkeypatch.setattr("hyf.montecarlo.detect_interval_rule", skewed)
+        code, out, err = run_cli(capsys, "loss-table", "--runs", "5")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("hyf: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_long_table_under_run_cap_reaches_the_trials(self, monkeypatch):
         # 2e9 expected points in all: slow, but small in memory, so accepted

@@ -1,10 +1,26 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from hyf import AdversaryConfig, loss_table, run_experiment
+from hyf import (
+    AdversaryConfig,
+    DetectorDisagreement,
+    LabelSequence,
+    detect_interval_rule,
+    detect_label_rule,
+    loss_table,
+    run_experiment,
+)
+from hyf.montecarlo import label_count
 
-from _support import exact_interior_loss
+from _support import (
+    aligned_label_strings,
+    exact_interior_loss,
+    interval_rule_experiment,
+    split_legs,
+)
 
 # exact finite-horizon interior loss at T = 100, as published with the
 # benchmark's loss-table check
@@ -67,6 +83,60 @@ class TestRunExperiment:
         assert gaps[0] >= gaps[2]
         final = run_experiment(quick_config(horizon=10000.0), runs=runs)
         assert abs(final.mean_loss - final.theoretical) <= 3 * final.std_loss / runs**0.5
+
+
+class TestLabelCount:
+    def test_equals_both_detectors_on_every_aligned_string(self):
+        # one boundary-mode report per detector: its f_interior is the
+        # interior-mode count, its f_total the total-mode count
+        rng = np.random.default_rng(2024)
+        strings = 0
+        for is_a in aligned_label_strings(4, 14):
+            times = np.sort(rng.random(is_a.size))
+            label = detect_label_rule(LabelSequence(times, is_a), include_boundary=True)
+            interval = detect_interval_rule(*split_legs(times, is_a), include_boundary=True)
+            assert label_count(is_a, False) == label.f_interior == interval.f_interior, is_a
+            assert label_count(is_a, True) == label.f_total == interval.f_total, is_a
+            assert label.m == interval.m == is_a.size - 3
+            strings += 1
+        assert strings == sum(2 ** (n - 2) for n in range(4, 15))
+
+
+class TestAgainstIntervalRuleLoop:
+    @pytest.mark.parametrize("mode", ["interior", "total"])
+    @pytest.mark.parametrize("rates,horizon,min_points", [
+        ((1.0, 1.0), 100.0, 2),
+        ((1.0, 0.1), 100.0, 2),
+        ((1.0, 1.0), 3.0, 2),  # (a+b)T = 6: N < 8 is common
+        ((1.0, 0.25), 10.0, 3),  # leg B often short of 3 points: redraws
+    ])
+    def test_mean_and_std_exactly_equal(self, rates, horizon, min_points, mode):
+        config = AdversaryConfig(*rates, horizon, seed=1729, min_points=min_points)
+        summary = run_experiment(config, runs=300, boundary_mode=mode)
+        assert (summary.mean_loss, summary.std_loss) == interval_rule_experiment(config, 300, mode)
+
+
+class TestCrossCheck:
+    def test_interval_rule_recounts_the_first_two_trials(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return detect_interval_rule(*args, **kwargs)
+
+        monkeypatch.setattr("hyf.montecarlo.detect_interval_rule", counting)
+        run_experiment(quick_config(), runs=10)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("mode", ["interior", "total"])
+    def test_off_by_one_interval_count_raises(self, monkeypatch, mode):
+        def skewed(*args, **kwargs):
+            report = detect_interval_rule(*args, **kwargs)
+            return dataclasses.replace(report, f_total=report.f_total + 1)
+
+        monkeypatch.setattr("hyf.montecarlo.detect_interval_rule", skewed)
+        with pytest.raises(DetectorDisagreement, match="trial 0, "):
+            run_experiment(quick_config(), runs=5, boundary_mode=mode)
 
 
 class TestExactFiniteHorizon:

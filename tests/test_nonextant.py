@@ -16,14 +16,16 @@ from hyf import (
     data_loss_ratio,
     detect_interval_rule,
     detect_label_rule,
+    enumerate_overlaps,
     merge_labels,
     nonextant_interval,
     oracle_detect,
+    overlap_count,
     validate_series,
 )
 from hyf.nonextant import _build_report
 
-from _support import adversary_instance, naive_pattern_count
+from _support import adversary_instance, naive_pattern_count, random_aligned_labels, split_legs
 from conftest import GOLDEN_MERGE
 
 
@@ -245,6 +247,34 @@ class TestDetectorEquivalence:
         full = detect_interval_rule(s1, s2, include_boundary=True)
         assert {0, s1.n_intervals}.isdisjoint(full.nonextant_1)
         assert {0, s2.n_intervals}.isdisjoint(full.nonextant_2)
+
+    @staticmethod
+    def _assert_interval_and_label_rules_agree(times, is_a):
+        s1, s2 = split_legs(times, is_a)
+        merged = merge_labels(s1, s2)
+        assert np.array_equal(merged.is_a, is_a)
+        for include in (False, True):
+            interval = detect_interval_rule(s1, s2, include_boundary=include)
+            assert interval.same_points(detect_label_rule(merged, include_boundary=include))
+            assert interval.m == is_a.size - 3
+        assert overlap_count(s1, s2) == enumerate_overlaps(s1, s2).m
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_agree_at_epoch_second_times(self, seed):
+        # integer grid times shifted to about 1.7e9 stay exact and tie-free
+        times, is_a = random_aligned_labels(np.random.default_rng(seed))
+        self._assert_interval_and_label_rules_agree(times + 1.7e9, is_a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6), base=st.sampled_from([1.0, 1.7e9]))
+    def test_agree_at_gaps_of_a_few_ulp(self, seed, base):
+        # the same merge orders, with consecutive times one to three ulp apart
+        rng = np.random.default_rng(seed)
+        _, is_a = random_aligned_labels(rng)
+        times = base + np.spacing(base) * np.cumsum(rng.integers(1, 4, is_a.size))
+        assert np.all(np.diff(times) > 0)
+        self._assert_interval_and_label_rules_agree(times, is_a)
 
     def test_triple_count_matches_substring_count(self):
         # containment detections of each leg are the same-label triple middles
