@@ -32,49 +32,31 @@ _VALUE_STREAM_KEY = 1 << 32
 # 1e8 points holds several 800 MB float64 arrays at once
 MAX_EXPECTED_POINTS = 1e8
 
+# draws per trial before RejectionBudgetExceeded
+MAX_RESAMPLES = 1000
 
-def check_generator_load(rate_a: float, rate_b: float, horizon: float) -> None:
-    """Reject rates and a horizon whose draw cannot be made.
-
-    Raises ``ValueError`` when ``rate_a + rate_b`` is not finite or the
-    expected point count ``(rate_a + rate_b) * horizon`` exceeds
-    :data:`MAX_EXPECTED_POINTS`.
-    """
-    total = rate_a + rate_b
-    if not math.isfinite(total):
-        raise ValueError(f"rate_a + rate_b must be finite, got {total}")
-    if not total * horizon <= MAX_EXPECTED_POINTS:
-        raise ValueError(
-            f"expected point count (rate_a + rate_b) * horizon = {total * horizon:g} "
-            f"exceeds the generator cap of {MAX_EXPECTED_POINTS:g}"
-        )
+_TINY = np.finfo(float).tiny  # keeps a uniform draw inside (0, 1)
 
 
 @dataclass(frozen=True)
 class AdversaryConfig:
-    """Rates, horizon and seeding for the two-leg Poisson generator.
+    """Rates, horizon and seed of the (a, b)-adversary, checked here alone.
 
     Parameters
     ----------
     rate_a, rate_b : float
-        Events per time unit for legs A and B; strictly positive.
+        Events per time unit for legs A and B; positive, with a finite sum.
     horizon : float
-        Length of the observation window ``(0, T]``; see
-        :func:`check_generator_load` for the cap on ``(a+b)·T``.
+        Length of the observation window ``(0, T]``; positive, with
+        ``(a+b)·T`` at most :data:`MAX_EXPECTED_POINTS`.
     seed : int
         Master seed, a 64-bit unsigned integer.
-    min_points : int
-        Minimum accepted number of observations per leg (>= 2).
-    max_resamples : int
-        Rejection budget per trial before giving up.
     """
 
     rate_a: float
     rate_b: float
     horizon: float
     seed: int = DEFAULT_SEED
-    min_points: int = 2
-    max_resamples: int = 1000
 
     def __post_init__(self) -> None:
         if self.rate_a <= 0 or self.rate_b <= 0:
@@ -83,13 +65,16 @@ class AdversaryConfig:
             )
         if not 0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        check_generator_load(self.rate_a, self.rate_b, self.horizon)
+        total = self.rate_a + self.rate_b
+        if not math.isfinite(total):
+            raise ValueError(f"rate_a + rate_b must be finite, got {total}")
+        if not total * self.horizon <= MAX_EXPECTED_POINTS:
+            raise ValueError(
+                f"expected point count (rate_a + rate_b) * horizon = {total * self.horizon:g} "
+                f"exceeds the generator cap of {MAX_EXPECTED_POINTS:g}"
+            )
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.min_points < 2:
-            raise ValueError("min_points must be at least 2")
-        if self.max_resamples < 1:
-            raise ValueError("max_resamples must be at least 1")
 
 
 def generate_poisson(rate: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
@@ -108,14 +93,16 @@ def generate_poisson(rate: float, horizon: float, rng: np.random.Generator) -> n
     chunk = max(16, int(expected + 10.0 * math.sqrt(expected) + 10.0))
     parts: list[np.ndarray] = []
     reached = 0.0
-    while True:
-        u = rng.random(chunk)
-        u[u == 0.0] = np.finfo(float).tiny  # keep u inside (0, 1)
-        arrivals = reached + np.cumsum(-np.log(u) / rate)
-        parts.append(arrivals)
-        reached = float(arrivals[-1])
-        if reached > horizon:
-            break
+    # below a rate of about 1e-306 a gap overflows to inf, past any horizon
+    with np.errstate(over="ignore"):
+        while True:
+            u = rng.random(chunk)
+            u[u == 0.0] = _TINY
+            arrivals = reached + np.cumsum(-np.log(u) / rate)
+            parts.append(arrivals)
+            reached = float(arrivals[-1])
+            if reached > horizon:
+                break
     times = np.concatenate(parts) if len(parts) > 1 else parts[0]
     return times[times <= horizon]
 
@@ -129,31 +116,28 @@ def draw_labels(config: AdversaryConfig, trial: int = 0) -> tuple[np.ndarray, np
     ``(2pq)^2``, ``p = a/(a+b)``, and involves only the four end labels.
     Conditioning on it therefore leaves ``N`` Poisson given ``N >= 4``,
     the interior labels i.i.d., and each end pair AB or BA with
-    probability ``pq / 2pq = 1/2``.  Only ``N < 4``, float ties in the
-    times and ``min_points > 2`` lead to a redraw.
+    probability ``pq / 2pq = 1/2``.  Only ``N < 4`` and float ties in the
+    times lead to a redraw; ``N >= 4`` gives each leg two points or more.
 
-    Raises :class:`RejectionBudgetExceeded` when no draw within the
-    budget has four merged points and ``min_points`` on both legs
-    (typically a sign that ``rate * horizon`` is too small).
+    Raises :class:`RejectionBudgetExceeded` when none of
+    :data:`MAX_RESAMPLES` draws has four merged points (typically a sign
+    that ``rate * horizon`` is too small).
     """
     p = config.rate_a / (config.rate_a + config.rate_b)
-    for attempt in range(config.max_resamples):
+    for attempt in range(MAX_RESAMPLES):
         rng = np.random.default_rng(
             np.random.SeedSequence([int(config.seed), int(trial), int(attempt)])
         )
         times = generate_poisson(config.rate_a + config.rate_b, config.horizon, rng)
-        if times.size < 4 or not np.all(np.diff(times) > 0):
+        if times.size < 4 or not (times[1:] > times[:-1]).all():
             continue
         is_a = rng.random(times.size) < p
         first_a, last_a = rng.random(2) < 0.5
         is_a[:2] = (first_a, not first_a)
         is_a[-2:] = (not last_a, last_a)
-        n_a = int(np.count_nonzero(is_a))
-        if min(n_a, times.size - n_a) < config.min_points:
-            continue
         return times, is_a
     raise RejectionBudgetExceeded(
-        f"no accepted draw in {config.max_resamples} resamples "
+        f"no accepted draw in {MAX_RESAMPLES} resamples "
         f"(rates {config.rate_a}, {config.rate_b}, horizon {config.horizon})"
     )
 

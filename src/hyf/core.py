@@ -268,6 +268,11 @@ def clip_ranges(
     return lo, np.maximum(np.minimum(m_opp, last) - lo + 1, 0)
 
 
+def safe_median(x: np.ndarray) -> float:
+    """``np.median(x)`` of finite ``x``, with no overflow where the middle two add."""
+    return 2 * float(np.median(x / 2))
+
+
 def first_shared_time(sorted_a: np.ndarray, sorted_b: np.ndarray):
     """First value of ascending ``sorted_b`` also in ascending ``sorted_a``, or None."""
     if sorted_a.size == 0:

@@ -236,9 +236,13 @@ def point_coefficients(series: ObservationSeries, opposite: ObservationSeries) -
 
     The estimator is affine in each observation value; entry ``k`` is the
     exact derivative of :func:`hy_covariance` with respect to
-    ``series.values[k]``.
+    ``series.values[k]``.  Raises :class:`ValidationError` when finite
+    prices overflow a coefficient.
     """
-    sums = _opposite_sums(series, opposite)
-    padded = np.concatenate([[0.0], sums, [0.0]])
-    return padded[:-1] - padded[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        padded = np.concatenate([[0.0], _opposite_sums(series, opposite), [0.0]])
+        coeff = padded[:-1] - padded[1:]
+    if not np.isfinite(coeff).all():
+        raise ValidationError(f"leg {series.label}: a point coefficient overflows")
+    return coeff
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelSequence, ObservationSeries, clip_ranges, overlap_ranges
+from .core import LabelSequence, ObservationSeries, clip_ranges, overlap_ranges, safe_median
 from .errors import EmptyPattern, IndexOutOfRange, ZeroOverlaps
 from .estimator import point_coefficients
 
@@ -213,7 +213,7 @@ def oracle_detect(
     sides = []
     for series, opposite in ((s1, s2), (s2, s1)):
         coeff = point_coefficients(series, opposite)
-        scale = float(np.median(np.abs(opposite.increments)))
+        scale = safe_median(np.abs(opposite.increments))
         detected = np.abs(coeff) <= ORACLE_RELATIVE_TOLERANCE * scale
         interior = np.zeros_like(detected)
         interior[1:-1] = _span_ranges(series, opposite)[1]

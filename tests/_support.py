@@ -22,6 +22,7 @@ from hyf import (
     generate_poisson,
     validate_series,
 )
+from hyf.adversary import MAX_RESAMPLES
 from hyf.core import first_shared_time
 
 
@@ -233,12 +234,11 @@ def two_leg_generate_inputs(
     the definition the superposed generator in ``hyf`` must reproduce in
     distribution.
     """
-    want = max(2, config.min_points)
-    for attempt in range(config.max_resamples):
+    for attempt in range(MAX_RESAMPLES):
         rng_a, rng_b = _leg_streams(config.seed, trial, attempt)
         ta = generate_poisson(config.rate_a, config.horizon, rng_a)
         tb = generate_poisson(config.rate_b, config.horizon, rng_b)
-        if ta.size < want or tb.size < want:
+        if ta.size < 2 or tb.size < 2:
             continue
         if not (_strictly_increasing(ta) and _strictly_increasing(tb)):
             continue
@@ -251,7 +251,7 @@ def two_leg_generate_inputs(
             ObservationSeries(tb, np.zeros(tb.size), "B"),
         )
     raise RejectionBudgetExceeded(
-        f"no accepted draw in {config.max_resamples} resamples "
+        f"no accepted draw in {MAX_RESAMPLES} resamples "
         f"(rates {config.rate_a}, {config.rate_b}, horizon {config.horizon})"
     )
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -35,11 +36,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             AdversaryConfig(rate_a=1.0, rate_b=1.0, horizon=0.0)
 
-    def test_min_points_and_budget_validated(self):
-        with pytest.raises(ValueError):
-            AdversaryConfig(rate_a=1, rate_b=1, horizon=1, min_points=1)
-        with pytest.raises(ValueError):
-            AdversaryConfig(rate_a=1, rate_b=1, horizon=1, max_resamples=0)
+    def test_fields_are_the_two_rates_horizon_and_seed(self):
+        names = [field.name for field in dataclasses.fields(AdversaryConfig)]
+        assert names == ["rate_a", "rate_b", "horizon", "seed"]
 
     def test_seed_range(self):
         with pytest.raises(ValueError):
@@ -130,16 +129,10 @@ class TestGenerateInputs:
         assert first == (1, 1)
         assert last == (s1.n_intervals, s2.n_intervals)
 
-    def test_min_points_respected(self):
-        config = AdversaryConfig(rate_a=1, rate_b=1, horizon=30, seed=5, min_points=12)
-        s1, s2 = generate_inputs(config)
-        assert s1.n_points >= 12 and s2.n_points >= 12
-
-    def test_budget_exceeded_for_degenerate_config(self):
-        config = AdversaryConfig(
-            rate_a=1, rate_b=1, horizon=0.001, seed=5, max_resamples=20
-        )
-        with pytest.raises(RejectionBudgetExceeded):
+    def test_budget_exceeded_for_degenerate_config(self, monkeypatch):
+        monkeypatch.setattr(hyf.adversary, "MAX_RESAMPLES", 20)
+        config = AdversaryConfig(rate_a=1, rate_b=1, horizon=0.001, seed=5)
+        with pytest.raises(RejectionBudgetExceeded, match="in 20 resamples"):
             generate_inputs(config)
 
     def test_one_poisson_draw_per_attempt(self, monkeypatch):
@@ -150,13 +143,12 @@ class TestGenerateInputs:
             return generate_poisson(rate, horizon, rng)
 
         monkeypatch.setattr(hyf.adversary, "generate_poisson", counting)
+        monkeypatch.setattr(hyf.adversary, "MAX_RESAMPLES", 20)
         generate_inputs(AdversaryConfig(rate_a=1, rate_b=0.25, horizon=50, seed=11))
         assert calls == [1.25]
         calls.clear()
         with pytest.raises(RejectionBudgetExceeded):
-            generate_inputs(AdversaryConfig(
-                rate_a=1, rate_b=1, horizon=0.001, seed=5, max_resamples=20
-            ))
+            generate_inputs(AdversaryConfig(rate_a=1, rate_b=1, horizon=0.001, seed=5))
         assert len(calls) == 20
 
 

@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -207,7 +210,41 @@ agreement FAILED
 """
 
 
+# finite prices whose median opposite increment (pair 1) or coefficients
+# (pair 2) overflow a float
+ORACLE_PAIR_1 = (b"time,price\n1,1e308\n2,0\n3,9e307\n4,2e307\n",
+                 b"time,price\n0.5,0\n2.5,1e308\n4.5,1e307\n")
+ORACLE_PAIR_2 = (b"time,price\n1,1e308\n2,0\n3,-1e308\n",
+                 b"time,price\n0.5,0\n3.5,1\n4,2\n")
+
+
+def write_pair(directory, pair):
+    paths = (directory / "a.csv", directory / "b.csv")
+    for path, raw in zip(paths, pair):
+        path.write_bytes(raw)
+    return tuple(map(str, paths))
+
+
 class TestDetect:
+    @pytest.mark.filterwarnings("error")
+    def test_oracle_median_scale_does_not_overflow(self, capsys, tmp_path):
+        files = write_pair(tmp_path, ORACLE_PAIR_1)
+        code, out, err = run_cli(capsys, "detect", *files, "--method", "all",
+                                 "--include-boundary")
+        assert code == 0
+        assert out.endswith("agreement ok\n")
+        assert "f_total 0\n" in out and "f_total 4" not in out
+        assert err == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_oracle_overflowing_coefficient_exits_3(self, capsys, tmp_path):
+        files = write_pair(tmp_path, ORACLE_PAIR_2)
+        code, out, err = run_cli(capsys, "detect", *files, "--method", "oracle")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("hyf: invalid input: ") and err.count("\n") == 1
+        assert "overflows" in err
+
     def test_golden_method_all_text(self, capsys, golden_files):
         code, out, err = run_cli(
             capsys, "detect", *golden_files, "--method", "all", "--include-boundary"
@@ -396,6 +433,16 @@ class TestSimulate:
         assert code == 1
         assert err.startswith("hyf: error: ")
 
+    def test_rejection_budget_exits_5_without_writing(self, capsys, tmp_path):
+        prefix = tmp_path / "x"
+        code, out, err = run_cli(capsys, "simulate", "--horizon", "0.001",
+                                 "--out-prefix", str(prefix))
+        assert code == 5
+        assert out == ""
+        assert err == ("hyf: no accepted draw in 1000 resamples "
+                       "(rates 1.0, 1.0, horizon 0.001)\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_env_seed_is_usage_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HYF_SEED", "-3")
         code, _, err = run_cli(capsys, "simulate", "--horizon", "10",
@@ -441,8 +488,43 @@ class TestLossTable:
         assert "rate" in err
 
     def test_single_run_exits_1(self, capsys):
-        code, _, _ = run_cli(capsys, "loss-table", "--runs", "1")
+        code, _, err = run_cli(capsys, "loss-table", "--runs", "1")
         assert code == 1
+        assert err.startswith("hyf: error: need at least 2 runs")
+
+    def test_rejection_budget_exits_5(self, capsys):
+        code, out, err = run_cli(capsys, "loss-table", "--horizons", "0.001", "--runs", "2")
+        assert code == 5
+        assert out == ""
+        assert err.startswith("hyf: no accepted draw in 1000 resamples ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("rates,horizon", [
+        ("1,nan", "10"),
+        ("0,1", "10"),
+        ("1,inf", "10"),
+        ("1,1", "0"),
+        ("1,1", "inf"),
+        ("1,1", "-3"),
+        ("1e200,1", "1e200"),
+    ])
+    def test_generator_input_message_matches_simulate(
+        self, capsys, monkeypatch, tmp_path, rates, horizon
+    ):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("hyf.montecarlo.run_experiment", no_trials)
+        code, _, err = run_cli(capsys, "loss-table", "--rates", rates,
+                               "--horizons", horizon, "--runs", "2")
+        rate_a, rate_b = rates.split(",")
+        sim_code, _, sim_err = run_cli(
+            capsys, "simulate", "--rate-a", rate_a, "--rate-b", rate_b,
+            "--horizon", horizon, "--out-prefix", str(tmp_path / "x"),
+        )
+        assert code == sim_code == 1
+        assert err.startswith("hyf: error: ")
+        assert err == sim_err
 
     def test_empty_rates_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "loss-table", "--rates", ";")
@@ -614,3 +696,117 @@ class TestJsonOutput:
     @example(obj={"inputs": {"file_a": "[1, 2]", "file_b": "x, y"}, "times": [1.5, float("nan")]})
     def test_matches_indenting_encoder(self, obj):
         assert _json_dumps(obj) == json.dumps(obj, indent=2)
+
+
+_EDGE_PRICE = st.sampled_from([0.0, 1.0, -1.0, 9e307, -9e307, 1e308, -1e308])
+
+
+@st.composite
+def _price_csv(draw):
+    """A well-formed tick file on a grid of 25 times (so ties between files
+    are common) at normal, subnormal or near-overflow scale, mostly sorted,
+    with edge-value prices."""
+    grid = draw(st.lists(st.integers(0, 24), max_size=8, unique=True))
+    if draw(st.booleans()):
+        grid.sort()
+    scale = draw(st.sampled_from([0.5, 0.5, 1e-310, 1e307]))
+    prices = draw(st.lists(st.one_of(_EDGE_PRICE, st.floats()),
+                           min_size=len(grid), max_size=len(grid)))
+    rows = "".join(f"{k * scale!r},{p!r}\n" for k, p in zip(grid, prices))
+    return ("time,price\n" + rows).encode()
+
+
+_TICK_FILE = st.one_of(_price_csv(), _near_valid_csv(), st.binary(max_size=40))
+
+# finite positive rates and horizons are small (≤ 2, ≤ 50) or extreme, so
+# every accepted cell draws at most a few hundred points and every other
+# one is rejected by the generator cap or runs out of resamples at once
+_RATE = st.sampled_from(["0", "-0", "-1", "1", "1/4", "0.5", "2", "5e-324", "nan", "inf",
+                         "-inf", "1e308", "1e400", "1/0", "x", ""])
+_HORIZON = st.sampled_from(["0", "-3", "0.001", "1", "3", "50", "5e-324", "1e308", "nan",
+                            "inf", "1e400", "x", ""])
+_SEED = st.sampled_from(["0", "1", "-1", str(2**64 - 1), str(2**64), "1.5", "x"])
+_RUNS = st.sampled_from(["-1", "0", "1", "2", "5", "x"])
+
+
+def _fuzz_main(argv) -> tuple[int, str, str]:
+    """``main(argv)`` with its own stdout and stderr; any warning or escaped
+    exception fails the calling test, as it would show on a real stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_contract(code: int, out: str, err: str) -> None:
+    assert code in range(6)
+    assert "Traceback" not in err
+    if code:
+        assert sum(line.startswith("hyf:") for line in err.splitlines()) == 1, err
+    else:
+        assert re.search(r"\bnan\b", out, re.IGNORECASE) is None, out
+
+
+class TestCliFuzz:
+    """Every input gets an exit code 0-5, one ``hyf:`` line on failure, no
+    traceback, no numpy warning and no ``nan`` on success."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        raw_a=_TICK_FILE,
+        raw_b=_TICK_FILE,
+        command=st.sampled_from(["estimate", "detect"]),
+        method=st.sampled_from(["interval", "label", "oracle", "all"]),
+        include_boundary=st.booleans(),
+        jitter=st.booleans(),
+        as_json=st.booleans(),
+    )
+    @example(raw_a=ORACLE_PAIR_1[0], raw_b=ORACLE_PAIR_1[1], command="detect", method="all",
+             include_boundary=True, jitter=False, as_json=False)
+    @example(raw_a=ORACLE_PAIR_2[0], raw_b=ORACLE_PAIR_2[1], command="detect",
+             method="oracle", include_boundary=False, jitter=False, as_json=False)
+    # --jitter: the median of two merged gaps of 1e308 overflows
+    @example(raw_a=b"time,price\n-1e308,1\n1e308,2\n",
+             raw_b=b"time,price\n-1e308,1\n0,2\n1e308,3\n", command="estimate",
+             method="interval", include_boundary=False, jitter=True, as_json=False)
+    # --jitter: inf - inf between two infinite times
+    @example(raw_a=b"time,price\n", raw_b=b"time,price\n0,0\ninf,0\ninf,0\n",
+             command="estimate", method="interval", include_boundary=False, jitter=True,
+             as_json=False)
+    def test_tick_file_commands(self, tmp_path_factory, raw_a, raw_b, command, method,
+                                include_boundary, jitter, as_json):
+        argv = [command, *write_pair(tmp_path_factory.mktemp("fuzz"), (raw_a, raw_b))]
+        if command == "detect":
+            argv += ["--method", method] + ["--include-boundary"] * include_boundary
+        argv += ["--jitter"] * jitter + ["--json"] * as_json
+        _assert_contract(*_fuzz_main(argv))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rate_a=_RATE, rate_b=_RATE, horizon=_HORIZON, seed=_SEED, as_json=st.booleans())
+    # an exponential gap at a subnormal rate overflows
+    @example(rate_a="5e-324", rate_b="5e-324", horizon="0.001", seed="0", as_json=False)
+    def test_simulate(self, tmp_path_factory, rate_a, rate_b, horizon, seed, as_json):
+        directory = tmp_path_factory.mktemp("fuzz")
+        argv = ["simulate", f"--rate-a={rate_a}", f"--rate-b={rate_b}",
+                f"--horizon={horizon}", f"--seed={seed}",
+                f"--out-prefix={directory / 'x'}"] + ["--json"] * as_json
+        code, out, err = _fuzz_main(argv)
+        _assert_contract(code, out, err)
+        assert code == 0 or list(directory.iterdir()) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(_RATE, _RATE), min_size=1, max_size=3),
+        horizons=st.lists(_HORIZON, min_size=1, max_size=3),
+        runs=_RUNS,
+        seed=_SEED,
+        include_boundary=st.booleans(),
+        as_json=st.booleans(),
+    )
+    def test_loss_table(self, pairs, horizons, runs, seed, include_boundary, as_json):
+        argv = ["loss-table", f"--rates={';'.join(f'{a},{b}' for a, b in pairs)}",
+                f"--horizons={','.join(horizons)}", f"--runs={runs}", f"--seed={seed}"]
+        argv += ["--include-boundary"] * include_boundary + ["--json"] * as_json
+        _assert_contract(*_fuzz_main(argv))
