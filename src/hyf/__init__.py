@@ -36,14 +36,7 @@ from .errors import (
     ValidationError,
     ZeroOverlaps,
 )
-from .estimator import (
-    GroupedTerm,
-    RawTerm,
-    TermList,
-    hy_covariance,
-    point_coefficients,
-    telescope_rows,
-)
+from .estimator import TermList, hy_covariance, point_coefficients, telescope_rows
 from .montecarlo import LossTable, TrialSummary, loss_table, run_experiment
 from .nonextant import (
     NonextantReport,
@@ -65,7 +58,6 @@ __all__ = [
     "DEFAULT_SEED",
     "DetectorDisagreement",
     "EmptyPattern",
-    "GroupedTerm",
     "IndexOutOfRange",
     "LabelSequence",
     "LengthMismatch",
@@ -76,7 +68,6 @@ __all__ = [
     "ObservationSeries",
     "OpenInterval",
     "OverlapSet",
-    "RawTerm",
     "RejectionBudgetExceeded",
     "TermList",
     "TooFewPoints",

@@ -4,7 +4,8 @@ Exit codes are part of the contract so shell pipelines can branch on the
 failure class:
 
 * 0 success
-* 1 usage error (bad flags, bad rate syntax, nonpositive horizon, ...)
+* 1 usage error (bad flags, bad rate syntax, nonpositive horizon, ...),
+  or output that cannot be delivered (unwritable file, stdout closed early)
 * 2 tick-file parse error (reported with a line number)
 * 3 input validation error (shared timestamps, non-monotone times, ...)
 * 4 detector disagreement under ``--method all``, or in ``loss-table``'s
@@ -53,6 +54,10 @@ DEFAULT_RATE_PAIRS = "1,1;1,1/2;1,1/4;1,1/10"
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _OutputError(Exception):
     pass
 
 
@@ -388,8 +393,11 @@ def _cmd_simulate(args) -> int:
     s1, s2 = attach_random_walk(s1, s2, seed=seed)
     path_a = f"{args.out_prefix}_a.csv"
     path_b = f"{args.out_prefix}_b.csv"
-    write_tick_file(path_a, s1)
-    write_tick_file(path_b, s2)
+    for path, series in ((path_a, s1), (path_b, s2)):
+        try:
+            write_tick_file(path, series)
+        except OSError as exc:
+            raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
     results = {
         "file_a": path_a,
         "file_b": path_b,
@@ -524,11 +532,23 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        finally:
+            # a closed stdout surfaces here, not in the flush at exit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # keep the flush at exit quiet, as the Python docs recommend
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("hyf: error: stdout closed before the output was written", file=sys.stderr)
+        return EXIT_USAGE
     except _UsageError as exc:
         print(f"hyf: error: {exc}", file=sys.stderr)
         print("run 'hyf --help' for usage", file=sys.stderr)
+        return EXIT_USAGE
+    except _OutputError as exc:
+        print(f"hyf: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TickParseError as exc:
         print(f"hyf: parse error: {exc}", file=sys.stderr)

@@ -8,61 +8,23 @@ overlapping intervals::
 
 It is affine in every individual observation value, and grouping the sum
 by a fixed anchor interval telescopes the opposite-leg increments into a
-single endpoint difference.  Some observations drop out of the telescoped
-form entirely; :mod:`hyf.nonextant` locates them.
+single endpoint difference; :func:`telescope_rows` returns that grouping
+and the term values as arrays.  Some observations drop out of the
+telescoped form entirely; :mod:`hyf.nonextant` locates them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, NamedTuple
+from typing import Literal
 
 import numpy as np
 
-from .core import (
-    Label,
-    ObservationSeries,
-    clip_ranges,
-    enumerate_overlaps,
-    overlap_ranges,
-)
+from .core import ObservationSeries, clip_ranges, enumerate_overlaps, overlap_ranges
 from .errors import ValidationError
 
 Anchoring = Literal["row", "alternative"]
-
-
-class RawTerm(NamedTuple):
-    """One product summand of the double sum."""
-
-    i: int
-    j: int
-    delta_a: float
-    delta_b: float
-
-    @property
-    def value(self) -> float:
-        return self.delta_a * self.delta_b
-
-
-@dataclass(frozen=True)
-class GroupedTerm:
-    """A telescoped run of raw terms sharing one anchor interval.
-
-    ``multiplier`` is the anchor interval's increment and ``span`` holds
-    the first and last opposite-leg point index of the run, so the term
-    evaluates to ``multiplier * (opposite values[span[1]] - [span[0]])``.
-    """
-
-    anchor_leg: Label
-    anchor_index: int
-    multiplier: float
-    span: tuple[int, int]
-    endpoint_delta: float
-
-    @property
-    def value(self) -> float:
-        return self.multiplier * self.endpoint_delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +37,8 @@ class TermList:
     run's first pair: axis 0 is a row (leg-2 interval ``anchor`` against
     leg-1 intervals ``lo..hi``), axis 1 a column (leg-1 interval
     ``anchor`` against leg-2 intervals ``lo..hi``).  :attr:`raw_terms`
-    and :attr:`grouped_terms` build the per-term objects on first access.
+    and :attr:`grouped_terms` hold the term values, one per pair and one
+    per group, computed on first access.
     """
 
     s1: ObservationSeries
@@ -84,34 +47,31 @@ class TermList:
     groups: np.ndarray
 
     @cached_property
-    def raw_terms(self) -> tuple[RawTerm, ...]:
-        da = self.s1.increments
-        db = self.s2.increments
-        return tuple(
-            RawTerm(i, j, float(da[i - 1]), float(db[j - 1])) for i, j in self.pairs.tolist()
-        )
+    def raw_terms(self) -> np.ndarray:
+        i, j = self.pairs.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.s1.increments[i - 1] * self.s2.increments[j - 1]
 
     @cached_property
-    def grouped_terms(self) -> tuple[GroupedTerm, ...]:
-        # axis 0 anchors on leg 2 and sweeps leg 1, axis 1 the other way round
-        legs = ((self.s2, self.s1), (self.s1, self.s2))
-        increments = (self.s2.increments, self.s1.increments)
-        return tuple(
-            GroupedTerm(
-                anchor_leg=legs[axis][0].label,
-                anchor_index=anchor,
-                multiplier=float(increments[axis][anchor - 1]),
-                span=(lo - 1, hi),
-                endpoint_delta=float(legs[axis][1].values[hi] - legs[axis][1].values[lo - 1]),
-            )
-            for axis, anchor, lo, hi in self.groups.tolist()
-        )
+    def grouped_terms(self) -> np.ndarray:
+        # anchor increment times the swept leg's endpoint difference; axis 0
+        # anchors on leg 2 and sweeps leg 1, axis 1 the other way round
+        axis, anchor, lo, hi = self.groups.T
+        out = np.empty(len(self.groups))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, (anchored, swept) in enumerate(((self.s2, self.s1), (self.s1, self.s2))):
+                on = axis == a
+                v = swept.values
+                out[on] = anchored.increments[anchor[on] - 1] * (v[hi[on]] - v[lo[on] - 1])
+        return out
 
     def raw_total(self) -> float:
-        return float(sum(t.value for t in self.raw_terms))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self.raw_terms.sum())
 
     def grouped_total(self) -> float:
-        return float(sum(g.value for g in self.grouped_terms))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self.grouped_terms.sum())
 
 
 def _opposite_sums(series: ObservationSeries, opposite: ObservationSeries) -> np.ndarray:

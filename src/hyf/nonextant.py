@@ -39,14 +39,13 @@ _METHODS = ("interval_rule", "label_rule", "oracle")
 
 @dataclass(frozen=True)
 class NonextantReport:
-    """Nonextant point indices per leg plus the derived loss numbers."""
+    """Nonextant point indices per leg plus the counts behind the loss."""
 
     nonextant_1: tuple[int, ...]
     nonextant_2: tuple[int, ...]
     f_interior: int
     f_total: int
     m: int
-    loss_total: float
     method: str
 
     def same_points(self, other: "NonextantReport") -> bool:
@@ -92,14 +91,12 @@ def _build_report(
     set2 = sorted(set(leg2[0]) | (set(leg2[1]) if include_boundary else set()))
     f_interior = len(leg1[0]) + len(leg2[0])
     f_total = len(set1) + len(set2)
-    loss_total = f_total / m if m > 0 else math.nan
     return NonextantReport(
         nonextant_1=tuple(set1),
         nonextant_2=tuple(set2),
         f_interior=f_interior,
         f_total=f_total,
         m=m,
-        loss_total=loss_total,
         method=method,
     )
 

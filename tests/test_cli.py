@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -443,6 +444,20 @@ class TestSimulate:
                        "(rates 1.0, 1.0, horizon 0.001)\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("leg", ["", "a", "b"])
+    def test_unwritable_out_prefix_exits_1(self, capsys, tmp_path, leg):
+        # a missing directory, or a directory where one tick file should go
+        prefix = tmp_path / "missing" / "x"
+        if leg:
+            prefix = tmp_path / "x"
+            (tmp_path / f"x_{leg}.csv").mkdir()
+        code, out, err = run_cli(capsys, "simulate", "--horizon", "10",
+                                 "--out-prefix", str(prefix))
+        path = f"{prefix}_{leg or 'a'}.csv"
+        assert code == 1
+        assert out == ""
+        assert re.fullmatch(f"hyf: error: cannot write {re.escape(path)}: [^\n]+\n", err)
+
     def test_negative_env_seed_is_usage_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HYF_SEED", "-3")
         code, _, err = run_cli(capsys, "simulate", "--horizon", "10",
@@ -612,6 +627,25 @@ class TestEntryPoints:
             capture_output=True, text=True,
         )
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stdout_exits_1_without_traceback(self, unbuffered):
+        # no reader is left on the pipe before the command writes to it
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hyf", "loss-table", "--runs", "2",
+                 "--horizons", "50", "--rates", "1,1"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("hyf:") == 1
+        assert proc.stderr.startswith("hyf: error: ")
 
     def test_unknown_command_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")

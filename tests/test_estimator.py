@@ -47,47 +47,42 @@ def test_constant_leg_gives_zero(golden_pair):
 class TestTelescopeRows:
     def test_golden_row_grouping(self, golden_pair):
         terms = telescope_rows(*golden_pair)
-        assert len(terms.raw_terms) == 10
-        got = [
-            (g.anchor_leg, g.anchor_index, g.multiplier, g.span, g.endpoint_delta)
-            for g in terms.grouped_terms
-        ]
+        assert terms.raw_terms.shape == (10,)
         # ten summands collapse to three: two B-anchored rows, one A-anchored run
-        assert got == [
-            ("B", 1, 5.0, (0, 4), -5.0),
-            ("B", 2, 5.0, (3, 6), -5.0),
-            ("A", 6, 4.0, (2, 5), 5.0),
-        ]
+        assert terms.groups.tolist() == [[0, 1, 1, 4], [0, 2, 4, 6], [1, 6, 3, 5]]
+        assert terms.grouped_terms.tolist() == [-25.0, -25.0, 20.0]
         assert terms.grouped_total() == pytest.approx(GOLDEN_COVARIANCE, rel=1e-12)
 
     def test_golden_alternative_grouping(self, golden_pair):
         terms = telescope_rows(*golden_pair, anchoring="alternative")
-        got = [
-            (g.anchor_leg, g.anchor_index, g.multiplier, g.span, g.endpoint_delta)
-            for g in terms.grouped_terms
-        ]
         # factoring the first corner column out first costs one extra group
-        assert got == [
-            ("B", 1, 5.0, (0, 3), 0.0),
-            ("A", 4, -5.0, (0, 2), 10.0),
-            ("B", 2, 5.0, (4, 6), 0.0),
-            ("A", 6, 4.0, (2, 5), 5.0),
-        ]
+        assert terms.groups.tolist() == [[0, 1, 1, 3], [1, 4, 1, 2], [0, 2, 5, 6], [1, 6, 3, 5]]
+        assert terms.grouped_terms.tolist() == [0.0, -50.0, 0.0, 20.0]
         assert terms.grouped_total() == pytest.approx(GOLDEN_COVARIANCE, rel=1e-12)
 
     def test_single_overlap_single_group(self):
         s1 = validate_series([0, 10], [1.0, 4.0], "A")
         s2 = validate_series([1, 2], [2.0, 7.0], "B")
         terms = telescope_rows(s1, s2)
-        assert len(terms.grouped_terms) == 1
-        assert terms.grouped_terms[0].value == pytest.approx(3.0 * 5.0)
+        assert terms.grouped_terms.tolist() == [15.0]
 
     def test_no_overlap_empty(self):
         s1 = validate_series([0, 1], [0, 1], "A")
         s2 = validate_series([5, 6], [0, 1], "B")
         terms = telescope_rows(s1, s2)
-        assert terms.raw_terms == ()
-        assert terms.grouped_terms == ()
+        assert terms.raw_terms.shape == (0,)
+        assert terms.grouped_terms.shape == (0,)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_products_match_python_floats(self):
+        # finite prices whose products overflow give inf / nan, not a warning
+        s1 = validate_series([1, 2, 3], [0.0, 1e200, 0.0], "A")
+        s2 = validate_series([0.5, 2.5, 3.5], [0.0, 1e200, 0.0], "B")
+        terms = telescope_rows(s1, s2)
+        assert terms.raw_terms.tolist() == [math.inf, -math.inf, math.inf]
+        assert terms.grouped_terms.tolist() == [0.0, math.inf]
+        assert math.isnan(terms.raw_total())
+        assert terms.grouped_total() == math.inf
 
     def test_unknown_anchoring_rejected(self, golden_pair):
         with pytest.raises(ValueError):
