@@ -20,10 +20,14 @@ variable overrides it, an explicit ``--seed`` wins over both.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import io
 import json
 import os
+import pickle
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -64,6 +68,12 @@ class _OutputError(Exception):
 class TickParseError(Exception):
     def __init__(self, path: str, line: int, message: str):
         super().__init__(f"{path}:{line}: {message}")
+        self.path, self.line, self.message = path, line, message
+
+    def __reduce__(self):
+        # pickle would rebuild it from its one formatted arg; a forked
+        # reader sends it through a pipe
+        return type(self), (self.path, self.line, self.message)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,6 +161,147 @@ def write_tick_file(path: str, series: ObservationSeries) -> None:
             fh.write(f"{t!r},{p!r}\n")
 
 
+# Leg B's text work moves to a forked child, beside leg A in this process,
+# when the smaller leg holds at least this many bytes (reads) or points
+# (writes).  Forking and reaping a child costs 2-3 ms at 100-130 MB RSS;
+# parsing costs 20-35 ns per byte and writing about 3 µs per point, so
+# the break-even is near 100 kB, and at 1 MiB (about 25k rows of
+# simulated text) the saving is ten times the cost.  A 10k-tick leg
+# (about 0.4 MB) stays in process.
+FORK_MIN_BYTES = 1 << 20
+FORK_MIN_POINTS = 25_000
+
+
+def _read_leg(path: str) -> tuple[np.ndarray, np.ndarray]:
+    tick = read_tick_file(path)
+    return tick.times, tick.prices
+
+
+def _write_leg(path: str, series: ObservationSeries) -> tuple:
+    write_tick_file(path, series)
+    return ()
+
+
+def _outcome(task, args):
+    try:
+        return task(*args)
+    except Exception as exc:
+        return exc
+
+
+def _both_legs(task, args_a: tuple, args_b: tuple, fork: bool) -> list:
+    """``[task(*args_a), task(*args_b)]``, an exception where a leg raised.
+
+    Both legs always run.  ``task`` returns a tuple of float64 arrays.
+    With ``fork`` (on a platform that has ``os.fork``), leg B runs in a
+    forked child while this process runs leg A; a child that ends without
+    sending a whole outcome has its leg rerun here, so both paths give
+    the same outcomes.
+    """
+    child = _start_child(task, args_b) if fork and hasattr(os, "fork") else None
+    if child is None:
+        return [_outcome(task, args_a), _outcome(task, args_b)]
+    pid, read_fd = child
+    try:
+        # closed before the wait, so a child blocked on a full pipe ends
+        with open(read_fd, "rb") as pipe:
+            outcome_a = _outcome(task, args_a)
+            outcome_b = _receive(pipe)
+    finally:
+        os.waitpid(pid, 0)
+    if outcome_b is None:
+        outcome_b = _outcome(task, args_b)
+    return [outcome_a, outcome_b]
+
+
+def _start_child(task, args):
+    """Fork a child that sends ``task(*args)``'s outcome down a pipe;
+    return ``(pid, read end)``, or None where no pipe or child can be made."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        # Python 3.12+ warns on fork() in a process with threads, and
+        # numpy's BLAS pool is one.  The child runs only the tick parser or
+        # writer, which take no lock of those threads, and leaves by
+        # os._exit, so the warning is silenced here rather than raised.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        _run_child(task, args, read_fd, write_fd)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _run_child(task, args, read_fd: int, write_fd: int) -> None:
+    """Send the outcome as a pickled header (the exception, or the column
+    sizes) and then the columns' raw bytes; never return.
+
+    ``os._exit`` skips atexit hooks and never flushes the stdio buffers
+    copied from the parent; with the collector off, no finalizer of an
+    object copied from the parent runs here either.
+    """
+    code = 1
+    try:
+        gc.disable()
+        os.close(read_fd)
+        outcome = _outcome(task, args)
+        with open(write_fd, "wb") as pipe:
+            if isinstance(outcome, Exception):
+                pickle.dump(outcome, pipe)
+            else:
+                pickle.dump(tuple(column.size for column in outcome), pipe)
+                for column in outcome:
+                    pipe.write(np.ascontiguousarray(column, dtype=float).data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(pipe):
+    """The child's outcome, or None when it sent no whole one.
+
+    Whatever stops a whole outcome arriving (a child that died, an
+    exception that does not unpickle) only makes the caller rerun the leg,
+    where its own error, if any, surfaces.
+    """
+    try:
+        header = pickle.load(pipe)
+        if isinstance(header, Exception):
+            return header
+        block = np.empty(sum(header))
+        view = memoryview(block).cast("B")
+        while view:
+            count = pipe.readinto(view)
+            if not count:
+                return None
+            view = view[count:]
+        ends = np.cumsum((0, *header))
+        return tuple(block[start:end] for start, end in zip(ends, ends[1:]))
+    except Exception:
+        return None
+
+
+def _raise_first(outcomes: list) -> list:
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
+def _large_files(path_a: str, path_b: str) -> bool:
+    try:
+        return min(os.stat(path_a).st_size, os.stat(path_b).st_size) >= FORK_MIN_BYTES
+    except (OSError, ValueError):
+        return False
+
+
 def _tie_jitter(times_a: np.ndarray, times_b: np.ndarray) -> np.ndarray:
     """Deterministically nudge leg-B timestamps that collide with leg A.
 
@@ -172,21 +323,20 @@ def _tie_jitter(times_a: np.ndarray, times_b: np.ndarray) -> np.ndarray:
 
 
 def _load_pair(args) -> tuple[ObservationSeries, ObservationSeries]:
-    file_a = read_tick_file(args.file_a)
-    file_b = read_tick_file(args.file_b)
-    times_b = file_b.times
+    (times_a, prices_a), (times_b, prices_b) = _raise_first(_both_legs(
+        _read_leg, (args.file_a,), (args.file_b,), _large_files(args.file_a, args.file_b)))
     if getattr(args, "jitter", False):
-        times_b = _tie_jitter(file_a.times, times_b)
+        times_b = _tie_jitter(times_a, times_b)
     # a fully synchronous pair is well defined for the interval algebra;
     # a partial timestamp collision is ambiguous data and gets rejected
-    shared = first_shared_time(file_a.times, times_b)
-    if shared is not None and not np.array_equal(file_a.times, times_b):
+    shared = first_shared_time(times_a, times_b)
+    if shared is not None and not np.array_equal(times_a, times_b):
         raise ValidationError(
             f"time {float(shared)!r} appears in both files; asynchronous inputs "
             "must not share timestamps (rerun with --jitter to break ties)"
         )
-    s1 = validate_series(file_a.times, file_a.prices, "A")
-    s2 = validate_series(times_b, file_b.prices, "B")
+    s1 = validate_series(times_a, prices_a, "A")
+    s2 = validate_series(times_b, prices_b, "B")
     return s1, s2
 
 
@@ -249,26 +399,61 @@ def _parse_horizons(text: str) -> list[float]:
 _JSON_SCALARS = frozenset({int, float, bool, type(None)})
 
 
-def _json_dumps(obj, pad: str = "") -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, nested at ``pad``.
+def _json_dumps(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, faster on long lists.
 
     ``json`` runs its C encoder only without ``indent``, so a non-empty list
     of plain numbers, bools and ``None`` is dumped flat and split at its
     ``", "`` separators, which no such scalar contains.  Dicts with string
     keys recurse; any other value takes the indenting encoder, whose
-    structural newlines are the only raw newlines in its output.
+    structural newlines are the only raw newlines in its output.  A list
+    or dict that ``obj`` holds more than once is encoded once per depth;
+    only those texts are kept, so the peak memory stays that of one pass.
     """
+    return _encode(obj, "", _repeated(obj), {})
+
+
+def _repeated(obj) -> set[int]:
+    """ids of the lists and dicts that ``obj`` holds more than once."""
+    seen: set[int] = set()
+    repeated: set[int] = set()
+    stack = [obj]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            children = item.values()
+        elif isinstance(item, list):
+            children = () if set(map(type, item)) <= _JSON_SCALARS else item
+        else:
+            continue
+        if id(item) in seen:
+            repeated.add(id(item))
+        else:
+            seen.add(id(item))
+            stack.extend(children)
+    return repeated
+
+
+def _encode(obj, pad: str, repeated: set[int], memo: dict) -> str:
+    key = (id(obj), pad)
+    if key in memo:
+        return memo[key]
     inner = pad + "  "
     if isinstance(obj, list) and obj:
         if set(map(type, obj)) <= _JSON_SCALARS:
             body = inner + json.dumps(obj)[1:-1].replace(", ", ",\n" + inner)
         else:
-            body = ",\n".join(inner + _json_dumps(v, inner) for v in obj)
-        return f"[\n{body}\n{pad}]"
-    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
-        body = ",\n".join(f"{inner}{json.dumps(k)}: {_json_dumps(v, inner)}" for k, v in obj.items())
-        return f"{{\n{body}\n{pad}}}"
-    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+            body = ",\n".join(inner + _encode(v, inner, repeated, memo) for v in obj)
+        text = f"[\n{body}\n{pad}]"
+    elif isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        body = ",\n".join(f"{inner}{json.dumps(k)}: {_encode(v, inner, repeated, memo)}"
+                          for k, v in obj.items())
+        text = f"{{\n{body}\n{pad}}}"
+    else:
+        return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+    if id(obj) in repeated:
+        memo[key] = text
+    return text
 
 
 def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
@@ -280,20 +465,24 @@ def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
             print(line)
 
 
-def _report_payload(report: NonextantReport, s1: ObservationSeries, s2: ObservationSeries) -> dict:
+def _legs_payload(report: NonextantReport, s1: ObservationSeries, s2: ObservationSeries) -> dict:
+    return {
+        "A": {
+            "indices": list(report.nonextant_1),
+            "times": s1.times[np.asarray(report.nonextant_1, dtype=np.intp)].tolist(),
+        },
+        "B": {
+            "indices": list(report.nonextant_2),
+            "times": s2.times[np.asarray(report.nonextant_2, dtype=np.intp)].tolist(),
+        },
+    }
+
+
+def _report_payload(report: NonextantReport, legs: dict) -> dict:
     loss = report.f_total / report.m if report.m > 0 else None
     return {
         "method": report.method,
-        "legs": {
-            "A": {
-                "indices": list(report.nonextant_1),
-                "times": s1.times[np.asarray(report.nonextant_1, dtype=np.intp)].tolist(),
-            },
-            "B": {
-                "indices": list(report.nonextant_2),
-                "times": s2.times[np.asarray(report.nonextant_2, dtype=np.intp)].tolist(),
-            },
-        },
+        "legs": legs,
         "f_interior": report.f_interior,
         "f_total": report.f_total,
         "m": report.m,
@@ -357,7 +546,10 @@ def _cmd_detect(args) -> int:
         reports.append(oracle_detect(s1, s2, include_boundary=args.include_boundary))
 
     agree = all(reports[0].same_points(r) for r in reports[1:])
-    payloads = [_report_payload(r, s1, s2) for r in reports]
+    # agreeing reports name the same points: one legs dict serves all, and
+    # _json_dumps encodes it once
+    shared = _legs_payload(reports[0], s1, s2) if agree else None
+    payloads = [_report_payload(r, shared or _legs_payload(r, s1, s2)) for r in reports]
     payload = {
         "command": "detect",
         "inputs": {
@@ -393,11 +585,20 @@ def _cmd_simulate(args) -> int:
     s1, s2 = attach_random_walk(s1, s2, seed=seed)
     path_a = f"{args.out_prefix}_a.csv"
     path_b = f"{args.out_prefix}_b.csv"
-    for path, series in ((path_a, s1), (path_b, s2)):
-        try:
-            write_tick_file(path, series)
-        except OSError as exc:
+    outcomes = list(zip((path_a, path_b), _both_legs(
+        _write_leg, (path_a, s1), (path_b, s2), min(s1.n_points, s2.n_points) >= FORK_MIN_POINTS)))
+    failed = [(path, outcome) for path, outcome in outcomes if isinstance(outcome, Exception)]
+    if failed:
+        # no half pair stays behind; an error that names its path came
+        # from open(), so that file was never touched
+        for path, outcome in outcomes:
+            if not (isinstance(outcome, OSError) and outcome.filename == path):
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+        path, exc = failed[0]
+        if isinstance(exc, OSError):
             raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise exc
     results = {
         "file_a": path_a,
         "file_b": path_b,

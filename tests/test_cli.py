@@ -1,20 +1,24 @@
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyf import __version__, detect_interval_rule
+from hyf import __version__, cli, detect_interval_rule
 from hyf.cli import TickParseError, _json_dumps, _read_tick_lines, main, read_tick_file
 
 from conftest import (
@@ -445,18 +449,56 @@ class TestSimulate:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("leg", ["", "a", "b"])
-    def test_unwritable_out_prefix_exits_1(self, capsys, tmp_path, leg):
-        # a missing directory, or a directory where one tick file should go
-        prefix = tmp_path / "missing" / "x"
-        if leg:
-            prefix = tmp_path / "x"
-            (tmp_path / f"x_{leg}.csv").mkdir()
-        code, out, err = run_cli(capsys, "simulate", "--horizon", "10",
-                                 "--out-prefix", str(prefix))
-        path = f"{prefix}_{leg or 'a'}.csv"
-        assert code == 1
-        assert out == ""
-        assert re.fullmatch(f"hyf: error: cannot write {re.escape(path)}: [^\n]+\n", err)
+    def test_unwritable_out_prefix_exits_1(self, capsys, tmp_path, monkeypatch, leg):
+        # a missing directory, or a directory where one tick file should go;
+        # in process, then with leg B written by a forked child
+        for min_points in (10**9, 0):
+            monkeypatch.setattr("hyf.cli.FORK_MIN_POINTS", min_points)
+            directory = tmp_path / str(min_points)
+            directory.mkdir()
+            prefix = directory / "missing" / "x"
+            if leg:
+                prefix = directory / "x"
+                (directory / f"x_{leg}.csv").mkdir()
+            code, out, err = run_cli(capsys, "simulate", "--horizon", "10",
+                                     "--out-prefix", str(prefix))
+            path = f"{prefix}_{leg or 'a'}.csv"
+            assert code == 1
+            assert out == ""
+            assert re.fullmatch(f"hyf: error: cannot write {re.escape(path)}: [^\n]+\n", err)
+            # no half pair stays behind
+            assert [p.name for p in directory.iterdir()] == ([f"x_{leg}.csv"] if leg else [])
+
+    def test_unwritable_pair_names_a(self, capsys, tmp_path, monkeypatch):
+        for min_points in (10**9, 0):
+            monkeypatch.setattr("hyf.cli.FORK_MIN_POINTS", min_points)
+            for leg in "ab":
+                (tmp_path / f"{min_points}_{leg}.csv").mkdir()
+            code, _, err = run_cli(capsys, "simulate", "--horizon", "10",
+                                   "--out-prefix", str(tmp_path / str(min_points)))
+            assert code == 1
+            assert err.startswith(f"hyf: error: cannot write {tmp_path / str(min_points)}_a.csv: ")
+
+    def test_failed_leg_b_write_removes_its_partial_file(self, capsys, tmp_path, monkeypatch):
+        # a failure after open() (a full disk, say) leaves a file this run made
+        real = cli.write_tick_file
+
+        def full_disk(path, series):
+            if path.endswith("_b.csv"):
+                with open(path, "w") as fh:
+                    fh.write("time,price\n")
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            real(path, series)
+
+        monkeypatch.setattr(cli, "write_tick_file", full_disk)
+        for min_points in (10**9, 0):
+            monkeypatch.setattr("hyf.cli.FORK_MIN_POINTS", min_points)
+            prefix = tmp_path / str(min_points)
+            code, _, err = run_cli(capsys, "simulate", "--horizon", "10",
+                                   "--out-prefix", str(prefix))
+            assert code == 1
+            assert err == f"hyf: error: cannot write {prefix}_b.csv: No space left on device\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_env_seed_is_usage_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HYF_SEED", "-3")
@@ -731,6 +773,42 @@ class TestJsonOutput:
     def test_matches_indenting_encoder(self, obj):
         assert _json_dumps(obj) == json.dumps(obj, indent=2)
 
+    def test_repeated_objects_match_indenting_encoder(self):
+        times, leg = [1.5, -0.0, 1e300], {"indices": [1, 2], "t": [0.5]}
+        obj = {"a": times, "b": [times, {"c": times}], "d": leg, "e": [leg, leg, []]}
+        assert _json_dumps(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("boundary", [[], ["--include-boundary"]])
+    def test_detect_all_matches_indenting_encoder(self, capsys, monkeypatch, tmp_path, boundary):
+        # agreeing reports share one legs dict, which is encoded once
+        prefix = tmp_path / "sim"
+        assert main(["simulate", "--horizon", "300", "--seed", "5",
+                     "--out-prefix", str(prefix)]) == 0
+        payloads = []
+
+        def spy(obj):
+            payloads.append(obj)
+            return _json_dumps(obj)
+
+        monkeypatch.setattr(cli, "_json_dumps", spy)
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "detect", f"{prefix}_a.csv", f"{prefix}_b.csv",
+                               "--method", "all", "--json", *boundary)
+        assert code == 0
+        (payload,) = payloads
+        reports = payload["results"]["reports"]
+        assert reports[0]["legs"] is reports[1]["legs"] is reports[2]["legs"]
+        assert reports[0]["legs"]["A"]["indices"]
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+    def test_disagreeing_detect_all_matches_indenting_encoder(self, capsys, golden_files):
+        code, out, _ = run_cli(capsys, "detect", *golden_files, "--method", "all",
+                               "--include-boundary", "--json")
+        assert code == 4
+        payload = json.loads(out)
+        assert payload["results"]["reports"][2]["legs"]["B"]["indices"] == [1, 3, 4]
+        assert out == json.dumps(payload, indent=2) + "\n"
+
 
 _EDGE_PRICE = st.sampled_from([0.0, 1.0, -1.0, 9e307, -9e307, 1e308, -1e308])
 
@@ -844,3 +922,149 @@ class TestCliFuzz:
                 f"--horizons={','.join(horizons)}", f"--runs={runs}", f"--seed={seed}"]
         argv += ["--include-boundary"] * include_boundary + ["--json"] * as_json
         _assert_contract(*_fuzz_main(argv))
+
+
+def _forked(min_bytes: int):
+    """``FORK_MIN_BYTES`` set for one block: 0 parses every leg B that can be
+    stat'ed in a forked child, a huge value keeps every leg in process."""
+    return mock.patch.object(cli, "FORK_MIN_BYTES", min_bytes)
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _assert_no_child() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+BAD_A = b"time,price\n1,2\nnope,3\n"
+BAD_B = b"time;price\n1,2\n"
+
+
+class TestForkedLegs:
+    """Leg B parsed or written in a forked child gives the in-process outcome."""
+
+    def test_tick_parse_error_pickles(self):
+        exc = TickParseError("dir/a.csv", 3, "not a number: 'x,1'")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is TickParseError
+        assert (str(back), back.path, back.line, back.message) == (
+            str(exc), "dir/a.csv", 3, "not a number: 'x,1'")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        raw_a=_TICK_FILE,
+        raw_b=_TICK_FILE,
+        command=st.sampled_from(["estimate", "detect"]),
+        method=st.sampled_from(["interval", "label", "oracle", "all"]),
+        include_boundary=st.booleans(),
+        jitter=st.booleans(),
+        as_json=st.booleans(),
+    )
+    @example(raw_a=BAD_A, raw_b=BAD_B, command="estimate", method="interval",
+             include_boundary=False, jitter=False, as_json=False)
+    def test_tick_file_commands_match_in_process(self, tmp_path_factory, raw_a, raw_b, command,
+                                                 method, include_boundary, jitter, as_json):
+        argv = [command, *write_pair(tmp_path_factory.mktemp("fork"), (raw_a, raw_b))]
+        if command == "detect":
+            argv += ["--method", method] + ["--include-boundary"] * include_boundary
+        argv += ["--jitter"] * jitter + ["--json"] * as_json
+        with _forked(10**18):
+            expected = _fuzz_main(argv)
+        with _forked(0):
+            got = _fuzz_main(argv)
+        assert got == expected
+        _assert_contract(*got)
+
+    @pytest.mark.parametrize("min_bytes", [10**18, 0])
+    def test_bad_a_and_bad_b_reports_a(self, capsys, tmp_path, min_bytes):
+        files = write_pair(tmp_path, (BAD_A, BAD_B))
+        with _forked(min_bytes):
+            code, out, err = run_cli(capsys, "detect", *files)
+        assert (code, out) == (2, "")
+        assert err == f"hyf: parse error: {files[0]}:3: not a number: 'nope,3'\n"
+
+    def test_simulated_pair_matches_in_process(self, capsys, tmp_path, monkeypatch):
+        outputs = []
+        for min_points in (10**9, 0):
+            monkeypatch.setattr("hyf.cli.FORK_MIN_POINTS", min_points)
+            prefix = tmp_path / str(min_points)
+            code, out, _ = run_cli(capsys, "simulate", "--horizon", "500", "--seed", "9",
+                                   "--out-prefix", str(prefix))
+            assert code == 0
+            files = [f"{prefix}_a.csv", f"{prefix}_b.csv"]
+            outputs.append([Path(f).read_bytes() for f in files])
+            with _forked(10**18 if min_points else 0):
+                for argv in (["estimate", *files, "--json"], ["estimate", *files],
+                             ["detect", *files, "--method", "all", "--json"]):
+                    code, out, err = run_cli(capsys, *argv)
+                    outputs[-1].append((code, out.replace(str(prefix), "PREFIX"), err))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("case", ["ok", "bad_a", "bad_b", "child_dies", "simulate",
+                                      "simulate_child_dies"])
+    def test_no_child_or_descriptor_left(self, capsys, tmp_path, monkeypatch, case):
+        raw = b"time,price\n1,1\n2,3\n4,2\n"
+        raw_b = b"time,price\n1.5,1\n3,2\n"
+        files = write_pair(tmp_path, (BAD_A if case == "bad_a" else raw,
+                                      BAD_B if case == "bad_b" else raw_b))
+        if case.startswith("simulate"):
+            argv = ["simulate", "--horizon", "20", "--out-prefix", str(tmp_path / "s")]
+        else:
+            argv = ["estimate", *files]
+        with _forked(10**18):
+            monkeypatch.setattr("hyf.cli.FORK_MIN_POINTS", 10**9)
+            expected = run_cli(capsys, *argv)
+        parent, calls, forks = os.getpid(), [], []
+        name = "write_tick_file" if case.startswith("simulate") else "read_tick_file"
+        real, real_fork = getattr(cli, name), os.fork
+
+        def spy(*args):
+            if os.getpid() != parent and case.endswith("child_dies"):
+                os._exit(1)
+            calls.append(os.getpid())  # seen here for the parent's calls only
+            return real(*args)
+
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(cli, name, spy)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        before = _open_fds()
+        with _forked(0):
+            monkeypatch.setattr("hyf.cli.FORK_MIN_POINTS", 0)
+            assert run_cli(capsys, *argv) == expected
+        _assert_no_child()
+        assert _open_fds() == before
+        # leg B came from the child unless it died, when this process redid it
+        assert (len(forks), len(calls)) == (1, 2 if case.endswith("child_dies") else 1)
+
+    def test_fork_warning_is_not_raised(self, capsys, tmp_path, monkeypatch):
+        # Python 3.12+ warns in the parent after fork() when threads run
+        real_fork = os.fork
+
+        def warning_fork():
+            pid = real_fork()
+            if pid:
+                warnings.warn("This process is multi-threaded, use of fork() may lead "
+                              "to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        files = write_pair(tmp_path, (b"time,price\n1,1\n2,3\n", b"time,price\n1.5,1\n3,2\n"))
+        with _forked(0), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "estimate", *files)
+        assert (code, err) == (0, "")
+        _assert_no_child()
+
+    def test_import_starts_no_process_pool(self):
+        # keeps `hyf --version` start-up free of the forked-leg helper
+        code = ("import sys, hyf.cli; print(sorted(m for m in "
+                "('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
