@@ -8,9 +8,10 @@ the last two merged points one A and one B, which is the boundary
 alignment: the first overlapping interval pair is (1, 1) and the last is
 (M1, M2).  Accepted pairs therefore satisfy ``m = n_points_total - 3``.
 
-Every random draw comes from one stream keyed by ``(seed, trial,
-attempt)``, so concurrent trials reproduce bit-identical results
-regardless of scheduling.
+Every random draw of one trial comes from one stream keyed by ``(seed,
+trial, attempt)``, and every draw of a block of label strings from one
+stream keyed by ``(seed, block)``, so results do not depend on the order
+in which trials or blocks run.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ DEFAULT_SEED = 1729
 
 # substream key for price attachment, clear of any attempt index
 _VALUE_STREAM_KEY = 1 << 32
+
+# substream key of draw_label_block, clear of every trial index (below
+# montecarlo.MAX_RUNS) and of _VALUE_STREAM_KEY
+_BATCH_STREAM_KEY = 1 << 33
 
 # largest expected point count (a+b)·T one draw may ask for; a draw of
 # 1e8 points holds several 800 MB float64 arrays at once
@@ -73,6 +78,9 @@ class AdversaryConfig:
                 f"expected point count (rate_a + rate_b) * horizon = {total * self.horizon:g} "
                 f"exceeds the generator cap of {MAX_EXPECTED_POINTS:g}"
             )
+        # a float or bool seed would be truncated silently by int()
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
@@ -136,7 +144,50 @@ def draw_labels(config: AdversaryConfig, trial: int = 0) -> tuple[np.ndarray, np
         is_a[:2] = (first_a, not first_a)
         is_a[-2:] = (not last_a, last_a)
         return times, is_a
-    raise RejectionBudgetExceeded(
+    raise _budget_exceeded(config)
+
+
+def draw_label_block(
+    config: AdversaryConfig, block: int, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A-labels of ``size`` accepted pairs, concatenated, and each pair's count N.
+
+    The label distribution of :func:`draw_labels` without the times: N is
+    Poisson((a+b)T) redrawn while below 4, the labels are i.i.d. A with
+    probability ``p``, and each end pair is AB or BA by a fair coin.  Given
+    N the times play no part in any label count, and ties among them have
+    probability zero, so they are not drawn.  Every draw comes from one
+    stream keyed by ``(seed, block)``.
+
+    Raises :class:`RejectionBudgetExceeded` when some pair has no count of
+    four or more in :data:`MAX_RESAMPLES` draws.
+    """
+    rng = np.random.default_rng(
+        np.random.SeedSequence([int(config.seed), _BATCH_STREAM_KEY, int(block)])
+    )
+    expected = (config.rate_a + config.rate_b) * config.horizon
+    sizes = rng.poisson(expected, size)
+    short = np.flatnonzero(sizes < 4)
+    for _ in range(MAX_RESAMPLES - 1):
+        if not short.size:
+            break
+        sizes[short] = rng.poisson(expected, short.size)
+        short = short[sizes[short] < 4]
+    if short.size:
+        raise _budget_exceeded(config)
+    is_a = rng.random(int(sizes.sum())) < config.rate_a / (config.rate_a + config.rate_b)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    first_a, last_a = rng.random((2, size)) < 0.5
+    is_a[starts] = first_a
+    is_a[starts + 1] = ~first_a
+    is_a[ends - 2] = ~last_a
+    is_a[ends - 1] = last_a
+    return is_a, sizes
+
+
+def _budget_exceeded(config: AdversaryConfig) -> RejectionBudgetExceeded:
+    return RejectionBudgetExceeded(
         f"no accepted draw in {MAX_RESAMPLES} resamples "
         f"(rates {config.rate_a}, {config.rate_b}, horizon {config.horizon})"
     )
@@ -177,10 +228,11 @@ def theoretical_loss(a: float, b: float) -> float:
     """Expected long-run nonextant fraction ``(a/(a+b))^3 + (b/(a+b))^3``.
 
     Symmetric, scale invariant, and minimised at 1/4 exactly when the
-    rates are equal.
+    rates are equal.  The shares are formed from rate ratios, never from
+    ``a + b``, which overflows for rates near the float maximum.
     """
-    if a <= 0 or b <= 0:
-        raise NonPositiveRate(f"rates must be positive, got ({a}, {b})")
-    p = a / (a + b)
-    q = b / (a + b)
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise NonPositiveRate(f"rates must be positive and finite, got ({a}, {b})")
+    p = 1.0 / (1.0 + b / a)
+    q = 1.0 / (1.0 + a / b)
     return p**3 + q**3

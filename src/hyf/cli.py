@@ -490,18 +490,20 @@ def _report_payload(report: NonextantReport, legs: dict) -> dict:
     }
 
 
-def _report_lines(payload: dict) -> list[str]:
+def _leg_lines(legs: dict) -> list[str]:
+    return [
+        "nonextant_{} indices={} times={}".format(
+            leg, ",".join(map(str, legs[leg]["indices"])), ",".join(map(repr, legs[leg]["times"]))
+        )
+        for leg in ("A", "B")
+    ]
+
+
+def _report_lines(payload: dict, leg_lines: list[str]) -> list[str]:
     loss = payload["loss"]
     return [
         f"method {payload['method']}",
-        "nonextant_A indices={} times={}".format(
-            ",".join(map(str, payload["legs"]["A"]["indices"])),
-            ",".join(repr(t) for t in payload["legs"]["A"]["times"]),
-        ),
-        "nonextant_B indices={} times={}".format(
-            ",".join(map(str, payload["legs"]["B"]["indices"])),
-            ",".join(repr(t) for t in payload["legs"]["B"]["times"]),
-        ),
+        *leg_lines,
         f"f_interior {payload['f_interior']}",
         f"f_total {payload['f_total']}",
         f"overlaps {payload['m']}",
@@ -564,8 +566,10 @@ def _cmd_detect(args) -> int:
     }
 
     def lines():
+        # formats the shared legs dict once, like _json_dumps encodes it once
+        shared_lines = _leg_lines(shared) if agree else None
         for p in payloads:
-            yield from _report_lines(p)
+            yield from _report_lines(p, shared_lines or _leg_lines(p["legs"]))
         if args.method == "all":
             yield f"agreement {'ok' if agree else 'FAILED'}"
 

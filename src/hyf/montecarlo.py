@@ -1,20 +1,33 @@
 """Repeated adversary trials and the empirical loss grid.
 
-Each trial draws the merged labels of an accepted input pair and counts
-``f/m`` from them alone (label rule, ``m = N - 3``).  Per-trial
-randomness is keyed by ``(seed, trial)``, so the aggregate is independent
-of execution order.  The default boundary mode is ``"interior"``: only
-detections at indices 2..M-2 of each leg enter the count.
+Each trial counts ``f/m`` from the merged labels of an accepted input pair
+alone (label rule, ``m = N - 3``).  Trials 0 and 1 of a cell come from
+:func:`~hyf.adversary.draw_labels` on the per-trial stream keyed by
+``(seed, trial)``, and the interval rule recounts both from the generated
+series as a cross-check.  The other trials are drawn and counted in blocks
+of about :data:`BLOCK_LABELS` labels, block ``k`` from the stream keyed by
+``(seed, k)`` (:func:`~hyf.adversary.draw_label_block`).  The block layout
+depends on ``(a+b)T`` alone, so the aggregate depends on the seed and the
+cell, not on the machine or on execution order.  The default boundary mode
+is ``"interior"``: only detections at indices 2..M-2 of each leg enter the
+count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .adversary import AdversaryConfig, draw_labels, generate_inputs, theoretical_loss
+from .adversary import (
+    AdversaryConfig,
+    draw_label_block,
+    draw_labels,
+    generate_inputs,
+    theoretical_loss,
+)
 from .errors import DetectorDisagreement
 from .nonextant import detect_interval_rule
 
@@ -25,6 +38,11 @@ _MODES = ("interior", "total")
 # run_experiment holds one 8-byte loss per run, so the cap keeps that array
 # at 80 MB; the time a cell takes is not capped
 MAX_RUNS = 10**7
+
+# labels drawn at once per block of trials (one trial per block once (a+b)T
+# exceeds it): 2**14 float64 uniforms take 128 KiB, where 2**22 would add
+# 32 MiB to peak memory
+BLOCK_LABELS = 2**14
 
 
 def check_runs(runs: int) -> None:
@@ -73,6 +91,28 @@ def label_count(is_a: np.ndarray, include_boundary: bool) -> int:
     return f
 
 
+def label_counts(is_a: np.ndarray, sizes: np.ndarray, include_boundary: bool) -> np.ndarray:
+    """:func:`label_count` of each aligned string in the concatenation ``is_a``,
+    whose strings have lengths ``sizes`` (each at least 4).
+
+    Every string starts and ends with a mixed pair, so no same-label triple
+    spans two strings and the triple middles need no masking.
+    """
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    same = is_a[1:] == is_a[:-1]
+    # middle[j]: label j + 1 is a triple middle
+    middle = same[1:] & same[:-1]
+    f = np.add.reduceat(middle, starts, dtype=np.intp)
+    if include_boundary:
+        f += (is_a[starts + 2] == is_a[starts]) & (is_a[starts] == is_a[starts + 3])
+        f += (is_a[ends - 3] == is_a[ends - 1]) & (is_a[ends - 1] == is_a[ends - 4])
+        five = sizes == 5
+        first = starts[five]
+        f[five] += (is_a[first] == is_a[first + 2]) & (is_a[first + 2] == is_a[first + 4])
+    return f
+
+
 def run_experiment(
     config: AdversaryConfig,
     runs: int,
@@ -80,23 +120,30 @@ def run_experiment(
 ) -> TrialSummary:
     """Aggregate the loss ratio over ``runs`` independent trials.
 
-    Trial ``f/m`` is :func:`label_count` over ``N - 3``, recounted by the interval
-    rule on trials 0 and 1 (:class:`DetectorDisagreement` on a difference).  The
-    sample deviation uses n-1, so ``runs >= 2``; :func:`check_runs` caps it.
+    Trial ``f/m`` is the label count over ``N - 3``.  Trials 0 and 1 are
+    :func:`label_count` of :func:`draw_labels`, recounted by the interval rule
+    (:class:`DetectorDisagreement` on a difference); the rest are
+    :func:`label_counts` of :func:`draw_label_block` blocks.  The sample
+    deviation uses n-1, so ``runs >= 2``; :func:`check_runs` caps it.
     """
     check_runs(runs)
     if boundary_mode not in _MODES:
         raise ValueError(f"boundary_mode must be one of {_MODES}, got {boundary_mode!r}")
     include = boundary_mode == "total"
     losses = np.empty(runs, dtype=float)
-    for trial in range(runs):
+    for trial in range(2):
         _, is_a = draw_labels(config, trial)
         f, m = label_count(is_a, include), is_a.size - 3
-        if trial < 2:
-            report = detect_interval_rule(*generate_inputs(config, trial), include_boundary=include)
-            if (report.f_total, report.m) != (f, m):
-                raise DetectorDisagreement(f"label count != interval rule: trial {trial}, {config}")
+        report = detect_interval_rule(*generate_inputs(config, trial), include_boundary=include)
+        if (report.f_total, report.m) != (f, m):
+            raise DetectorDisagreement(f"label count != interval rule: trial {trial}, {config}")
         losses[trial] = f / m
+    expected = (config.rate_a + config.rate_b) * config.horizon
+    per_block = max(1, BLOCK_LABELS // math.ceil(max(4.0, expected)))
+    for block, start in enumerate(range(2, runs, per_block)):
+        stop = min(start + per_block, runs)
+        is_a, sizes = draw_label_block(config, block, stop - start)
+        losses[start:stop] = label_counts(is_a, sizes, include) / (sizes - 3)
     return TrialSummary(
         config=config,
         runs=runs,

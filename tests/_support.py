@@ -289,12 +289,52 @@ def exact_interior_loss(rate_a: float, rate_b: float, horizon: float) -> float:
     return numerator / denominator
 
 
-def interval_rule_experiment(
+def expected_label_count(n: int, p: float, boundary_mode: str) -> float:
+    """Exact ``E[f | N = n]`` of an aligned label string in either mode.
+
+    Interior mode gives 0, 1/4 and ``(n - 6)(p^3 + q^3) + (p^2 + q^2)`` for
+    ``n = 4``, 5 and ``n >= 6`` (see :func:`exact_interior_loss`).  Total
+    mode adds the edge fallbacks.  At ``n = 5`` with labels
+    ``x, ~x, c, ~y, y`` exactly one of four patterns fires, whichever of
+    ``x`` and ``y`` equal ``c``: the first edge, the last edge, the
+    alternating string or the interior middle, so ``f = 1``.  For ``n >= 6``
+    each edge triple holds one fair coin and two i.i.d. interior labels and
+    fires with probability ``(p^2 + q^2) / 2``.
+    """
+    q = 1.0 - p
+    total = boundary_mode == "total"
+    if n == 4:
+        return 0.0
+    if n == 5:
+        return 1.0 if total else 0.25
+    return (n - 6) * (p**3 + q**3) + (p**2 + q**2) * (2 if total else 1)
+
+
+def exact_mean_loss(rate_a: float, rate_b: float, horizon: float, boundary_mode: str) -> float:
+    """Exact finite-horizon mean of ``f / m`` in either mode, O(1) work per N:
+    :func:`expected_label_count` over ``N - 3`` with ``N`` Poisson of mean
+    ``(a + b) T`` conditioned on ``N >= 4``."""
+    p = rate_a / (rate_a + rate_b)
+    lam = (rate_a + rate_b) * horizon
+    top = int(lam + 15.0 * math.sqrt(lam) + 50.0)
+    numerator = denominator = 0.0
+    for n in range(4, top + 1):
+        weight = math.exp(n * math.log(lam) - lam - math.lgamma(n + 1))
+        numerator += weight * expected_label_count(n, p, boundary_mode) / (n - 3)
+        denominator += weight
+    return numerator / denominator
+
+
+def per_trial_experiment(
     config: AdversaryConfig, runs: int, boundary_mode: str
 ) -> tuple[float, float]:
-    """Reference Monte Carlo: every trial builds both series and runs the
-    interval rule; returns ``(mean_loss, std_loss)`` as ``run_experiment``
-    reports them."""
+    """Reference Monte Carlo, one trial at a time: every trial builds both
+    series from its own ``(seed, trial)`` stream and runs the interval rule.
+
+    This reproduces exactly the numbers of the per-trial engine that
+    ``run_experiment`` used before it drew trials in blocks.  Returns
+    ``(mean_loss, std_loss)`` as ``run_experiment`` reports them.
+    """
     include = boundary_mode == "total"
     losses = np.empty(runs, dtype=float)
     for trial in range(runs):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyf.adversary
+import hyf.montecarlo
 from hyf import (
     AdversaryConfig,
     NonPositiveRate,
@@ -19,6 +20,7 @@ from hyf import (
     generate_poisson,
     theoretical_loss,
 )
+from hyf.adversary import draw_label_block
 
 from _support import two_leg_generate_inputs
 
@@ -45,6 +47,14 @@ class TestConfig:
             AdversaryConfig(rate_a=1, rate_b=1, horizon=1, seed=-1)
         with pytest.raises(ValueError):
             AdversaryConfig(rate_a=1, rate_b=1, horizon=1, seed=2**64)
+
+    @pytest.mark.parametrize("seed", [1.5, 7.0, True, np.bool_(False), "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            AdversaryConfig(rate_a=1, rate_b=1, horizon=1, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert AdversaryConfig(rate_a=1, rate_b=1, horizon=1, seed=np.uint64(2**63)).seed == 2**63
 
     @pytest.mark.parametrize("rate_a,rate_b,horizon", [
         (math.nan, 1.0, 10.0),
@@ -152,6 +162,40 @@ class TestGenerateInputs:
         assert len(calls) == 20
 
 
+class TestDrawLabelBlock:
+    CONFIG = AdversaryConfig(rate_a=1, rate_b=0.5, horizon=3, seed=13)
+
+    def test_every_string_is_aligned_with_four_labels_or_more(self):
+        is_a, sizes = draw_label_block(self.CONFIG, 0, 500)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        assert sizes.min() >= 4 and is_a.size == ends[-1]
+        assert (is_a[starts] != is_a[starts + 1]).all()
+        assert (is_a[ends - 2] != is_a[ends - 1]).all()
+        assert {4, 5, 6} <= set(sizes.tolist())
+
+    def test_reproducible_per_seed_and_block(self):
+        first = draw_label_block(self.CONFIG, 2, 50)
+        again = draw_label_block(self.CONFIG, 2, 50)
+        assert all(np.array_equal(x, y) for x, y in zip(first, again))
+        for other in (draw_label_block(self.CONFIG, 3, 50),
+                      draw_label_block(dataclasses.replace(self.CONFIG, seed=14), 2, 50)):
+            assert not np.array_equal(first[1], other[1])
+
+    def test_stream_key_is_clear_of_trials_and_values(self):
+        key = hyf.adversary._BATCH_STREAM_KEY
+        assert key > hyf.montecarlo.MAX_RUNS and key != hyf.adversary._VALUE_STREAM_KEY
+
+    def test_budget_exceeded_with_the_per_trial_message(self, monkeypatch):
+        monkeypatch.setattr(hyf.adversary, "MAX_RESAMPLES", 20)
+        config = AdversaryConfig(rate_a=1, rate_b=1, horizon=0.001, seed=5)
+        with pytest.raises(RejectionBudgetExceeded) as per_trial:
+            generate_inputs(config)
+        with pytest.raises(RejectionBudgetExceeded) as block:
+            draw_label_block(config, 0, 10)
+        assert str(block.value) == str(per_trial.value)
+
+
 class TestAgainstTwoLegReference:
     """Two-sample check of the superposed generator against the two-leg
     rejection generator it replaces: same distribution, different draws."""
@@ -214,6 +258,20 @@ class TestTheoreticalLoss:
             theoretical_loss(0, 1)
         with pytest.raises(NonPositiveRate):
             theoretical_loss(1, -1)
+
+    @pytest.mark.parametrize("a,b", [(math.nan, 1), (1, math.nan), (math.inf, 1), (1, math.inf)])
+    def test_non_finite_rejected(self, a, b):
+        with pytest.raises(NonPositiveRate, match="finite"):
+            theoretical_loss(a, b)
+
+    @pytest.mark.parametrize("a,b,want", [
+        (1e308, 1e308, 0.25),
+        (1.7e308, 1e308, theoretical_loss(1.7, 1.0)),
+        (1e308, 1e-308, 1.0),
+        (5e-324, 5e-324, 0.25),
+    ])
+    def test_extreme_finite_rates(self, a, b, want):
+        assert theoretical_loss(a, b) == pytest.approx(want, rel=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(a=rates, b=rates)

@@ -215,6 +215,23 @@ agreement FAILED
 """
 
 
+# full text stdout of the same command on a pair where all three detectors
+# agree, so the three reports share one legs dict (exit 0)
+AGREEING_TIMES_A = (0.1, 0.7, 1.3, 1.9, 2.2, 3.0, 4.25)
+AGREEING_TIMES_B = (0.3, 0.35, 0.4, 2.5, 2.6, 2.7, 2.8, 5.0)
+AGREEING_REPORT = """\
+nonextant_A indices=2,3 times=1.3,1.9
+nonextant_B indices=1,4,5 times=0.35,2.6,2.7
+f_interior 5
+f_total 5
+overlaps 12
+loss 0.4166666666666667
+"""
+AGREEING_DETECT_ALL_TEXT = "".join(
+    f"method {m}\n{AGREEING_REPORT}" for m in ("interval_rule", "label_rule", "oracle")
+) + "agreement ok\n"
+
+
 # finite prices whose median opposite increment (pair 1) or coefficients
 # (pair 2) overflow a float
 ORACLE_PAIR_1 = (b"time,price\n1,1e308\n2,0\n3,9e307\n4,2e307\n",
@@ -257,6 +274,12 @@ class TestDetect:
         assert code == 4
         assert out == GOLDEN_DETECT_ALL_TEXT
         assert err == "hyf: detectors disagree; this indicates a bug\n"
+
+    def test_agreeing_method_all_text(self, capsys, tmp_path):
+        a = write_csv(tmp_path / "a.csv", AGREEING_TIMES_A, [i * i % 7 + 0.5 for i in range(7)])
+        b = write_csv(tmp_path / "b.csv", AGREEING_TIMES_B, [3 * i % 5 + 0.25 for i in range(8)])
+        code, out, err = run_cli(capsys, "detect", a, b, "--method", "all", "--include-boundary")
+        assert (code, out, err) == (0, AGREEING_DETECT_ALL_TEXT, "")
 
     def test_equal_indices_on_both_legs_keep_their_own_times(self, capsys, tmp_path):
         # merged labels ABAAABBBA: index 2 is nonextant on both legs

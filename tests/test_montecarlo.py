@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hyf import (
+    DEFAULT_SEED,
     AdversaryConfig,
     DetectorDisagreement,
     LabelSequence,
@@ -13,12 +14,15 @@ from hyf import (
     loss_table,
     run_experiment,
 )
-from hyf.montecarlo import label_count
+from hyf.adversary import draw_label_block, draw_labels
+from hyf.montecarlo import label_count, label_counts
 
 from _support import (
     aligned_label_strings,
     exact_interior_loss,
-    interval_rule_experiment,
+    exact_mean_loss,
+    expected_label_count,
+    per_trial_experiment,
     split_legs,
 )
 
@@ -30,6 +34,9 @@ PUBLISHED_EXACT_T100 = {
     (1.0, 0.25): 0.5127,
     (1.0, 0.1): 0.7387,
 }
+
+# the cells of the default loss-table grid: (rate_a, rate_b, horizon)
+DEFAULT_GRID = [(a, b, t) for t in (100.0, 1000.0) for a, b in PUBLISHED_EXACT_T100]
 
 
 def quick_config(horizon=300.0, seed=314):
@@ -102,7 +109,43 @@ class TestLabelCount:
         assert strings == sum(2 ** (n - 2) for n in range(4, 15))
 
 
-class TestAgainstIntervalRuleLoop:
+class TestLabelCounts:
+    @pytest.mark.parametrize("include", [False, True])
+    def test_equals_label_count_on_every_slice_of_random_batches(self, include):
+        by_size = {n: list(aligned_label_strings(n, n)) for n in range(4, 10)}
+        rng = np.random.default_rng(31)
+        for k in [0, 1, 2, *rng.integers(3, 40, size=100)]:
+            batch = [by_size[n][rng.integers(len(by_size[n]))]
+                     for n in rng.integers(4, 10, size=k)]
+            sizes = np.array([s.size for s in batch], dtype=np.int64)
+            is_a = np.concatenate(batch) if batch else np.zeros(0, dtype=bool)
+            got = label_counts(is_a, sizes, include)
+            assert got.tolist() == [label_count(s, include) for s in batch], batch
+
+    @pytest.mark.parametrize("include", [False, True])
+    @pytest.mark.parametrize("horizon", [2.0, 3.0, 5.0, 50.0])
+    def test_equals_label_count_on_every_slice_of_drawn_blocks(self, horizon, include):
+        config = AdversaryConfig(1.0, 0.5, horizon, seed=41)
+        for block in range(10):
+            is_a, sizes = draw_label_block(config, block, 40)
+            strings = np.split(is_a, np.cumsum(sizes)[:-1])
+            got = label_counts(is_a, sizes, include)
+            assert got.tolist() == [label_count(s, include) for s in strings]
+
+    def test_two_runs_are_the_cross_checked_trials_alone(self, monkeypatch):
+        def no_block(*args, **kwargs):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr("hyf.montecarlo.draw_label_block", no_block)
+        config = quick_config()
+        strings = [draw_labels(config, trial)[1] for trial in (0, 1)]
+        losses = [label_count(s, False) / (s.size - 3) for s in strings]
+        summary = run_experiment(config, runs=2)
+        assert summary.mean_loss == np.mean(losses)
+        assert summary.std_loss == np.std(losses, ddof=1)
+
+
+class TestAgainstPerTrialEngine:
     @pytest.mark.parametrize("mode", ["interior", "total"])
     # the 2 in each id is the least number of points per leg, which every
     # accepted draw has
@@ -112,10 +155,16 @@ class TestAgainstIntervalRuleLoop:
         # (a+b)T = 6: N < 8 is common, N < 4 redraws
         pytest.param((1.0, 1.0), 3.0, id="rates2-3.0-2"),
     ])
-    def test_mean_and_std_exactly_equal(self, rates, horizon, mode):
+    def test_two_sample(self, rates, horizon, mode):
+        # block streams differ from per-trial streams, so the two engines
+        # agree in distribution, not draw for draw
+        runs = 400
         config = AdversaryConfig(*rates, horizon, seed=1729)
-        summary = run_experiment(config, runs=300, boundary_mode=mode)
-        assert (summary.mean_loss, summary.std_loss) == interval_rule_experiment(config, 300, mode)
+        block = run_experiment(config, runs=runs, boundary_mode=mode)
+        mean, std = per_trial_experiment(config, runs, mode)
+        z = (block.mean_loss - mean) / math.sqrt((block.std_loss**2 + std**2) / runs)
+        assert abs(z) <= 4.0, (block.mean_loss, mean, z)
+        assert 0.8 <= block.std_loss / std <= 1.25, (block.std_loss, std)
 
 
 class TestCrossCheck:
@@ -154,6 +203,31 @@ class TestExactFiniteHorizon:
             summary.std_loss / math.sqrt(summary.runs)
         )
         assert abs(z) <= 4.0, (rates, summary.mean_loss, z)
+
+    @pytest.mark.parametrize("mode", ["interior", "total"])
+    @pytest.mark.parametrize("rate_a,rate_b,horizon", DEFAULT_GRID)
+    def test_default_grid_cell_within_4_standard_errors(self, rate_a, rate_b, horizon, mode):
+        config = AdversaryConfig(rate_a, rate_b, horizon, seed=DEFAULT_SEED)
+        summary = run_experiment(config, runs=1000, boundary_mode=mode)
+        exact = exact_mean_loss(rate_a, rate_b, horizon, mode)
+        z = (summary.mean_loss - exact) / (summary.std_loss / math.sqrt(summary.runs))
+        assert abs(z) <= 4.0, (summary.mean_loss, exact, z)
+
+    @pytest.mark.parametrize("mode", ["interior", "total"])
+    def test_conditional_mean_matches_enumeration(self, mode):
+        p = 0.3
+        for n in range(4, 15):
+            mean = 0.0
+            for is_a in aligned_label_strings(n, n):
+                a_labels = int(is_a[2:-2].sum())
+                weight = 0.25 * p**a_labels * (1 - p) ** (n - 4 - a_labels)
+                mean += weight * label_count(is_a, mode == "total")
+            assert mean == pytest.approx(expected_label_count(n, p, mode), abs=1e-12), n
+
+    @pytest.mark.parametrize("rates", PUBLISHED_EXACT_T100)
+    def test_closed_form_interior_mean_matches_the_reference(self, rates):
+        assert exact_mean_loss(*rates, 100.0, "interior") == pytest.approx(
+            exact_interior_loss(*rates, 100.0), abs=1e-12)
 
 
 class TestLossTable:
