@@ -92,27 +92,42 @@ def generate_poisson(rate: float, horizon: float, rng: np.random.Generator) -> n
     ``u`` uniform on the open unit interval; arrivals past the horizon
     are dropped.  May return an empty array when ``rate * horizon`` is
     tiny.
+
+    Raises :class:`NonPositiveRate` unless ``rate`` is positive and
+    finite, and :class:`ValueError` unless ``horizon`` is, or when the
+    expected count ``rate * horizon`` exceeds :data:`MAX_EXPECTED_POINTS`.
     """
-    if rate <= 0:
-        raise NonPositiveRate(f"rate must be positive, got {rate}")
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not 0 < rate < math.inf:
+        raise NonPositiveRate(f"rate must be positive and finite, got {rate}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     expected = rate * horizon
+    if not expected <= MAX_EXPECTED_POINTS:
+        raise ValueError(
+            f"expected point count rate * horizon = {expected:g} "
+            f"exceeds the generator cap of {MAX_EXPECTED_POINTS:g}"
+        )
     chunk = max(16, int(expected + 10.0 * math.sqrt(expected) + 10.0))
     parts: list[np.ndarray] = []
     reached = 0.0
     # below a rate of about 1e-306 a gap overflows to inf, past any horizon
     with np.errstate(over="ignore"):
         while True:
-            u = rng.random(chunk)
-            u[u == 0.0] = _TINY
-            arrivals = reached + np.cumsum(-np.log(u) / rate)
+            # reached + cumsum(-log(u) / rate), computed in the draw's array
+            arrivals = rng.random(chunk)
+            arrivals[arrivals == 0.0] = _TINY
+            np.log(arrivals, out=arrivals)
+            np.negative(arrivals, out=arrivals)
+            arrivals /= rate
+            np.cumsum(arrivals, out=arrivals)
+            arrivals += reached
             parts.append(arrivals)
             reached = float(arrivals[-1])
             if reached > horizon:
                 break
     times = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    return times[times <= horizon]
+    # arrivals never decrease, so those within the horizon are a prefix
+    return times[:np.searchsorted(times, horizon, side="right")]
 
 
 def draw_labels(config: AdversaryConfig, trial: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -202,9 +217,13 @@ def generate_inputs(
     only; :func:`attach_random_walk` fills in continuous prices.
     """
     times, is_a = draw_labels(config, trial)
-    ta, tb = times[is_a], times[~is_a]
-    return (ObservationSeries(ta, np.zeros_like(ta), "A"),
-            ObservationSeries(tb, np.zeros_like(tb), "B"))
+    legs = []
+    for label, on in (("A", is_a), ("B", ~is_a)):
+        # frozen here, the new arrays are handed over without a copy
+        leg, values = times[on], np.zeros(np.count_nonzero(on))
+        leg.flags.writeable = values.flags.writeable = False
+        legs.append(ObservationSeries(leg, values, label))
+    return legs[0], legs[1]
 
 
 def attach_random_walk(
@@ -216,12 +235,15 @@ def attach_random_walk(
     """Fill both legs with standard-normal random-walk prices."""
     root = np.random.SeedSequence([int(seed), int(trial), _VALUE_STREAM_KEY])
     child_a, child_b = root.spawn(2)
-    rng_a = np.random.default_rng(child_a)
-    rng_b = np.random.default_rng(child_b)
-    return (
-        s1.with_values(np.cumsum(rng_a.standard_normal(s1.n_points))),
-        s2.with_values(np.cumsum(rng_b.standard_normal(s2.n_points))),
-    )
+    legs = []
+    for series, child in ((s1, child_a), (s2, child_b)):
+        values = np.random.default_rng(child).standard_normal(series.n_points)
+        np.cumsum(values, out=values)
+        # frozen here, the walk is handed over without a copy; the times
+        # are shared with ``series``
+        values.flags.writeable = False
+        legs.append(series.with_values(values))
+    return legs[0], legs[1]
 
 
 def theoretical_loss(a: float, b: float) -> float:

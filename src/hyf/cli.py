@@ -30,7 +30,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -94,25 +94,32 @@ class TickFile:
 # line-by-line parser
 _NUMERIC_BODY_BYTES = b"0123456789eE.+-,\r\n"
 
+# header lines the fast path takes, the longest last
+_FAST_HEADERS = (b"time,price\n", b"time,price\r\n")
+
 
 def read_tick_file(path: str) -> TickFile:
     """Parse a ``time,price`` CSV; any malformed content is a parse error.
 
-    A plain numeric body is parsed by ``np.loadtxt``.  Its result counts
-    only when it has one two-column row per body line, so a blank line
-    (which ``loadtxt`` skips) never passes; every other file, and every
-    failure, goes through :func:`_read_tick_lines`, which owns all messages.
+    The header line and then the body are read once each.  A plain
+    numeric body is parsed by ``np.loadtxt``.  Its result counts only
+    when it has one two-column row per body line, so a blank line (which
+    ``loadtxt`` skips) never passes; every other file, and every failure,
+    goes through :func:`_read_tick_lines`, which owns all messages.
     """
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        # unbuffered, so the body is read into one bytes object of its own
+        # size; the header is read a byte at a time, no further than the
+        # longest header the fast path takes
+        with open(path, "rb", buffering=0) as fh:
+            header = fh.readline(len(_FAST_HEADERS[-1]))
+            body = fh.read()
     except OSError as exc:
         raise TickParseError(path, 0, f"cannot read file: {exc}") from exc
-    header, _, body = raw.partition(b"\n")
     # loadtxt warns on a body of blank lines only, so the first row must
     # have content
     if (
-        header in (b"time,price", b"time,price\r")
+        header in _FAST_HEADERS
         and body[:1] not in (b"", b"\r", b"\n")
         and not body.translate(None, _NUMERIC_BODY_BYTES)
     ):
@@ -124,7 +131,10 @@ def read_tick_file(path: str) -> TickFile:
             pass
         else:
             if data.shape == (rows, 2):
-                return TickFile(path, data[:, 0], data[:, 1])
+                del body
+                return TickFile(path, data[:, 0].copy(), data[:, 1].copy())
+    raw = header + body
+    del body
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -154,11 +164,19 @@ def _read_tick_lines(path: str, text: str) -> TickFile:
     return TickFile(path, np.asarray(times, dtype=float), np.asarray(prices, dtype=float))
 
 
+# points formatted into one string per write; a block's text is about
+# 150 kB where a whole 500k-point leg's lists and text are tens of MB
+WRITE_BLOCK_POINTS = 4096
+
+
 def write_tick_file(path: str, series: ObservationSeries) -> None:
+    times, values = series.times, series.values
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("time,price\n")
-        for t, p in zip(series.times.tolist(), series.values.tolist()):
-            fh.write(f"{t!r},{p!r}\n")
+        for start in range(0, times.size, WRITE_BLOCK_POINTS):
+            block = slice(start, start + WRITE_BLOCK_POINTS)
+            fh.write("".join([f"{t!r},{p!r}\n"
+                              for t, p in zip(times[block].tolist(), values[block].tolist())]))
 
 
 # Leg B's text work moves to a forked child, beside leg A in this process,
@@ -174,6 +192,8 @@ FORK_MIN_POINTS = 25_000
 
 def _read_leg(path: str) -> tuple[np.ndarray, np.ndarray]:
     tick = read_tick_file(path)
+    # frozen here, the columns go to validate_series without a copy
+    tick.times.flags.writeable = tick.prices.flags.writeable = False
     return tick.times, tick.prices
 
 
@@ -275,15 +295,17 @@ def _receive(pipe):
         header = pickle.load(pipe)
         if isinstance(header, Exception):
             return header
-        block = np.empty(sum(header))
-        view = memoryview(block).cast("B")
-        while view:
-            count = pipe.readinto(view)
-            if not count:
-                return None
-            view = view[count:]
-        ends = np.cumsum((0, *header))
-        return tuple(block[start:end] for start, end in zip(ends, ends[1:]))
+        columns = tuple(np.empty(size) for size in header)
+        for column in columns:
+            view = memoryview(column).cast("B")
+            while view:
+                count = pipe.readinto(view)
+                if not count:
+                    return None
+                view = view[count:]
+            # frozen like the parent's own leg, see _read_leg
+            column.flags.writeable = False
+        return columns
     except Exception:
         return None
 
@@ -308,15 +330,17 @@ def _tie_jitter(times_a: np.ndarray, times_b: np.ndarray) -> np.ndarray:
     Each tied time moves up by ``1e-9`` of the median finite merged gap, or
     by one ulp where that step is too small to change it (epoch seconds).
     """
-    merged = np.sort(np.concatenate([times_a, times_b]))
+    sorted_a = np.sort(times_a)
+    merged = np.sort(np.concatenate([sorted_a, times_b]))
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = np.diff(merged)
         gaps = gaps[(gaps > 0) & (gaps < np.inf)]
-        if gaps.size == 0:
+        if gaps.size == 0 or sorted_a.size == 0:
             return times_b
         eps = 1e-9 * safe_median(gaps)
         out = times_b.copy()
-        tied = np.isin(out, times_a)
+        # np.isin(out, times_a), which would import numpy.ma
+        tied = sorted_a[np.minimum(np.searchsorted(sorted_a, out), sorted_a.size - 1)] == out
         t = out[tied]
         out[tied] = np.maximum(t + eps, np.nextafter(t, np.inf))
     return out
@@ -398,17 +422,27 @@ def _parse_horizons(text: str) -> list[float]:
 
 _JSON_SCALARS = frozenset({int, float, bool, type(None)})
 
+# items of a flat list dumped per C-encoder call
+JSON_BLOCK_ITEMS = 4096
+
 
 def _json_dumps(obj) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, faster on long lists.
+    """``json.dumps(obj, indent=2)``, byte for byte: :func:`_json_chunks` joined."""
+    return "".join(_json_chunks(obj))
+
+
+def _json_chunks(obj) -> Iterator[str]:
+    """The text of ``json.dumps(obj, indent=2)`` in pieces, faster on long lists.
 
     ``json`` runs its C encoder only without ``indent``, so a non-empty list
-    of plain numbers, bools and ``None`` is dumped flat and split at its
-    ``", "`` separators, which no such scalar contains.  Dicts with string
-    keys recurse; any other value takes the indenting encoder, whose
-    structural newlines are the only raw newlines in its output.  A list
-    or dict that ``obj`` holds more than once is encoded once per depth;
-    only those texts are kept, so the peak memory stays that of one pass.
+    (or tuple) of plain numbers, bools and ``None`` is dumped flat, in
+    blocks of :data:`JSON_BLOCK_ITEMS` items, and split at its ``", "``
+    separators, which no such scalar contains.  Dicts with string keys
+    recurse; any other value takes the indenting encoder, whose structural
+    newlines are the only raw newlines in its output.  No piece holds more
+    than one block or one such value, except that a list or dict that
+    ``obj`` holds more than once is encoded once per depth and its text
+    kept.
     """
     return _encode(obj, "", _repeated(obj), {})
 
@@ -422,7 +456,7 @@ def _repeated(obj) -> set[int]:
         item = stack.pop()
         if isinstance(item, dict):
             children = item.values()
-        elif isinstance(item, list):
+        elif isinstance(item, (list, tuple)):
             children = () if set(map(type, item)) <= _JSON_SCALARS else item
         else:
             continue
@@ -434,32 +468,48 @@ def _repeated(obj) -> set[int]:
     return repeated
 
 
-def _encode(obj, pad: str, repeated: set[int], memo: dict) -> str:
+def _encode(obj, pad: str, repeated: set[int], memo: dict) -> Iterator[str]:
+    if id(obj) not in repeated:
+        yield from _encode_once(obj, pad, repeated, memo)
+        return
     key = (id(obj), pad)
-    if key in memo:
-        return memo[key]
+    if key not in memo:
+        memo[key] = "".join(_encode_once(obj, pad, repeated, memo))
+    yield memo[key]
+
+
+def _encode_once(obj, pad: str, repeated: set[int], memo: dict) -> Iterator[str]:
     inner = pad + "  "
-    if isinstance(obj, list) and obj:
+    if isinstance(obj, (list, tuple)) and obj:
+        yield "[\n" + inner
         if set(map(type, obj)) <= _JSON_SCALARS:
-            body = inner + json.dumps(obj)[1:-1].replace(", ", ",\n" + inner)
+            sep = ",\n" + inner
+            for start in range(0, len(obj), JSON_BLOCK_ITEMS):
+                text = json.dumps(obj[start:start + JSON_BLOCK_ITEMS])[1:-1].replace(", ", sep)
+                yield sep + text if start else text
         else:
-            body = ",\n".join(inner + _encode(v, inner, repeated, memo) for v in obj)
-        text = f"[\n{body}\n{pad}]"
+            for k, value in enumerate(obj):
+                if k:
+                    yield ",\n" + inner
+                yield from _encode(value, inner, repeated, memo)
+        yield f"\n{pad}]"
     elif isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
-        body = ",\n".join(f"{inner}{json.dumps(k)}: {_encode(v, inner, repeated, memo)}"
-                          for k, v in obj.items())
-        text = f"{{\n{body}\n{pad}}}"
+        for k, (key, value) in enumerate(obj.items()):
+            yield f"{',' if k else '{'}\n{inner}{json.dumps(key)}: "
+            yield from _encode(value, inner, repeated, memo)
+        yield f"\n{pad}}}"
     else:
-        return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
-    if id(obj) in repeated:
-        memo[key] = text
-    return text
+        yield json.dumps(obj, indent=2).replace("\n", "\n" + pad)
 
 
 def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
-    """Print ``payload`` as JSON, or else ``text_lines``, built only here."""
+    """Print ``payload`` as JSON, written piece by piece, or else
+    ``text_lines``, built only here."""
     if args.json:
-        print(_json_dumps(payload))
+        write = sys.stdout.write
+        for chunk in _json_chunks(payload):
+            write(chunk)
+        write("\n")
     else:
         for line in text_lines:
             print(line)
@@ -468,11 +518,11 @@ def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
 def _legs_payload(report: NonextantReport, s1: ObservationSeries, s2: ObservationSeries) -> dict:
     return {
         "A": {
-            "indices": list(report.nonextant_1),
+            "indices": report.nonextant_1,
             "times": s1.times[np.asarray(report.nonextant_1, dtype=np.intp)].tolist(),
         },
         "B": {
-            "indices": list(report.nonextant_2),
+            "indices": report.nonextant_2,
             "times": s2.times[np.asarray(report.nonextant_2, dtype=np.intp)].tolist(),
         },
     }

@@ -31,8 +31,26 @@ _LABELS = ("A", "B")
 
 
 def _frozen_array(data, dtype) -> np.ndarray:
-    out = np.array(data, dtype=dtype, copy=True).reshape(-1)
+    """``data`` as a read-only array of ``dtype``.
+
+    An array that is already read-only and owns its memory is taken as it
+    is: objects built from one another share it, and a function that has
+    just made and frozen an array hands it over without a copy.  Anything
+    else is copied first.
+    """
+    if (type(data) is np.ndarray and data.dtype == dtype
+            and data.flags.owndata and not data.flags.writeable):
+        return data
+    out = np.array(data, dtype=dtype)
     out.flags.writeable = False
+    return out
+
+
+def _frozen_vector(data, dtype, what: str) -> np.ndarray:
+    """:func:`_frozen_array` of ``data``, which must be one-dimensional."""
+    out = _frozen_array(data, dtype)
+    if out.ndim != 1:
+        raise ValidationError(f"{what} must be one-dimensional, got shape {out.shape}")
     return out
 
 
@@ -50,8 +68,8 @@ class ObservationSeries:
     label: Label
 
     def __post_init__(self) -> None:
-        times = _frozen_array(self.times, float)
-        values = _frozen_array(self.values, float)
+        times = _frozen_vector(self.times, float, f"leg {self.label}: times")
+        values = _frozen_vector(self.values, float, f"leg {self.label}: values")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if self.label not in _LABELS:
@@ -121,8 +139,10 @@ class ObservationSeries:
 def validate_series(times, values, label: Label) -> ObservationSeries:
     """Validate raw arrays and build an :class:`ObservationSeries`.
 
-    Raises :class:`NonMonotoneTimes`, :class:`LengthMismatch` or
-    :class:`TooFewPoints` when the data cannot form a usable series.
+    Raises :class:`NonMonotoneTimes`, :class:`LengthMismatch`,
+    :class:`TooFewPoints`, or :class:`ValidationError` for arrays that are
+    not one-dimensional or hold non-finite data, when the data cannot form
+    a usable series.
     """
     return ObservationSeries(times, values, label)
 
@@ -141,18 +161,19 @@ class LabelSequence:
     is_a: np.ndarray
 
     def __post_init__(self) -> None:
-        times = _frozen_array(self.times, float)
-        is_a = _frozen_array(self.is_a, bool)
+        times = _frozen_vector(self.times, float, "times")
+        is_a = _frozen_vector(self.is_a, bool, "is_a")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "is_a", is_a)
         if times.size != is_a.size:
             raise LengthMismatch("times and is_a differ in length")
-        gaps = np.diff(times)
-        if np.any(gaps == 0):
-            k = int(np.argmax(gaps == 0))
-            raise CrossSeriesTie(f"time {float(times[k])!r} appears in both series")
-        if np.any(gaps < 0):
-            raise NonMonotoneTimes("merged entries are not sorted by time")
+        if not (times[1:] > times[:-1]).all():
+            gaps = np.diff(times)
+            if np.any(gaps == 0):
+                k = int(np.argmax(gaps == 0))
+                raise CrossSeriesTie(f"time {float(times[k])!r} appears in both series")
+            if np.any(gaps < 0):
+                raise NonMonotoneTimes("merged entries are not sorted by time")
         for lab in _LABELS:
             count = self.leg_count(lab)
             if count < 2:
@@ -203,10 +224,20 @@ def merge_labels(s1: ObservationSeries, s2: ObservationSeries) -> LabelSequence:
     """
     if s1.label == s2.label:
         raise ValidationError("series must carry distinct labels")
-    times = np.concatenate([s1.times, s2.times])
-    is_a = np.repeat([s1.label == "A", s2.label == "A"], [s1.n_points, s2.n_points])
-    order = np.argsort(times, kind="stable")
-    return LabelSequence(times[order], is_a[order])
+    t1, t2 = s1.times, s2.times
+    # merge position of each leg-2 time: the leg-1 times up to it, tied
+    # ones included (the order a stable sort gives), plus its own index
+    at = np.searchsorted(t1, t2, side="right")
+    at += np.arange(t2.size)
+    from_1 = np.ones(t1.size + t2.size, dtype=bool)
+    from_1[at] = False
+    times = np.empty(from_1.size)
+    times[at] = t2
+    del at
+    times[from_1] = t1
+    is_a = from_1 if s1.label == "A" else ~from_1
+    times.flags.writeable = is_a.flags.writeable = False
+    return LabelSequence(times, is_a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,8 +252,7 @@ class OverlapSet:
     pairs: np.ndarray
 
     def __post_init__(self) -> None:
-        pairs = np.array(self.pairs, dtype=np.int64, copy=True).reshape(-1, 2)
-        pairs.flags.writeable = False
+        pairs = _frozen_array(self.pairs, np.int64).reshape(-1, 2)
         object.__setattr__(self, "pairs", pairs)
 
     @property
@@ -264,13 +294,27 @@ def clip_ranges(
     the met intervals are ``lo .. lo + count - 1``, and ``lo - 1`` is
     always a valid opposite point index.
     """
-    lo = np.maximum(1, first)
-    return lo, np.maximum(np.minimum(m_opp, last) - lo + 1, 0)
+    lo = np.maximum(first, 1)
+    count = np.minimum(last, m_opp)
+    count -= lo
+    count += 1
+    return lo, np.maximum(count, 0, out=count)
 
 
 def safe_median(x: np.ndarray) -> float:
-    """``np.median(x)`` of finite ``x``, with no overflow where the middle two add."""
-    return 2 * float(np.median(x / 2))
+    """Median of finite, non-empty 1-D ``x``, with no overflow where the middle two add.
+
+    Bit for bit ``2 * np.median(x / 2)``: the halves' middle one or two
+    order statistics come from ``np.partition`` and are averaged by
+    ``ndarray.mean``, as ``np.median`` does, without ``np.median``'s
+    import of ``numpy.ma`` on its first call.
+    """
+    half = np.asarray(x, dtype=float) / 2
+    if half.size == 0:
+        raise ValueError("median of an empty array")
+    mid, odd = divmod(half.size, 2)
+    middle = np.partition(half, mid if odd else (mid - 1, mid))[mid - 1 + odd:mid + 1]
+    return 2 * float(middle.mean())
 
 
 def first_shared_time(sorted_a: np.ndarray, sorted_b: np.ndarray):
@@ -287,10 +331,34 @@ def enumerate_overlaps(s1: ObservationSeries, s2: ObservationSeries) -> OverlapS
 
     Leg-1 interval ``i`` meets the leg-2 intervals of its
     :func:`overlap_ranges` range, so the pairs are each such range
-    repeated out per ``i``.  Runs in O((|s1| + m) + |s1| log |s2|).
+    repeated out per ``i``, written straight into the one array the
+    returned set holds.  Runs in O((|s1| + m) + |s1| log |s2|).
     """
     t1 = s1.times
     lo, count = clip_ranges(*overlap_ranges(s2.times, t1[:-1], t1[1:]), s2.n_intervals)
-    i = np.repeat(np.arange(1, t1.size), count)
-    j = np.arange(i.size) + np.repeat(lo - (np.cumsum(count) - count), count)
-    return OverlapSet(np.column_stack([i, j]))
+    # the leg-1 intervals (0-based) that meet leg 2; each opens a run of pairs
+    met = np.flatnonzero(count)
+    if met.size < count.size:
+        lo, count = lo[met], count[met]
+    ends = np.cumsum(count)
+    pairs = np.empty((int(ends[-1]) if ends.size else 0, 2), dtype=np.int64)
+    i, j = pairs.T
+    # each column is written as its steps and summed up in place.  Within
+    # a run j counts up by one; a run opens at its own lo, a step from the
+    # previous run's last j (lo + count - 1), and at its own i, a step of
+    # the gap in met from the previous run's
+    count += lo
+    count -= 1
+    lo[1:] -= count[:-1]
+    del count
+    j.fill(1)
+    j[:1] = lo[:1]
+    j[ends[:-1]] = lo[1:]
+    del lo
+    np.cumsum(j, out=j)
+    i.fill(0)
+    i[:1] = met[:1] + 1
+    i[ends[:-1]] = np.diff(met)
+    np.cumsum(i, out=i)
+    pairs.flags.writeable = False
+    return OverlapSet(pairs)

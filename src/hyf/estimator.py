@@ -85,7 +85,13 @@ def _opposite_sums(series: ObservationSeries, opposite: ObservationSeries) -> np
         *overlap_ranges(opposite.times, t[:-1], t[1:]), opposite.n_intervals
     )
     v = opposite.values
-    return v[lo + count - 1] - v[lo - 1]
+    # the range's last interval, then the point before its first
+    count += lo
+    count -= 1
+    lo -= 1
+    sums = v[count]
+    sums -= v[lo]
+    return sums
 
 
 def hy_covariance(s1: ObservationSeries, s2: ObservationSeries) -> float:
@@ -107,13 +113,25 @@ def _step_runs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Step ``k`` leads from pair ``k`` to pair ``k + 1``.  Type 0 is a row
     step ``(i + 1, j)``, type 1 a column step ``(i, j + 1)`` and type 2
-    any other step; one extra type-2 step closes the last pair.
+    any other step; one extra type-2 step closes the last pair.  Types
+    are int8; each column's differences are taken and dropped in turn.
     """
-    d = np.diff(pairs, axis=0)
-    kind = np.full(len(pairs), 2)
-    kind[:-1][(d[:, 0] == 1) & (d[:, 1] == 0)] = 0
-    kind[:-1][(d[:, 0] == 0) & (d[:, 1] == 1)] = 1
-    first = np.flatnonzero(np.diff(kind, prepend=-1))
+    kind = np.full(len(pairs), 2, dtype=np.int8)
+    d = np.diff(pairs[:, 0])
+    row, column = d == 1, d == 0
+    del d
+    d = np.diff(pairs[:, 1])
+    row &= d == 0
+    column &= d == 1
+    del d
+    kind[:-1][row] = 0
+    kind[:-1][column] = 1
+    del row, column
+    changes = np.empty(len(pairs), dtype=bool)
+    changes[:1] = True
+    np.not_equal(kind[1:], kind[:-1], out=changes[1:])
+    first = np.flatnonzero(changes)
+    del changes
     return kind[first], first, np.diff(first, append=len(pairs))
 
 
@@ -135,27 +153,47 @@ def _greedy_groups(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(pairs) == 0:
         return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64)
     kind, first, length = _step_runs(pairs)
-    runs = np.arange(kind.size)
     telescoping = kind < 2
     # swallowed[r] is fixed unless run r - 1 is a one-step row or column
-    # run; otherwise it flips once per such run since the last fixed one
-    fixed = runs.copy()
+    # run; otherwise it flips once per such run since the last fixed one,
+    # that is by the parity of r minus the parity of that run
+    fixed = np.arange(kind.size)
     fixed[1:][telescoping[:-1] & (length[:-1] == 1)] = 0
-    fixed = np.maximum.accumulate(fixed)
-    swallowed = np.zeros(kind.size, dtype=np.int64)
+    np.maximum.accumulate(fixed, out=fixed)
+    swallowed = np.zeros(kind.size, dtype=np.int8)
     swallowed[1:] = telescoping[:-1]
-    swallowed = swallowed[fixed] ^ ((runs - fixed) & 1)
-    open_steps = length - swallowed
-    per_run = np.where(telescoping, open_steps > 0, open_steps)
-    run = np.repeat(runs, per_run)
-    # an other-type run's groups are its open steps, one pair each
-    offset = np.arange(run.size) - np.repeat(np.cumsum(per_run) - per_run, per_run)
-    start = first[run] + swallowed[run] + offset
-    end = np.where(telescoping[run], first[run] + length[run], start)
-    axis = np.where(telescoping[run], kind[run], 0)
-    groups = np.column_stack(
-        [axis, pairs[start, 1 - axis], pairs[start, axis], pairs[end, axis]]
-    )
+    swallowed = swallowed[fixed]
+    fixed &= 1
+    swallowed ^= fixed
+    del fixed
+    swallowed[1::2] ^= 1
+    # from here on each run's first open pair and number of open steps
+    first += swallowed
+    length -= swallowed
+    del swallowed
+    # a row or column run with an open step is one group, from its first
+    # open pair to its last pair; any other run is a one-pair group per
+    # open step
+    axis = np.where(telescoping, kind, 0)
+    span = np.where(telescoping, length, 0)
+    per_run = np.minimum(length, 1, out=length, where=telescoping)
+    del kind, telescoping
+    # group g of run r starts at pair first[r] + g - (groups before run r)
+    first += per_run
+    first -= np.cumsum(per_run)
+    start = np.repeat(first, per_run)
+    del first
+    start += np.arange(start.size)
+    end = np.repeat(span, per_run)
+    del span
+    end += start
+    axis = np.repeat(axis, per_run)
+    del per_run
+    groups = np.empty((start.size, 4), dtype=np.int64)
+    groups[:, 0] = axis
+    groups[:, 1] = pairs[start, 1 - axis]
+    groups[:, 2] = pairs[start, axis]
+    groups[:, 3] = pairs[end, axis]
     return groups, start
 
 

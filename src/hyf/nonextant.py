@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LabelSequence, ObservationSeries, clip_ranges, overlap_ranges, safe_median
-from .errors import EmptyPattern, IndexOutOfRange, ZeroOverlaps
+from .errors import EmptyPattern, IndexOutOfRange, ValidationError, ZeroOverlaps
 from .estimator import point_coefficients
 
 ORACLE_RELATIVE_TOLERANCE = 1e-12
@@ -85,17 +85,21 @@ def _build_report(
     method: str,
     include_boundary: bool,
 ) -> NonextantReport:
+    """Report of each leg's (containment, edge-fallback) index lists, which
+    are ascending and disjoint."""
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    set1 = sorted(set(leg1[0]) | (set(leg1[1]) if include_boundary else set()))
-    set2 = sorted(set(leg2[0]) | (set(leg2[1]) if include_boundary else set()))
-    f_interior = len(leg1[0]) + len(leg2[0])
-    f_total = len(set1) + len(set2)
+
+    def indices(leg: tuple[list[int], list[int]]) -> tuple[int, ...]:
+        # merging two ascending runs is linear in sorted()
+        return tuple(sorted(leg[0] + leg[1]) if include_boundary and leg[1] else leg[0])
+
+    nonextant_1, nonextant_2 = indices(leg1), indices(leg2)
     return NonextantReport(
-        nonextant_1=tuple(set1),
-        nonextant_2=tuple(set2),
-        f_interior=f_interior,
-        f_total=f_total,
+        nonextant_1=nonextant_1,
+        nonextant_2=nonextant_2,
+        f_interior=len(leg1[0]) + len(leg2[0]),
+        f_total=len(nonextant_1) + len(nonextant_2),
         m=m,
         method=method,
     )
@@ -165,29 +169,37 @@ def detect_label_rule(
     O(n).
     """
     is_a = labels.is_a
-    pos_a = np.flatnonzero(is_a)
-    pos_b = np.flatnonzero(~is_a)
-    # with tie-free legs, the opposite entries before a merge position
-    # are exactly the counts overlap_ranges takes from the times
-    before_a = np.concatenate([[0], np.cumsum(is_a)])
-    before_b = np.concatenate([[0], np.cumsum(~is_a)])
-    m_a = pos_a.size - 1
-    m_b = pos_b.size - 1
+    # the opposite entries before an entry are its merge position less
+    # the own entries before it; with tie-free legs these are exactly the
+    # counts overlap_ranges takes from the times
+    b_before_a = np.flatnonzero(is_a)
+    b_before_a -= np.arange(b_before_a.size)
+    a_before_b = np.flatnonzero(~is_a)
+    a_before_b -= np.arange(a_before_b.size)
+    m_a = b_before_a.size - 1
+    m_b = a_before_b.size - 1
 
     sides = []
-    for pos, before, m_opp in ((pos_a, before_b, m_b), (pos_b, before_a, m_a)):
-        first, last = before[pos[:-2]], before[pos[2:]]
+    for before, m_opp in ((b_before_a, m_b), (a_before_b, m_a)):
+        first, last = before[:-2], before[2:]
         # equal counts: the own neighbours are adjacent in the merge
         sides.append(_rule_side(clip_ranges(first, last, m_opp)[1], first == last))
 
-    m = int(clip_ranges(before_a[pos_b[:-1]], before_a[pos_b[1:]], m_a)[1].sum())
+    m = int(clip_ranges(a_before_b[:-1], a_before_b[1:], m_a)[1].sum())
     return _build_report(sides[0], sides[1], m, "label_rule", include_boundary)
 
 
 def count_pattern(labels: LabelSequence | str, pattern: str) -> int:
-    """Count (overlapping) occurrences of ``pattern`` in the label string."""
+    """Count (overlapping) occurrences of ``pattern`` in the label string.
+
+    Raises :class:`EmptyPattern` for an empty pattern and
+    :class:`ValidationError` for a pattern with a letter other than A or B.
+    """
     if len(pattern) == 0:
         raise EmptyPattern("pattern must contain at least one label")
+    unknown = set(pattern) - {"A", "B"}
+    if unknown:
+        raise ValidationError(f"unknown label {min(unknown)!r} in pattern")
     text = labels.as_string if isinstance(labels, LabelSequence) else labels
     return len(re.findall(f"(?={re.escape(pattern)})", text))
 

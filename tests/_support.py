@@ -223,6 +223,37 @@ def _boundary_aligned(ta: np.ndarray, tb: np.ndarray) -> bool:
     )
 
 
+def reference_generate_poisson(rate: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
+    """``generate_poisson`` written out with a new array per step: chunks of
+    ``reached + cumsum(-log(u) / rate)`` until past the horizon, masked."""
+    expected = rate * horizon
+    chunk = max(16, int(expected + 10.0 * math.sqrt(expected) + 10.0))
+    parts, reached = [], 0.0
+    while reached <= horizon:
+        u = rng.random(chunk)
+        u[u == 0.0] = np.finfo(float).tiny
+        parts.append(reached + np.cumsum(-np.log(u) / rate))
+        reached = float(parts[-1][-1])
+    times = np.concatenate(parts)
+    return times[times <= horizon]
+
+
+def reference_tie_jitter(times_a: np.ndarray, times_b: np.ndarray) -> np.ndarray:
+    """The CLI's ``--jitter`` nudge with ``np.isin`` finding the tied times."""
+    merged = np.sort(np.concatenate([times_a, times_b]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.diff(merged)
+        gaps = gaps[(gaps > 0) & (gaps < np.inf)]
+        if gaps.size == 0:
+            return times_b
+        eps = 1e-9 * 2 * float(np.median(gaps / 2))
+        out = times_b.copy()
+        tied = np.isin(out, times_a)
+        t = out[tied]
+        out[tied] = np.maximum(t + eps, np.nextafter(t, np.inf))
+    return out
+
+
 def two_leg_generate_inputs(
     config: AdversaryConfig,
     trial: int = 0,

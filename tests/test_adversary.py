@@ -22,7 +22,7 @@ from hyf import (
 )
 from hyf.adversary import draw_label_block
 
-from _support import two_leg_generate_inputs
+from _support import reference_generate_poisson, two_leg_generate_inputs
 
 rates = st.floats(1e-3, 1e3)
 
@@ -95,6 +95,34 @@ class TestGeneratePoisson:
     def test_zero_horizon_rejected(self):
         with pytest.raises(ValueError):
             generate_poisson(1.0, 0.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rate, horizon, error", [
+        (math.nan, 10.0, NonPositiveRate),
+        (math.inf, 10.0, NonPositiveRate),
+        (-math.inf, 10.0, NonPositiveRate),
+        (1.0, math.nan, ValueError),
+        (1.0, math.inf, ValueError),
+        (1.0, -math.inf, ValueError),
+        (1e300, 1e300, ValueError),
+    ])
+    def test_non_finite_input_rejected(self, rate, horizon, error):
+        with pytest.raises(error, match="finite|cap"):
+            generate_poisson(rate, horizon, np.random.default_rng(0))
+
+    def test_expected_point_count_capped(self, monkeypatch):
+        monkeypatch.setattr(hyf.adversary, "MAX_EXPECTED_POINTS", 100)
+        assert generate_poisson(1.0, 100.0, np.random.default_rng(0)).size > 50
+        with pytest.raises(ValueError, match="cap of 100"):
+            generate_poisson(1.0, 101.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rate, horizon, seed", [(2.0, 500.0, 0), (0.3, 7.0, 1), (5.0, 1e4, 2)])
+    def test_matches_inverse_cdf_formula(self, rate, horizon, seed):
+        expected = reference_generate_poisson(rate, horizon, np.random.default_rng(seed))
+        got = generate_poisson(rate, horizon, np.random.default_rng(seed))
+        assert got.tobytes() == expected.tobytes()
+
+    def test_tiny_rate_gives_no_arrivals(self):
+        assert generate_poisson(5e-324, 1.0, np.random.default_rng(0)).size == 0
 
     def test_count_concentration(self):
         # rate * horizon = 1000; the count should sit within 5 sigma

@@ -19,8 +19,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyf import __version__, cli, detect_interval_rule
-from hyf.cli import TickParseError, _json_dumps, _read_tick_lines, main, read_tick_file
+from hyf.cli import (
+    TickParseError,
+    _json_chunks,
+    _json_dumps,
+    _read_tick_lines,
+    main,
+    read_tick_file,
+)
 
+from _support import reference_tie_jitter
 from conftest import (
     GOLDEN_PRICES_A,
     GOLDEN_PRICES_B,
@@ -796,6 +804,19 @@ class TestJsonOutput:
     def test_matches_indenting_encoder(self, obj):
         assert _json_dumps(obj) == json.dumps(obj, indent=2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(obj=_JSON_VALUE)
+    def test_blocks_of_two_match_indenting_encoder(self, obj):
+        # flat lists longer than a block are dumped in several blocks
+        with mock.patch.object(cli, "JSON_BLOCK_ITEMS", 2):
+            assert _json_dumps(obj) == json.dumps(obj, indent=2)
+
+    def test_tuples_match_indenting_encoder(self):
+        obj = {"a": (1, 2, 3), "b": [(0.5, None), ()], "c": ((1, [2]),)}
+        for block in (1, 2, 4096):
+            with mock.patch.object(cli, "JSON_BLOCK_ITEMS", block):
+                assert _json_dumps(obj) == json.dumps(obj, indent=2)
+
     def test_repeated_objects_match_indenting_encoder(self):
         times, leg = [1.5, -0.0, 1e300], {"indices": [1, 2], "t": [0.5]}
         obj = {"a": times, "b": [times, {"c": times}], "d": leg, "e": [leg, leg, []]}
@@ -811,9 +832,9 @@ class TestJsonOutput:
 
         def spy(obj):
             payloads.append(obj)
-            return _json_dumps(obj)
+            return _json_chunks(obj)
 
-        monkeypatch.setattr(cli, "_json_dumps", spy)
+        monkeypatch.setattr(cli, "_json_chunks", spy)
         capsys.readouterr()
         code, out, _ = run_cli(capsys, "detect", f"{prefix}_a.csv", f"{prefix}_b.csv",
                                "--method", "all", "--json", *boundary)
@@ -831,6 +852,24 @@ class TestJsonOutput:
         payload = json.loads(out)
         assert payload["results"]["reports"][2]["legs"]["B"]["indices"] == [1, 3, 4]
         assert out == json.dumps(payload, indent=2) + "\n"
+
+
+_JITTER_TIME = st.one_of(
+    st.integers(-3, 6).map(float),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 1.5e9]),
+)
+
+
+class TestTieJitter:
+    @settings(max_examples=400, deadline=None)
+    @given(a=st.lists(_JITTER_TIME, max_size=8), b=st.lists(_JITTER_TIME, max_size=8))
+    @example(a=[1.0, 2.0], b=[2.0, 3.0])
+    @example(a=[-0.0, 5.0], b=[0.0, 1.0])
+    @example(a=[math.nan, 1.0], b=[math.nan, 2.0, 1.0])
+    @example(a=[], b=[1.0, 2.0])
+    def test_matches_isin_reference(self, a, b):
+        a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+        assert cli._tie_jitter(a, b).tobytes() == reference_tie_jitter(a, b).tobytes()
 
 
 _EDGE_PRICE = st.sampled_from([0.0, 1.0, -1.0, 9e307, -9e307, 1e308, -1e308])
@@ -1084,6 +1123,18 @@ class TestForkedLegs:
             code, out, err = run_cli(capsys, "estimate", *files)
         assert (code, err) == (0, "")
         _assert_no_child()
+
+    @pytest.mark.parametrize("flags", [[], ["--jitter"]])
+    def test_detect_all_leaves_numpy_ma_unimported(self, tmp_path, flags):
+        # np.median and np.isin import numpy.ma (13-25 ms, 2 MiB) on first use
+        prefix = str(tmp_path / "s")
+        code = ("import sys; from hyf.cli import main; "
+                f"main(['simulate', '--horizon', '200', '--out-prefix', {prefix!r}]); "
+                f"code = main(['detect', {prefix + '_a.csv'!r}, {prefix + '_b.csv'!r}, "
+                f"'--method', 'all', *{flags!r}]); "
+                "print(code, 'numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "0 False")
 
     def test_import_starts_no_process_pool(self):
         # keeps `hyf --version` start-up free of the forked-leg helper

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyf import (
@@ -17,6 +17,7 @@ from hyf import (
     overlap_count,
     validate_series,
 )
+from hyf.core import safe_median
 
 from _support import (
     algorithm1_count,
@@ -63,6 +64,29 @@ class TestValidateSeries:
         with pytest.raises(ValueError):
             s1.times[0] = 99.0
 
+    @pytest.mark.parametrize("times, values", [
+        ([[1, 2], [3, 4]], [[1, 2], [3, 4]]),
+        ([1, 2, 3, 4], [[1, 2], [3, 4]]),
+        (np.arange(4.0).reshape(4, 1), [1, 2, 3, 4]),
+        (1.0, 2.0),
+    ])
+    def test_not_one_dimensional_rejected(self, times, values):
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            validate_series(times, values, "A")
+
+    def test_writeable_input_is_copied(self):
+        times, values = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        s = validate_series(times, values, "A")
+        times[0] = values[0] = 0.0
+        assert (s.times.tolist(), s.values.tolist()) == ([1.0, 2.0], [3.0, 4.0])
+        assert not np.shares_memory(s.times, times)
+
+    def test_frozen_arrays_are_shared(self, golden_pair):
+        s1, _ = golden_pair
+        s = s1.with_values(s1.values + 1)
+        assert s.times is s1.times
+        assert validate_series(s1.times, s1.values, "B").values is s1.values
+
     def test_with_values_keeps_times(self, golden_pair):
         s1, _ = golden_pair
         s = s1.with_values(np.zeros(s1.n_points))
@@ -106,6 +130,18 @@ class TestMergeLabels:
         with pytest.raises(ValidationError):
             merge_labels(s1, s2)
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_matches_stable_sort_in_either_leg_order(self, seed):
+        s1, s2 = random_tie_free_pair(np.random.default_rng(seed))
+        times = np.concatenate([s1.times, s2.times])
+        order = np.argsort(times, kind="stable")
+        expected = (times[order].tolist(), (np.arange(times.size) < s1.n_points)[order].tolist())
+        for legs in ((s1, s2), (s2, s1)):
+            merged = merge_labels(*legs)
+            assert (merged.times.tolist(), merged.is_a.tolist()) == expected
+            assert not merged.times.flags.writeable and not merged.is_a.flags.writeable
+
 
 class TestLabelSequence:
     def test_from_string_round_trip(self):
@@ -125,6 +161,16 @@ class TestLabelSequence:
     def test_unknown_label_rejected(self):
         with pytest.raises(ValidationError):
             LabelSequence.from_string("ABXAB")
+
+    def test_not_one_dimensional_rejected(self):
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            LabelSequence([[0, 1], [2, 3]], [[True, False], [True, False]])
+
+    def test_tie_reported_before_disorder(self):
+        with pytest.raises(CrossSeriesTie, match="3.0"):
+            LabelSequence([0, 1, 5, 3, 3], [True, False, True, False, True])
+        with pytest.raises(NonMonotoneTimes):
+            LabelSequence([0, 1, 5, 3, 4], [True, False, True, False, True])
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -154,6 +200,18 @@ class TestEnumerateOverlaps:
         ov = enumerate_overlaps(*golden_pair)
         assert [tuple(p) for p in ov.pairs.tolist()] == GOLDEN_PAIRS
         assert ov.m == 10
+
+    def test_pairs_are_read_only_int64(self, golden_pair):
+        pairs = enumerate_overlaps(*golden_pair).pairs
+        assert (pairs.dtype, pairs.shape, pairs.flags.writeable) == (np.int64, (10, 2), False)
+
+    def test_unmet_intervals_are_skipped(self):
+        # leg-1 intervals 1 and 5 meet no leg-2 interval
+        s1 = validate_series([0, 1, 2, 5, 6, 7], [0] * 6, "A")
+        s2 = validate_series([1.5, 3, 4, 5.5], [0] * 4, "B")
+        pairs = [tuple(p) for p in enumerate_overlaps(s1, s2).pairs.tolist()]
+        assert pairs == brute_overlap_pairs(s1.times, s2.times)
+        assert pairs == [(2, 1), (3, 1), (3, 2), (3, 3), (4, 3)]
 
     def test_golden_point_count_identity(self, golden_pair):
         # boundary-aligned inputs: overlaps = total points - 3
@@ -207,3 +265,22 @@ class TestEnumerateOverlaps:
             forward = {tuple(p) for p in enumerate_overlaps(s1, s2).pairs.tolist()}
             backward = {tuple(p) for p in enumerate_overlaps(s2, s1).pairs.tolist()}
             assert forward == {(i, j) for j, i in backward}
+
+
+class TestSafeMedian:
+    @settings(max_examples=400, deadline=None)
+    @given(x=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                st.sampled_from([1e308, -1e308, 0.0, -0.0, 5e-324])),
+                      min_size=1, max_size=40))
+    @example(x=[1e308, 1e308, -1e308])
+    @example(x=[1e308, 1e308])
+    @example(x=[-1e308, 1e308, -1e308, 1e308])
+    @example(x=[-0.0, -0.0])
+    def test_bitwise_equal_to_halved_numpy_median(self, x):
+        x = np.array(x)
+        expected = 2 * float(np.median(x / 2))
+        assert np.float64(safe_median(x)).tobytes() == np.float64(expected).tobytes()
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            safe_median(np.array([]))

@@ -8,6 +8,7 @@ from hyf import (
     IndexOutOfRange,
     LabelSequence,
     TooFewPoints,
+    ValidationError,
     ZeroOverlaps,
     attach_random_walk,
     count_pattern,
@@ -150,6 +151,11 @@ class TestCountPattern:
 
     def test_pattern_longer_than_text(self):
         assert count_pattern("AB", "ABAB") == 0
+
+    @pytest.mark.parametrize("pattern", ["AXA", "a", "AB ", "\u0391"])
+    def test_pattern_of_other_letters_rejected(self, pattern):
+        with pytest.raises(ValidationError, match="unknown label"):
+            count_pattern("AAAA", pattern)
 
     @settings(max_examples=200, deadline=None)
     @given(
