@@ -11,7 +11,8 @@ alignment: the first overlapping interval pair is (1, 1) and the last is
 Every random draw of one trial comes from one stream keyed by ``(seed,
 trial, attempt)``, and every draw of a block of label strings from one
 stream keyed by ``(seed, block)``, so results do not depend on the order
-in which trials or blocks run.
+in which trials or blocks run.  ``loss-table`` draws trials 0 and 1 of a
+cell once each, as series, and every other trial in label blocks.
 """
 
 from __future__ import annotations
@@ -154,11 +155,7 @@ def draw_labels(config: AdversaryConfig, trial: int = 0) -> tuple[np.ndarray, np
         times = generate_poisson(config.rate_a + config.rate_b, config.horizon, rng)
         if times.size < 4 or not (times[1:] > times[:-1]).all():
             continue
-        is_a = rng.random(times.size) < p
-        first_a, last_a = rng.random(2) < 0.5
-        is_a[:2] = (first_a, not first_a)
-        is_a[-2:] = (not last_a, last_a)
-        return times, is_a
+        return times, _aligned_labels(rng, np.array([times.size]), p)
     raise _budget_exceeded(config)
 
 
@@ -190,15 +187,22 @@ def draw_label_block(
         short = short[sizes[short] < 4]
     if short.size:
         raise _budget_exceeded(config)
-    is_a = rng.random(int(sizes.sum())) < config.rate_a / (config.rate_a + config.rate_b)
+    return _aligned_labels(rng, sizes, config.rate_a / (config.rate_a + config.rate_b)), sizes
+
+
+def _aligned_labels(rng: np.random.Generator, sizes: np.ndarray, p: float) -> np.ndarray:
+    """Concatenated A-labels of aligned strings of lengths ``sizes`` (each 4 or more):
+    each label A with probability ``p``, then each string's first and last pair
+    AB or BA by fair coins, all first coins before all last ones."""
+    is_a = rng.random(int(sizes.sum())) < p
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    first_a, last_a = rng.random((2, size)) < 0.5
+    first_a, last_a = rng.random((2, sizes.size)) < 0.5
     is_a[starts] = first_a
     is_a[starts + 1] = ~first_a
     is_a[ends - 2] = ~last_a
     is_a[ends - 1] = last_a
-    return is_a, sizes
+    return is_a
 
 
 def _budget_exceeded(config: AdversaryConfig) -> RejectionBudgetExceeded:

@@ -28,7 +28,6 @@ import os
 import pickle
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -36,7 +35,14 @@ import numpy as np
 
 from . import __version__
 from .adversary import DEFAULT_SEED, AdversaryConfig, attach_random_walk, generate_inputs
-from .core import ObservationSeries, first_shared_time, merge_labels, safe_median, validate_series
+from .core import (
+    ObservationSeries,
+    first_shared_time,
+    merge_labels,
+    safe_median,
+    tie_mask,
+    validate_series,
+)
 from .errors import DetectorDisagreement, RejectionBudgetExceeded, ValidationError
 from .estimator import hy_covariance, telescope_rows
 from .montecarlo import check_runs, loss_table
@@ -82,13 +88,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class TickFile:
-    path: str
-    times: np.ndarray
-    prices: np.ndarray
-
-
 # bytes a plain numeric tick body is made of; any other byte (space,
 # letters, numpy-only whitespace such as \x1c, non-ASCII) goes to the
 # line-by-line parser
@@ -98,8 +97,9 @@ _NUMERIC_BODY_BYTES = b"0123456789eE.+-,\r\n"
 _FAST_HEADERS = (b"time,price\n", b"time,price\r\n")
 
 
-def read_tick_file(path: str) -> TickFile:
-    """Parse a ``time,price`` CSV; any malformed content is a parse error.
+def read_tick_file(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a ``time,price`` CSV into read-only ``(times, prices)``; any
+    malformed content is a parse error.
 
     The header line and then the body are read once each.  A plain
     numeric body is parsed by ``np.loadtxt``.  Its result counts only
@@ -132,7 +132,7 @@ def read_tick_file(path: str) -> TickFile:
         else:
             if data.shape == (rows, 2):
                 del body
-                return TickFile(path, data[:, 0].copy(), data[:, 1].copy())
+                return _frozen_columns(data[:, 0].copy(), data[:, 1].copy())
     raw = header + body
     del body
     try:
@@ -143,7 +143,7 @@ def read_tick_file(path: str) -> TickFile:
     return _read_tick_lines(path, text)
 
 
-def _read_tick_lines(path: str, text: str) -> TickFile:
+def _read_tick_lines(path: str, text: str) -> tuple[np.ndarray, np.ndarray]:
     """Line-by-line parse of a decoded tick file; the reference parser."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -161,7 +161,13 @@ def _read_tick_lines(path: str, text: str) -> TickFile:
             prices.append(float(fields[1]))
         except ValueError:
             raise TickParseError(path, lineno, f"not a number: {line!r}") from None
-    return TickFile(path, np.asarray(times, dtype=float), np.asarray(prices, dtype=float))
+    return _frozen_columns(np.asarray(times, dtype=float), np.asarray(prices, dtype=float))
+
+
+def _frozen_columns(times: np.ndarray, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # frozen here, the columns go to validate_series without a copy
+    times.flags.writeable = prices.flags.writeable = False
+    return times, prices
 
 
 # points formatted into one string per write; a block's text is about
@@ -188,13 +194,6 @@ def write_tick_file(path: str, series: ObservationSeries) -> None:
 # (about 0.4 MB) stays in process.
 FORK_MIN_BYTES = 1 << 20
 FORK_MIN_POINTS = 25_000
-
-
-def _read_leg(path: str) -> tuple[np.ndarray, np.ndarray]:
-    tick = read_tick_file(path)
-    # frozen here, the columns go to validate_series without a copy
-    tick.times.flags.writeable = tick.prices.flags.writeable = False
-    return tick.times, tick.prices
 
 
 def _write_leg(path: str, series: ObservationSeries) -> tuple:
@@ -303,7 +302,7 @@ def _receive(pipe):
                 if not count:
                     return None
                 view = view[count:]
-            # frozen like the parent's own leg, see _read_leg
+            # frozen like the parent's own leg, see _frozen_columns
             column.flags.writeable = False
         return columns
     except Exception:
@@ -339,8 +338,7 @@ def _tie_jitter(times_a: np.ndarray, times_b: np.ndarray) -> np.ndarray:
             return times_b
         eps = 1e-9 * safe_median(gaps)
         out = times_b.copy()
-        # np.isin(out, times_a), which would import numpy.ma
-        tied = sorted_a[np.minimum(np.searchsorted(sorted_a, out), sorted_a.size - 1)] == out
+        tied = tie_mask(sorted_a, out)
         t = out[tied]
         out[tied] = np.maximum(t + eps, np.nextafter(t, np.inf))
     return out
@@ -348,7 +346,7 @@ def _tie_jitter(times_a: np.ndarray, times_b: np.ndarray) -> np.ndarray:
 
 def _load_pair(args) -> tuple[ObservationSeries, ObservationSeries]:
     (times_a, prices_a), (times_b, prices_b) = _raise_first(_both_legs(
-        _read_leg, (args.file_a,), (args.file_b,), _large_files(args.file_a, args.file_b)))
+        read_tick_file, (args.file_a,), (args.file_b,), _large_files(args.file_a, args.file_b)))
     if getattr(args, "jitter", False):
         times_b = _tie_jitter(times_a, times_b)
     # a fully synchronous pair is well defined for the interval algebra;
@@ -426,23 +424,16 @@ _JSON_SCALARS = frozenset({int, float, bool, type(None)})
 JSON_BLOCK_ITEMS = 4096
 
 
-def _json_dumps(obj) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte: :func:`_json_chunks` joined."""
-    return "".join(_json_chunks(obj))
-
-
 def _json_chunks(obj) -> Iterator[str]:
     """The text of ``json.dumps(obj, indent=2)`` in pieces, faster on long lists.
 
     ``json`` runs its C encoder only without ``indent``, so a non-empty list
-    (or tuple) of plain numbers, bools and ``None`` is dumped flat, in
-    blocks of :data:`JSON_BLOCK_ITEMS` items, and split at its ``", "``
-    separators, which no such scalar contains.  Dicts with string keys
-    recurse; any other value takes the indenting encoder, whose structural
-    newlines are the only raw newlines in its output.  No piece holds more
-    than one block or one such value, except that a list or dict that
-    ``obj`` holds more than once is encoded once per depth and its text
-    kept.
+    (or tuple) of plain numbers, bools and ``None`` is dumped flat by
+    :func:`_scalar_blocks`.  Dicts with string keys recurse; any other value
+    takes the indenting encoder, whose structural newlines are the only raw
+    newlines in its output.  No piece holds more than one block or one such
+    value, except that a list or dict that ``obj`` holds more than once is
+    encoded once per depth and its text kept.
     """
     return _encode(obj, "", _repeated(obj), {})
 
@@ -468,6 +459,14 @@ def _repeated(obj) -> set[int]:
     return repeated
 
 
+def _scalar_blocks(items, sep: str) -> Iterator[str]:
+    """JSON texts of plain scalars joined by ``sep``, in pieces of :data:`JSON_BLOCK_ITEMS`
+    items, each a C-encoder dump split at its ``", "``, which no such scalar holds."""
+    for start in range(0, len(items), JSON_BLOCK_ITEMS):
+        text = json.dumps(items[start:start + JSON_BLOCK_ITEMS])[1:-1].replace(", ", sep)
+        yield sep + text if start else text
+
+
 def _encode(obj, pad: str, repeated: set[int], memo: dict) -> Iterator[str]:
     if id(obj) not in repeated:
         yield from _encode_once(obj, pad, repeated, memo)
@@ -483,10 +482,7 @@ def _encode_once(obj, pad: str, repeated: set[int], memo: dict) -> Iterator[str]
     if isinstance(obj, (list, tuple)) and obj:
         yield "[\n" + inner
         if set(map(type, obj)) <= _JSON_SCALARS:
-            sep = ",\n" + inner
-            for start in range(0, len(obj), JSON_BLOCK_ITEMS):
-                text = json.dumps(obj[start:start + JSON_BLOCK_ITEMS])[1:-1].replace(", ", sep)
-                yield sep + text if start else text
+            yield from _scalar_blocks(obj, ",\n" + inner)
         else:
             for k, value in enumerate(obj):
                 if k:
@@ -502,17 +498,14 @@ def _encode_once(obj, pad: str, repeated: set[int], memo: dict) -> Iterator[str]
         yield json.dumps(obj, indent=2).replace("\n", "\n" + pad)
 
 
-def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
-    """Print ``payload`` as JSON, written piece by piece, or else
-    ``text_lines``, built only here."""
+def _emit(args, payload: dict, text: Iterable[str]) -> None:
+    """Write ``payload`` as JSON, or else ``text``, built only here; both
+    piece by piece."""
+    write = sys.stdout.write
+    for chunk in _json_chunks(payload) if args.json else text:
+        write(chunk)
     if args.json:
-        write = sys.stdout.write
-        for chunk in _json_chunks(payload):
-            write(chunk)
         write("\n")
-    else:
-        for line in text_lines:
-            print(line)
 
 
 def _legs_payload(report: NonextantReport, s1: ObservationSeries, s2: ObservationSeries) -> dict:
@@ -540,25 +533,22 @@ def _report_payload(report: NonextantReport, legs: dict) -> dict:
     }
 
 
-def _leg_lines(legs: dict) -> list[str]:
-    return [
-        "nonextant_{} indices={} times={}".format(
-            leg, ",".join(map(str, legs[leg]["indices"])), ",".join(map(repr, legs[leg]["times"]))
-        )
-        for leg in ("A", "B")
-    ]
+def _leg_lines(legs: dict) -> Iterator[str]:
+    """The ``nonextant_<leg>`` lines in pieces; a finite float's JSON is its repr."""
+    for leg in ("A", "B"):
+        yield f"nonextant_{leg} indices="
+        yield from _scalar_blocks(legs[leg]["indices"], ",")
+        yield " times="
+        yield from _scalar_blocks(legs[leg]["times"], ",")
+        yield "\n"
 
 
-def _report_lines(payload: dict, leg_lines: list[str]) -> list[str]:
-    loss = payload["loss"]
-    return [
-        f"method {payload['method']}",
-        *leg_lines,
-        f"f_interior {payload['f_interior']}",
-        f"f_total {payload['f_total']}",
-        f"overlaps {payload['m']}",
-        "loss undefined" if loss is None else f"loss {loss!r}",
-    ]
+def _report_lines(payload: dict, leg_lines: Iterable[str]) -> Iterator[str]:
+    loss = "undefined" if payload["loss"] is None else repr(payload["loss"])
+    yield f"method {payload['method']}\n"
+    yield from leg_lines
+    yield f"f_interior {payload['f_interior']}\nf_total {payload['f_total']}\n"
+    yield f"overlaps {payload['m']}\nloss {loss}\n"
 
 
 def _cmd_estimate(args) -> int:
@@ -579,10 +569,10 @@ def _cmd_estimate(args) -> int:
         "version": __version__,
     }
     _emit(args, payload, [
-        f"covariance {covariance!r}",
-        f"overlaps {results['overlaps']}",
-        f"raw_terms {results['raw_terms']}",
-        f"grouped_terms {results['grouped_terms']}",
+        f"covariance {covariance!r}\n",
+        f"overlaps {results['overlaps']}\n",
+        f"raw_terms {results['raw_terms']}\n",
+        f"grouped_terms {results['grouped_terms']}\n",
     ])
     return EXIT_OK
 
@@ -599,7 +589,7 @@ def _cmd_detect(args) -> int:
 
     agree = all(reports[0].same_points(r) for r in reports[1:])
     # agreeing reports name the same points: one legs dict serves all, and
-    # _json_dumps encodes it once
+    # _json_chunks encodes it once
     shared = _legs_payload(reports[0], s1, s2) if agree else None
     payloads = [_report_payload(r, shared or _legs_payload(r, s1, s2)) for r in reports]
     payload = {
@@ -616,12 +606,13 @@ def _cmd_detect(args) -> int:
     }
 
     def lines():
-        # formats the shared legs dict once, like _json_dumps encodes it once
-        shared_lines = _leg_lines(shared) if agree else None
+        # formats a legs dict that several reports share once, like
+        # _json_chunks encodes it once
+        shared_lines = list(_leg_lines(shared)) if agree and len(payloads) > 1 else None
         for p in payloads:
             yield from _report_lines(p, shared_lines or _leg_lines(p["legs"]))
         if args.method == "all":
-            yield f"agreement {'ok' if agree else 'FAILED'}"
+            yield f"agreement {'ok' if agree else 'FAILED'}\n"
 
     _emit(args, payload, lines())
     if not agree:
@@ -672,8 +663,8 @@ def _cmd_simulate(args) -> int:
         "version": __version__,
     }
     _emit(args, payload, [
-        f"wrote {path_a} ({s1.n_points} points)",
-        f"wrote {path_b} ({s2.n_points} points)",
+        f"wrote {path_a} ({s1.n_points} points)\n",
+        f"wrote {path_b} ({s2.n_points} points)\n",
     ])
     return EXIT_OK
 
@@ -730,7 +721,7 @@ def _cmd_loss_table(args) -> int:
         lines.append("".join([f"{horizon:g}".ljust(10)] + cells_txt).rstrip())
     exact = [f"{v:.6g}".ljust(16) for v in table.theoretical]
     lines.append("".join(["exact".ljust(10)] + exact).rstrip())
-    _emit(args, payload, lines)
+    _emit(args, payload, (line + "\n" for line in lines))
     return EXIT_OK
 
 

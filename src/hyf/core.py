@@ -168,6 +168,11 @@ class LabelSequence:
         if times.size != is_a.size:
             raise LengthMismatch("times and is_a differ in length")
         if not (times[1:] > times[:-1]).all():
+            # every comparison with nan is false, so nan reaches this branch
+            finite = np.isfinite(times)
+            if not finite.all():
+                k = int(np.argmin(finite))
+                raise ValidationError(f"non-finite time {float(times[k])!r} at position {k}")
             gaps = np.diff(times)
             if np.any(gaps == 0):
                 k = int(np.argmax(gaps == 0))
@@ -317,12 +322,17 @@ def safe_median(x: np.ndarray) -> float:
     return 2 * float(middle.mean())
 
 
+def tie_mask(sorted_a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Which values of ``b`` ascending ``sorted_a`` holds: ``np.isin(b, sorted_a)``
+    without its import of ``numpy.ma``."""
+    if sorted_a.size == 0:
+        return np.zeros(b.shape, dtype=bool)
+    return sorted_a[np.minimum(np.searchsorted(sorted_a, b), sorted_a.size - 1)] == b
+
+
 def first_shared_time(sorted_a: np.ndarray, sorted_b: np.ndarray):
     """First value of ascending ``sorted_b`` also in ascending ``sorted_a``, or None."""
-    if sorted_a.size == 0:
-        return None
-    idx = np.minimum(np.searchsorted(sorted_a, sorted_b), sorted_a.size - 1)
-    hits = np.flatnonzero(sorted_a[idx] == sorted_b)
+    hits = np.flatnonzero(tie_mask(sorted_a, sorted_b))
     return sorted_b[hits[0]] if hits.size else None
 
 

@@ -1,15 +1,16 @@
 """Repeated adversary trials and the empirical loss grid.
 
 Each trial counts ``f/m`` from the merged labels of an accepted input pair
-alone (label rule, ``m = N - 3``).  Trials 0 and 1 of a cell come from
-:func:`~hyf.adversary.draw_labels` on the per-trial stream keyed by
-``(seed, trial)``, and the interval rule recounts both from the generated
-series as a cross-check.  The other trials are drawn and counted in blocks
-of about :data:`BLOCK_LABELS` labels, block ``k`` from the stream keyed by
-``(seed, k)`` (:func:`~hyf.adversary.draw_label_block`).  The block layout
-depends on ``(a+b)T`` alone, so the aggregate depends on the seed and the
-cell, not on the machine or on execution order.  The default boundary mode
-is ``"interior"``: only detections at indices 2..M-2 of each leg enter the
+alone (label rule, ``m = N - 3``), and :func:`label_counts` counts every
+trial.  Trials 0 and 1 of a cell are drawn once each, as series, by
+:func:`~hyf.adversary.generate_inputs` on the stream keyed by ``(seed,
+trial)``, and the interval rule recounts both as a cross-check.  The other
+trials are drawn in blocks of about :data:`BLOCK_LABELS` labels, block
+``k`` from the stream keyed by ``(seed, k)``
+(:func:`~hyf.adversary.draw_label_block`).  The block layout depends on
+``(a+b)T`` alone, so the aggregate depends on the seed and the cell, not
+on the machine or on execution order.  The default boundary mode is
+``"interior"``: only detections at indices 2..M-2 of each leg enter the
 count.
 """
 
@@ -21,13 +22,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .adversary import (
-    AdversaryConfig,
-    draw_label_block,
-    draw_labels,
-    generate_inputs,
-    theoretical_loss,
-)
+from .adversary import AdversaryConfig, draw_label_block, generate_inputs, theoretical_loss
+from .core import merge_labels
 from .errors import DetectorDisagreement
 from .nonextant import detect_interval_rule
 
@@ -80,23 +76,14 @@ class LossTable:
         return [summary for row in self.rows for summary in row]
 
 
-def label_count(is_a: np.ndarray, include_boundary: bool) -> int:
-    """Label-rule ``f`` of an aligned string: same-label triple middles, plus edge
-    fallbacks where labels 0, 2, 3 (or -1, -3, -4) agree or N = 5 labels alternate."""
-    same = is_a[1:] == is_a[:-1]
-    f = int(np.count_nonzero(same[1:] & same[:-1]))
-    if include_boundary:
-        f += int(is_a[2] == is_a[0] == is_a[3]) + int(is_a[-3] == is_a[-1] == is_a[-4])
-        f += int(is_a.size == 5 and is_a[0] == is_a[2] == is_a[4])
-    return f
-
-
 def label_counts(is_a: np.ndarray, sizes: np.ndarray, include_boundary: bool) -> np.ndarray:
-    """:func:`label_count` of each aligned string in the concatenation ``is_a``,
+    """Label-rule ``f`` of each aligned string in the concatenation ``is_a``,
     whose strings have lengths ``sizes`` (each at least 4).
 
-    Every string starts and ends with a mixed pair, so no same-label triple
-    spans two strings and the triple middles need no masking.
+    ``f`` counts same-label triple middles, plus edge fallbacks where labels
+    0, 2, 3 (or -1, -3, -4) agree or N = 5 labels alternate.  Every string
+    starts and ends with a mixed pair, so no same-label triple spans two
+    strings and the triple middles need no masking.
     """
     ends = np.cumsum(sizes)
     starts = ends - sizes
@@ -120,11 +107,11 @@ def run_experiment(
 ) -> TrialSummary:
     """Aggregate the loss ratio over ``runs`` independent trials.
 
-    Trial ``f/m`` is the label count over ``N - 3``.  Trials 0 and 1 are
-    :func:`label_count` of :func:`draw_labels`, recounted by the interval rule
-    (:class:`DetectorDisagreement` on a difference); the rest are
-    :func:`label_counts` of :func:`draw_label_block` blocks.  The sample
-    deviation uses n-1, so ``runs >= 2``; :func:`check_runs` caps it.
+    Trial ``f/m`` is the :func:`label_counts` count over ``N - 3``.  Trials
+    0 and 1 are the merged labels of :func:`generate_inputs`, recounted by
+    the interval rule (:class:`DetectorDisagreement` on a difference); the
+    rest are :func:`draw_label_block` blocks.  The sample deviation uses
+    n-1, so ``runs >= 2``; :func:`check_runs` caps it.
     """
     check_runs(runs)
     if boundary_mode not in _MODES:
@@ -132,9 +119,10 @@ def run_experiment(
     include = boundary_mode == "total"
     losses = np.empty(runs, dtype=float)
     for trial in range(2):
-        _, is_a = draw_labels(config, trial)
-        f, m = label_count(is_a, include), is_a.size - 3
-        report = detect_interval_rule(*generate_inputs(config, trial), include_boundary=include)
+        s1, s2 = generate_inputs(config, trial)
+        is_a = merge_labels(s1, s2).is_a
+        f, m = int(label_counts(is_a, np.array([is_a.size]), include)[0]), is_a.size - 3
+        report = detect_interval_rule(s1, s2, include_boundary=include)
         if (report.f_total, report.m) != (f, m):
             raise DetectorDisagreement(f"label count != interval rule: trial {trial}, {config}")
         losses[trial] = f / m

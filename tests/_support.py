@@ -383,3 +383,15 @@ def aligned_label_strings(n_min: int, n_max: int):
         for first, last in itertools.product((False, True), repeat=2):
             for inner in itertools.product((False, True), repeat=n - 4):
                 yield np.array([first, not first, *inner, not last, last])
+
+
+def label_count(is_a: np.ndarray, include_boundary: bool) -> int:
+    """Reference label-rule ``f`` of one aligned string, by scalar tests:
+    same-label triple middles, plus edge fallbacks where labels 0, 2, 3 (or
+    -1, -3, -4) agree or N = 5 labels alternate."""
+    same = is_a[1:] == is_a[:-1]
+    f = int(np.count_nonzero(same[1:] & same[:-1]))
+    if include_boundary:
+        f += int(is_a[2] == is_a[0] == is_a[3]) + int(is_a[-3] == is_a[-1] == is_a[-4])
+        f += int(is_a.size == 5 and is_a[0] == is_a[2] == is_a[4])
+    return f

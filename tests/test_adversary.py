@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -20,7 +21,8 @@ from hyf import (
     generate_poisson,
     theoretical_loss,
 )
-from hyf.adversary import draw_label_block
+from hyf.adversary import draw_label_block, draw_labels
+from hyf.cli import main
 
 from _support import reference_generate_poisson, two_leg_generate_inputs
 
@@ -222,6 +224,42 @@ class TestDrawLabelBlock:
         with pytest.raises(RejectionBudgetExceeded) as block:
             draw_label_block(config, 0, 10)
         assert str(block.value) == str(per_trial.value)
+
+
+def _sha256(*arrays) -> str:
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+class TestPinnedStreams:
+    """Seeded output is byte-identical across versions: a change that
+    reorders, adds or drops a draw changes these digests."""
+
+    CONFIG = AdversaryConfig(rate_a=1.0, rate_b=0.5, horizon=50.0, seed=1729)
+
+    def test_draw_labels(self):
+        times, is_a = draw_labels(self.CONFIG, 0)
+        assert times.size == 67
+        assert _sha256(times, is_a) == (
+            "45674935f2d0e54d94614b572d12a9f1320e5959de7128c012af7ae8524379b4")
+
+    def test_draw_label_block(self):
+        is_a, sizes = draw_label_block(self.CONFIG, 0, 8)
+        assert sizes.tolist() == [64, 73, 70, 67, 80, 70, 80, 69]
+        assert _sha256(is_a) == (
+            "2ab0c60c733771630a002a5cb655773df985aa97b8868e13fe53a4f42ac6bebc")
+        assert _sha256(sizes.astype("<i8")) == (
+            "346bf58e6408482267544905b8e1eeb4ac91d9b2ae39f989f53a84ea131d7ca3")
+
+    def test_simulate_files(self, tmp_path):
+        prefix = tmp_path / "sim"
+        assert main(["simulate", "--rate-a", "1", "--rate-b", "0.25", "--horizon", "200",
+                     "--seed", "2301", "--out-prefix", str(prefix)]) == 0
+        digests = [hashlib.sha256((tmp_path / f"sim_{leg}.csv").read_bytes()).hexdigest()
+                   for leg in "ab"]
+        assert digests == [
+            "7028af72351fe0a0c10c6d617003025e98f4e65008947b8dda4a4f3fe62b077f",
+            "3d38a543562ecd3c23e79306b2fbec3d17126bd4069794e20b9e69a1a822d9c5",
+        ]
 
 
 class TestAgainstTwoLegReference:

@@ -22,7 +22,6 @@ from hyf import __version__, cli, detect_interval_rule
 from hyf.cli import (
     TickParseError,
     _json_chunks,
-    _json_dumps,
     _read_tick_lines,
     main,
     read_tick_file,
@@ -728,10 +727,10 @@ class TestEntryPoints:
 def _parsed(parse, *args):
     """Arrays as raw bytes (so -0.0 and 0.0 differ), or the error text."""
     try:
-        tick = parse(*args)
+        times, prices = parse(*args)
     except TickParseError as exc:
         return str(exc)
-    return tick.times.tobytes(), tick.prices.tobytes()
+    return times.tobytes(), prices.tobytes()
 
 
 _FIELD = st.one_of(
@@ -802,25 +801,25 @@ class TestJsonOutput:
     @given(obj=_JSON_VALUE)
     @example(obj={"inputs": {"file_a": "[1, 2]", "file_b": "x, y"}, "times": [1.5, float("nan")]})
     def test_matches_indenting_encoder(self, obj):
-        assert _json_dumps(obj) == json.dumps(obj, indent=2)
+        assert "".join(_json_chunks(obj)) == json.dumps(obj, indent=2)
 
     @settings(max_examples=200, deadline=None)
     @given(obj=_JSON_VALUE)
     def test_blocks_of_two_match_indenting_encoder(self, obj):
         # flat lists longer than a block are dumped in several blocks
         with mock.patch.object(cli, "JSON_BLOCK_ITEMS", 2):
-            assert _json_dumps(obj) == json.dumps(obj, indent=2)
+            assert "".join(_json_chunks(obj)) == json.dumps(obj, indent=2)
 
     def test_tuples_match_indenting_encoder(self):
         obj = {"a": (1, 2, 3), "b": [(0.5, None), ()], "c": ((1, [2]),)}
         for block in (1, 2, 4096):
             with mock.patch.object(cli, "JSON_BLOCK_ITEMS", block):
-                assert _json_dumps(obj) == json.dumps(obj, indent=2)
+                assert "".join(_json_chunks(obj)) == json.dumps(obj, indent=2)
 
     def test_repeated_objects_match_indenting_encoder(self):
         times, leg = [1.5, -0.0, 1e300], {"indices": [1, 2], "t": [0.5]}
         obj = {"a": times, "b": [times, {"c": times}], "d": leg, "e": [leg, leg, []]}
-        assert _json_dumps(obj) == json.dumps(obj, indent=2)
+        assert "".join(_json_chunks(obj)) == json.dumps(obj, indent=2)
 
     @pytest.mark.parametrize("boundary", [[], ["--include-boundary"]])
     def test_detect_all_matches_indenting_encoder(self, capsys, monkeypatch, tmp_path, boundary):

@@ -172,6 +172,11 @@ class TestLabelSequence:
         with pytest.raises(NonMonotoneTimes):
             LabelSequence([0, 1, 5, 3, 4], [True, False, True, False, True])
 
+    def test_nan_time_rejected(self):
+        # nan fails every comparison, so it is neither a tie nor a decrease
+        with pytest.raises(ValidationError, match="non-finite time nan at position 1"):
+            LabelSequence([0, np.nan, 2, 3, 4], [1, 0, 1, 0, 1])
+
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_derived_views_match_legs(self, seed):

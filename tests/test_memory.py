@@ -3,11 +3,11 @@
 A fixed-seed pair of about 100k ticks runs through the layers that once
 held whole copies of their input: the tick reader and writer, the
 telescoped grouping, the labelled merge with the label rule, and the
-``--json`` writer.  Each layer's ``tracemalloc`` peak above the memory in
-use when it starts, result included, is bounded as a multiple of the
-bytes of the pair's four arrays (1.6 MB here).  Each bound sits between
-the layer's peak and the peak it had while it held one more whole copy
-of its input, its output or a temporary of their size.
+``--json`` and text-mode writers.  Each layer's ``tracemalloc`` peak above
+the memory in use when it starts, result included, is bounded as a
+multiple of the bytes of the pair's four arrays (1.6 MB here).  Each
+bound sits between the layer's peak and the peak it had while it held one
+more whole copy of its input, its output or a temporary of their size.
 """
 
 import argparse
@@ -88,3 +88,14 @@ def test_json_writer(pair, pair_bytes):
         # one block of a list at a time; the whole document's text is
         # about 0.8 pair bytes, and about as much again while it is encoded
         assert _transient_peak(cli._emit, args, payload, ()) < pair_bytes
+
+
+def test_text_leg_lines(pair, pair_bytes):
+    report = detect_interval_rule(*pair, include_boundary=True)
+    legs = cli._legs_payload(report, *pair)
+    args = argparse.Namespace(json=False)
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        # one block of a list at a time, as in --json (0.38 pair bytes);
+        # a list of every item's text and its joined line took 0.97
+        peak = _transient_peak(lambda: cli._emit(args, {}, cli._leg_lines(legs)))
+    assert peak < 0.6 * pair_bytes

@@ -11,17 +11,19 @@ from hyf import (
     LabelSequence,
     detect_interval_rule,
     detect_label_rule,
+    generate_poisson,
     loss_table,
     run_experiment,
 )
 from hyf.adversary import draw_label_block, draw_labels
-from hyf.montecarlo import label_count, label_counts
+from hyf.montecarlo import label_counts
 
 from _support import (
     aligned_label_strings,
     exact_interior_loss,
     exact_mean_loss,
     expected_label_count,
+    label_count,
     per_trial_experiment,
     split_legs,
 )
@@ -102,8 +104,12 @@ class TestLabelCount:
             times = np.sort(rng.random(is_a.size))
             label = detect_label_rule(LabelSequence(times, is_a), include_boundary=True)
             interval = detect_interval_rule(*split_legs(times, is_a), include_boundary=True)
-            assert label_count(is_a, False) == label.f_interior == interval.f_interior, is_a
-            assert label_count(is_a, True) == label.f_total == interval.f_total, is_a
+            for include, by_label, by_interval in (
+                (False, label.f_interior, interval.f_interior),
+                (True, label.f_total, interval.f_total),
+            ):
+                got = label_counts(is_a, np.array([is_a.size]), include)[0]
+                assert got == label_count(is_a, include) == by_label == by_interval, is_a
             assert label.m == interval.m == is_a.size - 3
             strings += 1
         assert strings == sum(2 ** (n - 2) for n in range(4, 15))
@@ -177,6 +183,27 @@ class TestCrossCheck:
 
         monkeypatch.setattr("hyf.montecarlo.detect_interval_rule", counting)
         run_experiment(quick_config(), runs=10)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("mode", ["interior", "total"])
+    def test_miscounting_label_counts_raises(self, monkeypatch, mode):
+        # the counter of every trial is the one the interval rule checks
+        def skewed(*args, **kwargs):
+            return label_counts(*args, **kwargs) + 1
+
+        monkeypatch.setattr("hyf.montecarlo.label_counts", skewed)
+        with pytest.raises(DetectorDisagreement, match="trial 0, "):
+            run_experiment(quick_config(), runs=2, boundary_mode=mode)
+
+    def test_cross_checked_trials_are_drawn_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return generate_poisson(*args, **kwargs)
+
+        monkeypatch.setattr("hyf.adversary.generate_poisson", counting)
+        run_experiment(quick_config(), runs=2)
         assert len(calls) == 2
 
     @pytest.mark.parametrize("mode", ["interior", "total"])
