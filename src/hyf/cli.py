@@ -428,8 +428,9 @@ def _json_chunks(obj) -> Iterator[str]:
     """The text of ``json.dumps(obj, indent=2)`` in pieces, faster on long lists.
 
     ``json`` runs its C encoder only without ``indent``, so a non-empty list
-    (or tuple) of plain numbers, bools and ``None`` is dumped flat by
-    :func:`_scalar_blocks`.  Dicts with string keys recurse; any other value
+    (or tuple) of plain numbers, bools and ``None``, or a 1-D numeric or bool
+    array, is dumped flat by :func:`_scalar_blocks`; an array is encoded as
+    the list its ``tolist()`` gives.  Dicts with string keys recurse; any other value
     takes the indenting encoder, whose structural newlines are the only raw
     newlines in its output.  No piece holds more than one block or one such
     value, except that a list or dict that ``obj`` holds more than once is
@@ -438,8 +439,15 @@ def _json_chunks(obj) -> Iterator[str]:
     return _encode(obj, "", _repeated(obj), {})
 
 
+def _is_scalar_list(obj) -> bool:
+    """True for a 1-D numeric or bool array and a list or tuple of plain scalars."""
+    if isinstance(obj, np.ndarray):
+        return obj.ndim == 1 and obj.dtype.kind in "biuf"
+    return isinstance(obj, (list, tuple)) and set(map(type, obj)) <= _JSON_SCALARS
+
+
 def _repeated(obj) -> set[int]:
-    """ids of the lists and dicts that ``obj`` holds more than once."""
+    """ids of the lists, arrays and dicts that ``obj`` holds more than once."""
     seen: set[int] = set()
     repeated: set[int] = set()
     stack = [obj]
@@ -447,8 +455,10 @@ def _repeated(obj) -> set[int]:
         item = stack.pop()
         if isinstance(item, dict):
             children = item.values()
+        elif _is_scalar_list(item):
+            children = ()
         elif isinstance(item, (list, tuple)):
-            children = () if set(map(type, item)) <= _JSON_SCALARS else item
+            children = item
         else:
             continue
         if id(item) in seen:
@@ -461,9 +471,16 @@ def _repeated(obj) -> set[int]:
 
 def _scalar_blocks(items, sep: str) -> Iterator[str]:
     """JSON texts of plain scalars joined by ``sep``, in pieces of :data:`JSON_BLOCK_ITEMS`
-    items, each a C-encoder dump split at its ``", "``, which no such scalar holds."""
+    items, each a C-encoder dump split at its ``", "``, which no such scalar holds.
+
+    ``items`` is a list, a tuple or a 1-D array; an array is turned into
+    Python scalars one block at a time.
+    """
     for start in range(0, len(items), JSON_BLOCK_ITEMS):
-        text = json.dumps(items[start:start + JSON_BLOCK_ITEMS])[1:-1].replace(", ", sep)
+        block = items[start:start + JSON_BLOCK_ITEMS]
+        if isinstance(block, np.ndarray):
+            block = block.tolist()
+        text = json.dumps(block)[1:-1].replace(", ", sep)
         yield sep + text if start else text
 
 
@@ -473,21 +490,26 @@ def _encode(obj, pad: str, repeated: set[int], memo: dict) -> Iterator[str]:
         return
     key = (id(obj), pad)
     if key not in memo:
-        memo[key] = "".join(_encode_once(obj, pad, repeated, memo))
-    yield memo[key]
+        # the pieces, not their join, which would hold the text twice
+        memo[key] = list(_encode_once(obj, pad, repeated, memo))
+    yield from memo[key]
 
 
 def _encode_once(obj, pad: str, repeated: set[int], memo: dict) -> Iterator[str]:
     inner = pad + "  "
-    if isinstance(obj, (list, tuple)) and obj:
-        yield "[\n" + inner
-        if set(map(type, obj)) <= _JSON_SCALARS:
+    if _is_scalar_list(obj):
+        if len(obj):
+            yield "[\n" + inner
             yield from _scalar_blocks(obj, ",\n" + inner)
+            yield f"\n{pad}]"
         else:
-            for k, value in enumerate(obj):
-                if k:
-                    yield ",\n" + inner
-                yield from _encode(value, inner, repeated, memo)
+            yield "[]"
+    elif isinstance(obj, (list, tuple)) and obj:
+        yield "[\n" + inner
+        for k, value in enumerate(obj):
+            if k:
+                yield ",\n" + inner
+            yield from _encode(value, inner, repeated, memo)
         yield f"\n{pad}]"
     elif isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
         for k, (key, value) in enumerate(obj.items()):
@@ -509,15 +531,10 @@ def _emit(args, payload: dict, text: Iterable[str]) -> None:
 
 
 def _legs_payload(report: NonextantReport, s1: ObservationSeries, s2: ObservationSeries) -> dict:
+    # arrays, which the writers turn into Python scalars a block at a time
     return {
-        "A": {
-            "indices": report.nonextant_1,
-            "times": s1.times[np.asarray(report.nonextant_1, dtype=np.intp)].tolist(),
-        },
-        "B": {
-            "indices": report.nonextant_2,
-            "times": s2.times[np.asarray(report.nonextant_2, dtype=np.intp)].tolist(),
-        },
+        "A": {"indices": report.nonextant_1, "times": s1.times[report.nonextant_1]},
+        "B": {"indices": report.nonextant_2, "times": s2.times[report.nonextant_2]},
     }
 
 
@@ -557,9 +574,9 @@ def _cmd_estimate(args) -> int:
     terms = telescope_rows(s1, s2)
     results = {
         "covariance": covariance,
-        "overlaps": len(terms.pairs),
-        "raw_terms": len(terms.pairs),
-        "grouped_terms": len(terms.groups),
+        "overlaps": terms.raw_count,
+        "raw_terms": terms.raw_count,
+        "grouped_terms": terms.grouped_count,
     }
     payload = {
         "command": "estimate",

@@ -167,8 +167,11 @@ class LabelSequence:
         object.__setattr__(self, "is_a", is_a)
         if times.size != is_a.size:
             raise LengthMismatch("times and is_a differ in length")
-        if not (times[1:] > times[:-1]).all():
-            # every comparison with nan is false, so nan reaches this branch
+        # every comparison with nan is false, so nan fails the order test,
+        # and an increasing sequence can be infinite only at its two ends
+        ordered = ((times[1:] > times[:-1]).all() and np.isfinite(times[:1]).all()
+                   and np.isfinite(times[-1:]).all())
+        if not ordered:
             finite = np.isfinite(times)
             if not finite.all():
                 k = int(np.argmin(finite))

@@ -38,13 +38,24 @@ class TermList:
     leg-1 intervals ``lo..hi``), axis 1 a column (leg-1 interval
     ``anchor`` against leg-2 intervals ``lo..hi``).  :attr:`raw_terms`
     and :attr:`grouped_terms` hold the term values, one per pair and one
-    per group, computed on first access.
+    per group.  All four are built on first access; :attr:`raw_count`
+    (the overlap count ``m``) and :attr:`grouped_count` are their lengths,
+    known without building them.
     """
 
     s1: ObservationSeries
     s2: ObservationSeries
-    pairs: np.ndarray
-    groups: np.ndarray
+    anchoring: Anchoring
+    raw_count: int
+    grouped_count: int
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        return enumerate_overlaps(self.s1, self.s2).pairs
+
+    @cached_property
+    def groups(self) -> np.ndarray:
+        return _Sweep.of(self.s1, self.s2, self.anchoring).groups()
 
     @cached_property
     def raw_terms(self) -> np.ndarray:
@@ -108,51 +119,82 @@ def hy_covariance(s1: ObservationSeries, s2: ObservationSeries) -> float:
     return covariance
 
 
-def _step_runs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximal runs of the staircase's step types: (type, first step, length).
+def _staircase(s1: ObservationSeries, s2: ObservationSeries) -> tuple[int, np.ndarray, np.ndarray]:
+    """The overlap pairs row by row, without building them: ``(i0, lo, count)``.
 
-    Step ``k`` leads from pair ``k`` to pair ``k + 1``.  Type 0 is a row
-    step ``(i + 1, j)``, type 1 a column step ``(i, j + 1)`` and type 2
-    any other step; one extra type-2 step closes the last pair.  Types
-    are int8; each column's differences are taken and dropped in turn.
+    Row ``r`` holds the ``count[r] >= 1`` pairs ``(i0 + r, lo[r])`` to
+    ``(i0 + r, lo[r] + count[r] - 1)``, and the rows follow each other in
+    staircase order.  Leg 2's intervals tile ``(t2[0], t2[-1]]``, so the
+    leg-1 intervals that meet leg 2 are the consecutive ones that meet
+    that span.
     """
-    kind = np.full(len(pairs), 2, dtype=np.int8)
-    d = np.diff(pairs[:, 0])
-    row, column = d == 1, d == 0
-    del d
-    d = np.diff(pairs[:, 1])
-    row &= d == 0
-    column &= d == 1
-    del d
-    kind[:-1][row] = 0
-    kind[:-1][column] = 1
-    del row, column
-    changes = np.empty(len(pairs), dtype=bool)
-    changes[:1] = True
-    np.not_equal(kind[1:], kind[:-1], out=changes[1:])
-    first = np.flatnonzero(changes)
-    del changes
-    return kind[first], first, np.diff(first, append=len(pairs))
+    t1 = s1.times
+    lo, count = clip_ranges(*overlap_ranges(s2.times, t1[:-1], t1[1:]), s2.n_intervals)
+    met = count > 0
+    if not met.any():
+        return 1, lo[:0], count[:0]
+    a, b = int(np.argmax(met)), met.size - int(np.argmax(met[::-1]))
+    return a + 1, lo[a:b], count[a:b]
 
 
-def _greedy_groups(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Longest-run greedy partition of a staircase into telescoping runs.
+def _turns(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Type of the step out of each row's last pair (int8).
 
-    At each pair take the longer of the row run and the column run that
-    start there (the row on ties, so a lone pair is a row) and continue
-    after it.  A row or column run of ``r`` steps so becomes one group of
-    ``r + 1`` pairs, and the step after it is swallowed as the group's
-    boundary.  A run whose first step was swallowed keeps its other
+    Type 0 is a row step ``(i + 1, j)``, into a next row that starts at the
+    same leg-2 interval; any other step is type 2: a shared timestamp moves
+    the next row on by one interval, and one extra step closes the last row.
+    """
+    turn = np.full(lo.size, 2, dtype=np.int8)
+    last = lo[:-1] + count[:-1]
+    last -= 1
+    turn[:-1][lo[1:] == last] = 0
+    return turn
+
+
+def _step_runs(turn: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs of the staircase's step types: (type, length) per run.
+
+    Step ``k`` leads from pair ``k`` to pair ``k + 1``.  Row ``r``'s pairs
+    are joined by ``count[r] - 1`` column steps ``(i, j + 1)`` (type 1),
+    and then comes the step ``turn[r]`` out of its last pair.  A row's
+    column steps are one run, between two turns; consecutive turns of one
+    type form one run when the rows between them have no column step.
+    """
+    # row r opens a run of its column steps when it has any, then a run of
+    # turns when its turn does not continue the previous row's run
+    wide = count > 1
+    opens = np.empty(turn.size, dtype=bool)
+    opens[:1] = True
+    np.not_equal(turn[1:], turn[:-1], out=opens[1:])
+    opens |= wide
+    slots = np.full((turn.size, 2), -1, dtype=np.int8)
+    slots[wide, 0] = 1
+    slots[opens, 1] = turn[opens]
+    kind = slots[slots >= 0]
+    del slots
+    length = np.empty(kind.size, dtype=np.int64)
+    steps = count[wide]
+    steps -= 1
+    length[kind == 1] = steps
+    del steps
+    # a run of turns lasts until the next row that opens one
+    rows = np.flatnonzero(opens)
+    length[kind != 1] = np.diff(rows, append=turn.size)
+    return kind, length
+
+
+def _swallowed(kind: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Whether the longest-run greedy sweep swallows each run's first step.
+
+    At each pair the sweep takes the longer of the row run and the column
+    run that start there (the row on ties, so a lone pair is a row) and
+    continues after it.  A row or column run of ``r`` steps so becomes one
+    group of ``r + 1`` pairs, and the step after it is swallowed as the
+    group's boundary.  A run whose first step was swallowed keeps its other
     steps; when that was its only step, the next run starts whole, so
     swallowing alternates along a chain of one-step runs.  Every other
-    step left open closes a single-pair group.
-
-    Returns the ``(axis, anchor, lo, hi)`` rows and each group's first
-    pair index.
+    step left open closes a single-pair group.  Returns int8 0/1 per run.
     """
-    if len(pairs) == 0:
-        return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64)
-    kind, first, length = _step_runs(pairs)
     telescoping = kind < 2
     # swallowed[r] is fixed unless run r - 1 is a one-step row or column
     # run; otherwise it flips once per such run since the last fixed one,
@@ -167,34 +209,124 @@ def _greedy_groups(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     swallowed ^= fixed
     del fixed
     swallowed[1::2] ^= 1
-    # from here on each run's first open pair and number of open steps
-    first += swallowed
-    length -= swallowed
-    del swallowed
-    # a row or column run with an open step is one group, from its first
-    # open pair to its last pair; any other run is a one-pair group per
-    # open step
-    axis = np.where(telescoping, kind, 0)
-    span = np.where(telescoping, length, 0)
-    per_run = np.minimum(length, 1, out=length, where=telescoping)
-    del kind, telescoping
-    # group g of run r starts at pair first[r] + g - (groups before run r)
-    first += per_run
-    first -= np.cumsum(per_run)
-    start = np.repeat(first, per_run)
-    del first
-    start += np.arange(start.size)
-    end = np.repeat(span, per_run)
-    del span
-    end += start
-    axis = np.repeat(axis, per_run)
-    del per_run
-    groups = np.empty((start.size, 4), dtype=np.int64)
-    groups[:, 0] = axis
-    groups[:, 1] = pairs[start, 1 - axis]
-    groups[:, 2] = pairs[start, axis]
-    groups[:, 3] = pairs[end, axis]
-    return groups, start
+    return swallowed
+
+
+@dataclass(frozen=True, eq=False)
+class _Sweep:
+    """The staircase the greedy sweep takes, as rows and step runs.
+
+    ``i0``, ``lo`` and ``count`` are :func:`_staircase`'s rows; ``kind``
+    and ``length`` the step runs of the rows the sweep takes, which under
+    ``"alternative"`` anchoring leave out the row of ``column``, the
+    ``(axis, anchor, lo, hi)`` group factored out first, whose first pair
+    is pair ``cut``.
+    """
+
+    i0: int
+    lo: np.ndarray
+    count: np.ndarray
+    kind: np.ndarray
+    length: np.ndarray
+    column: tuple | None = None
+    cut: int = 0
+
+    @classmethod
+    def of(cls, s1: ObservationSeries, s2: ObservationSeries, anchoring: Anchoring) -> "_Sweep":
+        i0, lo, count = _staircase(s1, s2)
+        turn = _turns(lo, count)
+        wide = count > 1
+        if anchoring != "alternative" or not wide.any():
+            return cls(i0, lo, count, *_step_runs(turn, count))
+        # the full column of the first row with a column step (the first
+        # upward corner); the rows on either side of it join with a step
+        # of type 2, as i moves on by two
+        r = int(np.argmax(wide))
+        turn = np.delete(turn, r)
+        turn[r - 1:r] = 2
+        column = (1, i0 + r, int(lo[r]), int(lo[r] + count[r] - 1))
+        runs = _step_runs(turn, np.delete(count, r))
+        return cls(i0, lo, count, *runs, column, int(count[:r].sum()))
+
+    def group_count(self) -> int:
+        """Number of groups, without building them."""
+        kind, length = self.kind, self.length
+        swallowed = _swallowed(kind, length).view(bool)
+        telescoping = kind < 2
+        # one group per row or column run unless its only step was swallowed
+        groups = np.count_nonzero(telescoping) - np.count_nonzero(
+            telescoping & swallowed & (length == 1))
+        # one single-pair group per open step of any other run
+        other = ~telescoping
+        groups += length[other].sum() - np.count_nonzero(swallowed[other])
+        return int(groups) + (self.column is not None)
+
+    def groups(self) -> np.ndarray:
+        """The ``(axis, anchor, lo, hi)`` rows, in sweep order of their first pair."""
+        kind, length = self.kind, self.length.copy()
+        swallowed = _swallowed(kind, length)
+        # each run's first open pair and number of open steps
+        first = np.cumsum(length)
+        first -= length
+        first += swallowed
+        length -= swallowed
+        del swallowed
+        # a row or column run with an open step is one group, from its
+        # first open pair to its last pair; any other run is a one-pair
+        # group per open step
+        telescoping = kind < 2
+        axis = np.where(telescoping, kind, 0)
+        span = np.where(telescoping, length, 0)
+        per_run = np.minimum(length, 1, out=length, where=telescoping)
+        del telescoping
+        # group g of run r starts at pair first[r] + g - (groups before run r)
+        first += per_run
+        first -= np.cumsum(per_run)
+        start = np.repeat(first, per_run)
+        del first
+        start += np.arange(start.size)
+        end = np.repeat(span, per_run)
+        del span
+        end += start
+        axis = np.repeat(axis, per_run)
+        del per_run
+        groups = np.empty((start.size, 4), dtype=np.int64)
+        groups[:, 0] = axis
+        # axis 0 anchors on leg-2 interval j and sweeps i, axis 1 the
+        # other way round
+        row = axis == 0
+        del axis
+        column = ~row
+
+        def put(k: int, on_row: np.ndarray, on_column: np.ndarray) -> None:
+            # no temporary of the whole column, as np.where would make
+            np.copyto(groups[:, k], on_row, where=row)
+            np.copyto(groups[:, k], on_column, where=column)
+
+        i, j = self._pair(start)
+        put(1, j, i)
+        put(2, i, j)
+        del i, j
+        i, j = self._pair(end)
+        put(3, i, j)
+        if self.column is not None:
+            groups = np.insert(groups, np.searchsorted(start, self.cut), self.column, axis=0)
+        return groups
+
+    def _pair(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(i, j)`` of the sweep's pairs ``k``."""
+        if self.column is not None:
+            # the sweep's pairs from the cut on come after the column's
+            _, _, lo, hi = self.column
+            k = k + (k >= self.cut) * (hi - lo + 1)
+        ends = np.cumsum(self.count)
+        row = np.searchsorted(ends, k, side="right")
+        # pair k is the (k - first pair of its row)-th of its row
+        j = k - ends[row]
+        j += self.count[row]
+        j += self.lo[row]
+        row += self.i0
+        return row, j
 
 
 def telescope_rows(
@@ -208,25 +340,13 @@ def telescope_rows(
     ties).  ``"alternative"`` first factors out the full column at the
     first upward corner of the staircase and then sweeps the remainder;
     it generally produces one more group than ``"row"`` and the same
-    total value.  Neither grouping is claimed to be minimal.
+    total value.  Neither grouping is claimed to be minimal.  The terms
+    come back with their counts; pairs and groups are built when read.
     """
     if anchoring not in ("row", "alternative"):
         raise ValueError(f"unknown anchoring {anchoring!r}")
-    pairs = enumerate_overlaps(s1, s2).pairs
-    remainder, column = pairs, None
-    if anchoring == "alternative" and len(pairs):
-        kind, first, length = _step_runs(pairs)
-        corners = np.flatnonzero(kind == 1)
-        if corners.size:
-            a = first[corners[0]]
-            b = a + length[corners[0]] + 1
-            remainder = np.concatenate([pairs[:a], pairs[b:]])
-            column = (1, pairs[a, 0], pairs[a, 1], pairs[b - 1, 1])
-    groups, starts = _greedy_groups(remainder)
-    if column is not None:
-        # present groups in sweep order of their first pair
-        groups = np.insert(groups, np.searchsorted(starts, a), column, axis=0)
-    return TermList(s1, s2, pairs, groups)
+    sweep = _Sweep.of(s1, s2, anchoring)
+    return TermList(s1, s2, anchoring, int(sweep.count.sum()), sweep.group_count())
 
 
 def point_coefficients(series: ObservationSeries, opposite: ObservationSeries) -> np.ndarray:

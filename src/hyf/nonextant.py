@@ -28,7 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelSequence, ObservationSeries, clip_ranges, overlap_ranges, safe_median
+from .core import (
+    LabelSequence,
+    ObservationSeries,
+    _frozen_vector,
+    clip_ranges,
+    overlap_ranges,
+    safe_median,
+)
 from .errors import EmptyPattern, IndexOutOfRange, ValidationError, ZeroOverlaps
 from .estimator import point_coefficients
 
@@ -37,22 +44,31 @@ ORACLE_RELATIVE_TOLERANCE = 1e-12
 _METHODS = ("interval_rule", "label_rule", "oracle")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonextantReport:
-    """Nonextant point indices per leg plus the counts behind the loss."""
+    """Nonextant point indices per leg plus the counts behind the loss.
 
-    nonextant_1: tuple[int, ...]
-    nonextant_2: tuple[int, ...]
+    ``nonextant_1`` and ``nonextant_2`` are ascending read-only int64
+    arrays of 0-based point indices; compare reports with
+    :meth:`same_points`.
+    """
+
+    nonextant_1: np.ndarray
+    nonextant_2: np.ndarray
     f_interior: int
     f_total: int
     m: int
     method: str
 
+    def __post_init__(self) -> None:
+        for name in ("nonextant_1", "nonextant_2"):
+            object.__setattr__(self, name, _frozen_vector(getattr(self, name), np.int64, name))
+
     def same_points(self, other: "NonextantReport") -> bool:
         """True when both reports name identical index sets and counts."""
         return (
-            self.nonextant_1 == other.nonextant_1
-            and self.nonextant_2 == other.nonextant_2
+            np.array_equal(self.nonextant_1, other.nonextant_1)
+            and np.array_equal(self.nonextant_2, other.nonextant_2)
             and self.f_interior == other.f_interior
             and self.f_total == other.f_total
             and self.m == other.m
@@ -79,27 +95,32 @@ class OpenInterval:
 
 
 def _build_report(
-    leg1: tuple[list[int], list[int]],
-    leg2: tuple[list[int], list[int]],
+    leg1: tuple[np.ndarray, np.ndarray],
+    leg2: tuple[np.ndarray, np.ndarray],
     m: int,
     method: str,
     include_boundary: bool,
 ) -> NonextantReport:
-    """Report of each leg's (containment, edge-fallback) index lists, which
+    """Report of each leg's (containment, edge-fallback) index arrays, which
     are ascending and disjoint."""
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
 
-    def indices(leg: tuple[list[int], list[int]]) -> tuple[int, ...]:
-        # merging two ascending runs is linear in sorted()
-        return tuple(sorted(leg[0] + leg[1]) if include_boundary and leg[1] else leg[0])
+    def indices(leg: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        interior, boundary = leg
+        if include_boundary and boundary.size:
+            interior = np.insert(interior, np.searchsorted(interior, boundary), boundary)
+        if interior.flags.owndata:
+            # the report takes a frozen array it owns without a copy
+            interior.flags.writeable = False
+        return interior
 
     nonextant_1, nonextant_2 = indices(leg1), indices(leg2)
     return NonextantReport(
         nonextant_1=nonextant_1,
         nonextant_2=nonextant_2,
         f_interior=len(leg1[0]) + len(leg2[0]),
-        f_total=len(nonextant_1) + len(nonextant_2),
+        f_total=nonextant_1.size + nonextant_2.size,
         m=m,
         method=method,
     )
@@ -126,15 +147,16 @@ def _span_ranges(
     return met, (first == last) & (met == 1)
 
 
-def _rule_side(met: np.ndarray, contained: np.ndarray) -> tuple[list[int], list[int]]:
-    """Nonextant candidates of one leg: (containment, edge-fallback).
+def _rule_side(met: np.ndarray, contained: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonextant candidates of one leg: (containment, edge-fallback) indices.
 
     The second and penultimate points that fail containment fall back to
     the exactly-one-overlap test.
     """
-    edges = sorted({1, contained.size}) if contained.size else []
-    boundary = [j for j in edges if not contained[j - 1] and met[j - 1] == 1]
-    return (np.flatnonzero(contained) + 1).tolist(), boundary
+    edges = np.array(sorted({1, contained.size}) if contained.size else [], dtype=np.int64)
+    at = edges - 1
+    boundary = edges[~contained[at] & (met[at] == 1)]
+    return np.flatnonzero(contained) + 1, boundary
 
 
 def detect_interval_rule(
@@ -156,6 +178,25 @@ def detect_interval_rule(
     return _build_report(leg1, leg2, m, "interval_rule", include_boundary)
 
 
+def _opposite_before(own: np.ndarray) -> np.ndarray:
+    """Number of opposite entries before each own entry of a label mask.
+
+    That is the entry's merge position less the own entries before it;
+    with tie-free legs these are exactly the counts :func:`overlap_ranges`
+    takes from the times.
+    """
+    before = np.flatnonzero(own)
+    before -= np.arange(before.size)
+    return before
+
+
+def _label_side(before: np.ndarray, m_opp: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_rule_side` of one leg from its :func:`_opposite_before` counts."""
+    first, last = before[:-2], before[2:]
+    # equal counts: the own neighbours are adjacent in the merge
+    return _rule_side(clip_ranges(first, last, m_opp)[1], first == last)
+
+
 def detect_label_rule(
     labels: LabelSequence,
     include_boundary: bool = False,
@@ -169,24 +210,15 @@ def detect_label_rule(
     O(n).
     """
     is_a = labels.is_a
-    # the opposite entries before an entry are its merge position less
-    # the own entries before it; with tie-free legs these are exactly the
-    # counts overlap_ranges takes from the times
-    b_before_a = np.flatnonzero(is_a)
-    b_before_a -= np.arange(b_before_a.size)
-    a_before_b = np.flatnonzero(~is_a)
-    a_before_b -= np.arange(a_before_b.size)
-    m_a = b_before_a.size - 1
-    m_b = a_before_b.size - 1
-
-    sides = []
-    for before, m_opp in ((b_before_a, m_b), (a_before_b, m_a)):
-        first, last = before[:-2], before[2:]
-        # equal counts: the own neighbours are adjacent in the merge
-        sides.append(_rule_side(clip_ranges(first, last, m_opp)[1], first == last))
-
-    m = int(clip_ranges(a_before_b[:-1], a_before_b[1:], m_a)[1].sum())
-    return _build_report(sides[0], sides[1], m, "label_rule", include_boundary)
+    m_a = int(np.count_nonzero(is_a)) - 1
+    m_b = is_a.size - m_a - 2
+    # one leg's counts at a time, each freed before the next is made
+    b_before_a = _opposite_before(is_a)
+    m = int(clip_ranges(b_before_a[:-1], b_before_a[1:], m_b)[1].sum())
+    leg_a = _label_side(b_before_a, m_b)
+    del b_before_a
+    leg_b = _label_side(_opposite_before(~is_a), m_a)
+    return _build_report(leg_a, leg_b, m, "label_rule", include_boundary)
 
 
 def count_pattern(labels: LabelSequence | str, pattern: str) -> int:
@@ -228,7 +260,7 @@ def oracle_detect(
         interior[1:-1] = _span_ranges(series, opposite)[1]
         interior &= detected
         boundary = detected & ~interior
-        sides.append((np.flatnonzero(interior).tolist(), np.flatnonzero(boundary).tolist()))
+        sides.append((np.flatnonzero(interior), np.flatnonzero(boundary)))
     m = overlap_count(s1, s2)
     return _build_report(sides[0], sides[1], m, "oracle", include_boundary)
 

@@ -816,6 +816,16 @@ class TestJsonOutput:
             with mock.patch.object(cli, "JSON_BLOCK_ITEMS", block):
                 assert "".join(_json_chunks(obj)) == json.dumps(obj, indent=2)
 
+    def test_arrays_match_indenting_encoder(self):
+        # a 1-D numeric array is encoded as its tolist(), a block at a time
+        times = np.array([1.5, -0.0, 1e300, np.nan, -np.inf, 5e-324])
+        obj = {"i": np.arange(7, dtype=np.int64), "t": times, "e": np.empty(0, dtype=np.int64),
+               "b": np.array([True, False]), "n": [times, {"again": times}, (np.arange(3),)]}
+        for block in (1, 2, 4096):
+            with mock.patch.object(cli, "JSON_BLOCK_ITEMS", block):
+                assert "".join(_json_chunks(obj)) == json.dumps(
+                    obj, indent=2, default=np.ndarray.tolist)
+
     def test_repeated_objects_match_indenting_encoder(self):
         times, leg = [1.5, -0.0, 1e300], {"indices": [1, 2], "t": [0.5]}
         obj = {"a": times, "b": [times, {"c": times}], "d": leg, "e": [leg, leg, []]}
@@ -841,8 +851,9 @@ class TestJsonOutput:
         (payload,) = payloads
         reports = payload["results"]["reports"]
         assert reports[0]["legs"] is reports[1]["legs"] is reports[2]["legs"]
-        assert reports[0]["legs"]["A"]["indices"]
-        assert out == json.dumps(payload, indent=2) + "\n"
+        assert reports[0]["legs"]["A"]["indices"].size
+        # the index and time lists are arrays, encoded as their tolist()
+        assert out == json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
 
     def test_disagreeing_detect_all_matches_indenting_encoder(self, capsys, golden_files):
         code, out, _ = run_cli(capsys, "detect", *golden_files, "--method", "all",
@@ -1141,3 +1152,43 @@ class TestForkedLegs:
                 "('multiprocessing', 'concurrent.futures') if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+def _exit_code_case(case: str, tmp_path, golden_files) -> list[str]:
+    a, b = golden_files
+    if case == "parse":
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time;price\n1,2\n")
+        return ["estimate", a, str(bad)]
+    if case == "validation":
+        tied = tmp_path / "tied.csv"
+        tied.write_text("time,price\n2.0,1.0\n20.0,1.0\n")
+        return ["estimate", a, str(tied)]
+    return {
+        "ok": ["estimate", a, b],
+        "usage": ["simulate", "--horizon", "0", "--out-prefix", str(tmp_path / "x")],
+        # the demo prices zero the oracle coefficient of an extant point
+        "disagreement": ["detect", a, b, "--method", "all", "--include-boundary"],
+        "rejection": ["simulate", "--horizon", "0.001", "--out-prefix", str(tmp_path / "x")],
+    }[case]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case, code, message", [
+        ("ok", 0, ""),
+        ("usage", 1, "hyf: error: horizon must be positive and finite"),
+        ("parse", 2, "hyf: parse error: "),
+        ("validation", 3, "hyf: invalid input: time 2.0 appears in both files"),
+        ("disagreement", 4, "hyf: detectors disagree"),
+        ("rejection", 5, "hyf: no accepted draw in 1000 resamples"),
+    ])
+    def test_each_documented_exit_code(self, capsys, tmp_path, golden_files, case, code, message):
+        got, out, err = run_cli(capsys, *_exit_code_case(case, tmp_path, golden_files))
+        assert got == code
+        assert err.startswith(message)
+        assert "Traceback" not in err
+        if code:
+            # one line naming the failure, and for usage errors a hint
+            assert len(err.splitlines()) == (2 if code == 1 else 1)
+        else:
+            assert err == "" and out.startswith("covariance -30.0\n")

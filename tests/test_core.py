@@ -177,6 +177,20 @@ class TestLabelSequence:
         with pytest.raises(ValidationError, match="non-finite time nan at position 1"):
             LabelSequence([0, np.nan, 2, 3, 4], [1, 0, 1, 0, 1])
 
+    @pytest.mark.parametrize("times, position", [
+        ([0, 1, 2, 3, np.inf], 4),
+        ([-np.inf, 1, 2, 3, 4], 0),
+        ([-np.inf, 1, 2, 3, np.inf], 0),
+    ])
+    def test_infinite_end_time_rejected(self, times, position):
+        # an infinite end passes the order test; the end times are checked too
+        with pytest.raises(ValidationError, match=f"non-finite time .*inf at position {position}"):
+            LabelSequence(times, [1, 0, 1, 0, 1])
+
+    def test_empty_sequence_is_too_few_points(self):
+        with pytest.raises(TooFewPoints):
+            LabelSequence([], [])
+
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_derived_views_match_legs(self, seed):

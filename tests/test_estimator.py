@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hyf import (
     enumerate_overlaps,
     hy_covariance,
+    overlap_count,
     point_coefficients,
     telescope_rows,
     validate_series,
@@ -113,6 +114,19 @@ class TestTelescopeRows:
                 groups = telescope_rows(s1, s2, anchoring=anchoring).groups.tolist()
                 got = [(("row", "col")[axis], *rest) for axis, *rest in groups]
                 assert got == loop_groups(pairs, anchoring)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_counts_match_built_arrays(self, seed):
+        # the counts come without building the pairs or the groups
+        rng = np.random.default_rng(seed)
+        for make_pair in (random_tie_free_pair, random_tied_pair):
+            s1, s2 = make_pair(rng)
+            for anchoring in ("row", "alternative"):
+                terms = telescope_rows(s1, s2, anchoring=anchoring)
+                assert "pairs" not in vars(terms) and "groups" not in vars(terms)
+                assert terms.raw_count == len(terms.pairs) == overlap_count(s1, s2)
+                assert terms.grouped_count == len(terms.groups)
 
 
 class TestCoefficients:

@@ -2,7 +2,8 @@
 
 A fixed-seed pair of about 100k ticks runs through the layers that once
 held whole copies of their input: the tick reader and writer, the
-telescoped grouping, the labelled merge with the label rule, and the
+telescoped grouping and ``estimate``'s counting path, the labelled merge
+with the label rule, ``detect --method all``'s three reports, and the
 ``--json`` and text-mode writers.  Each layer's ``tracemalloc`` peak above
 the memory in use when it starts, result included, is bounded as a
 multiple of the bytes of the pair's four arrays (1.6 MB here).  Each
@@ -20,8 +21,8 @@ import pytest
 
 from hyf import AdversaryConfig, attach_random_walk, generate_inputs, merge_labels
 from hyf import cli
-from hyf.estimator import telescope_rows
-from hyf.nonextant import detect_interval_rule, detect_label_rule
+from hyf.estimator import hy_covariance, telescope_rows
+from hyf.nonextant import detect_interval_rule, detect_label_rule, oracle_detect
 
 
 def _transient_peak(fn, *args) -> int:
@@ -71,8 +72,19 @@ def test_write_tick_file(pair, pair_bytes, tmp_path):
 
 
 def test_telescope_rows(pair, pair_bytes):
-    # the pairs and groups it returns are about 1.7 pair bytes of it
-    assert _transient_peak(telescope_rows, *pair) < 3.5 * pair_bytes
+    # the groups, built from per-interval ranges without the (m, 2) pairs,
+    # peak at 2.8 pair bytes; the pairs alone are one pair byte more
+    assert _transient_peak(lambda: telescope_rows(*pair).groups) < 3.5 * pair_bytes
+
+
+def test_estimate_counts(pair, pair_bytes):
+    def counts():
+        terms = telescope_rows(*pair)
+        return hy_covariance(*pair), terms.raw_count, terms.grouped_count
+
+    # the counts come from per-interval ranges (1.25 pair bytes); the
+    # (m, 2) overlap staircase alone is about one pair byte more
+    assert _transient_peak(counts) < 1.6 * pair_bytes
 
 
 def test_merge_labels_and_detect_label_rule(pair, pair_bytes):
@@ -99,3 +111,24 @@ def test_text_leg_lines(pair, pair_bytes):
         # a list of every item's text and its joined line took 0.97
         peak = _transient_peak(lambda: cli._emit(args, {}, cli._leg_lines(legs)))
     assert peak < 0.6 * pair_bytes
+
+
+def test_detect_all_reports_and_json(pair, pair_bytes):
+    args = argparse.Namespace(json=True)
+
+    def detect_all():
+        reports = [
+            detect_interval_rule(*pair, include_boundary=True),
+            detect_label_rule(merge_labels(*pair), include_boundary=True),
+            oracle_detect(*pair, include_boundary=True),
+        ]
+        legs = cli._legs_payload(reports[0], *pair)
+        payload = {"results": {"reports": [cli._report_payload(r, legs) for r in reports]}}
+        cli._emit(args, payload, ())
+
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        # the index sets and times stay arrays, and the shared legs' text is
+        # kept as its pieces (1.7 pair bytes in all); one list of the 25k
+        # indices as Python ints is another 0.56, and joining the legs'
+        # text once more about 0.5
+        assert _transient_peak(detect_all) < 2.0 * pair_bytes

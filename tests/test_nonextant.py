@@ -40,8 +40,8 @@ def edge_run_pair():
 class TestGoldenDetection:
     def test_interval_rule_with_boundary(self, golden_pair):
         report = detect_interval_rule(*golden_pair, include_boundary=True)
-        assert report.nonextant_1 == (1, 2)
-        assert report.nonextant_2 == (3, 4)
+        assert report.nonextant_1.tolist() == [1, 2]
+        assert report.nonextant_2.tolist() == [3, 4]
         assert report.f_total == 4
         assert report.m == 10
         assert data_loss_ratio(report) == pytest.approx(0.4)
@@ -50,10 +50,19 @@ class TestGoldenDetection:
         report = detect_interval_rule(*golden_pair, include_boundary=False)
         # the terminal edge point of leg B needs the fallback test, the
         # other three pass containment outright
-        assert report.nonextant_1 == (1, 2)
-        assert report.nonextant_2 == (3,)
+        assert report.nonextant_1.tolist() == [1, 2]
+        assert report.nonextant_2.tolist() == [3]
         assert report.f_interior == 3
         assert report.f_total == 3
+
+    def test_index_sets_are_read_only_int64_arrays(self, golden_pair):
+        priced = attach_random_walk(*golden_pair, seed=31)
+        for report in (detect_interval_rule(*golden_pair, include_boundary=True),
+                       detect_label_rule(merge_labels(*golden_pair), include_boundary=True),
+                       oracle_detect(*priced, include_boundary=True)):
+            for indices in (report.nonextant_1, report.nonextant_2):
+                assert indices.dtype == np.int64 and indices.ndim == 1
+                assert not indices.flags.writeable
 
     def test_nonextant_times(self, golden_pair):
         s1, s2 = golden_pair
@@ -83,7 +92,7 @@ class TestGoldenDetection:
         # coefficient of an extant point; this is the accidental-zero case
         # the continuous-values precondition exists for
         report = oracle_detect(*golden_pair, include_boundary=True)
-        assert report.nonextant_2 == (1, 3, 4)
+        assert report.nonextant_2.tolist() == [1, 3, 4]
 
     def test_first_and_last_never_detected(self, golden_pair):
         s1, s2 = golden_pair
@@ -101,8 +110,8 @@ class TestEdgeConfigurations:
         assert interior.f_total == 0
         full = detect_interval_rule(*edge_run_pair, include_boundary=True)
         # frozen from the coefficient oracle: both middle B's cancel
-        assert full.nonextant_1 == ()
-        assert full.nonextant_2 == (1, 2)
+        assert full.nonextant_1.tolist() == []
+        assert full.nonextant_2.tolist() == [1, 2]
 
     def test_edge_run_all_detectors_agree(self, edge_run_pair):
         merged = merge_labels(*edge_run_pair)
