@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObservationSeries
+from .core import ObservationSeries, blocks
 from .errors import NonPositiveRate, RejectionBudgetExceeded
 
 DEFAULT_SEED = 1729
@@ -193,8 +193,11 @@ def draw_label_block(
 def _aligned_labels(rng: np.random.Generator, sizes: np.ndarray, p: float) -> np.ndarray:
     """Concatenated A-labels of aligned strings of lengths ``sizes`` (each 4 or more):
     each label A with probability ``p``, then each string's first and last pair
-    AB or BA by fair coins, all first coins before all last ones."""
-    is_a = rng.random(int(sizes.sum())) < p
+    AB or BA by fair coins, all first coins before all last ones.  The labels'
+    uniforms are drawn a block at a time, which gives the same doubles."""
+    is_a = np.empty(int(sizes.sum()), dtype=bool)
+    for b in blocks(is_a.size):
+        np.less(rng.random(b.stop - b.start), p, out=is_a[b])
     ends = np.cumsum(sizes)
     starts = ends - sizes
     first_a, last_a = rng.random((2, sizes.size)) < 0.5
@@ -221,10 +224,14 @@ def generate_inputs(
     only; :func:`attach_random_walk` fills in continuous prices.
     """
     times, is_a = draw_labels(config, trial)
+    leg_a = times[is_a]
+    leg_b = times[np.logical_not(is_a, out=is_a)]
+    # the merged draw goes before the legs are checked
+    del times, is_a
     legs = []
-    for label, on in (("A", is_a), ("B", ~is_a)):
+    for label, leg in (("A", leg_a), ("B", leg_b)):
         # frozen here, the new arrays are handed over without a copy
-        leg, values = times[on], np.zeros(np.count_nonzero(on))
+        values = np.zeros(leg.size)
         leg.flags.writeable = values.flags.writeable = False
         legs.append(ObservationSeries(leg, values, label))
     return legs[0], legs[1]

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import __version__
 from .adversary import DEFAULT_SEED, AdversaryConfig, attach_random_walk, generate_inputs
+from . import core
 from .core import (
     ObservationSeries,
     first_shared_time,
@@ -170,17 +171,13 @@ def _frozen_columns(times: np.ndarray, prices: np.ndarray) -> tuple[np.ndarray, 
     return times, prices
 
 
-# points formatted into one string per write; a block's text is about
-# 150 kB where a whole 500k-point leg's lists and text are tens of MB
-WRITE_BLOCK_POINTS = 4096
-
-
 def write_tick_file(path: str, series: ObservationSeries) -> None:
+    # one string per block of core.BLOCK_POINTS points (about 300 kB of
+    # text), where a whole 500k-point leg's lists and text are tens of MB
     times, values = series.times, series.values
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("time,price\n")
-        for start in range(0, times.size, WRITE_BLOCK_POINTS):
-            block = slice(start, start + WRITE_BLOCK_POINTS)
+        for block in core.blocks(times.size):
             fh.write("".join([f"{t!r},{p!r}\n"
                               for t, p in zip(times[block].tolist(), values[block].tolist())]))
 
@@ -420,9 +417,6 @@ def _parse_horizons(text: str) -> list[float]:
 
 _JSON_SCALARS = frozenset({int, float, bool, type(None)})
 
-# items of a flat list dumped per C-encoder call
-JSON_BLOCK_ITEMS = 4096
-
 
 def _json_chunks(obj) -> Iterator[str]:
     """The text of ``json.dumps(obj, indent=2)`` in pieces, faster on long lists.
@@ -470,18 +464,25 @@ def _repeated(obj) -> set[int]:
 
 
 def _scalar_blocks(items, sep: str) -> Iterator[str]:
-    """JSON texts of plain scalars joined by ``sep``, in pieces of :data:`JSON_BLOCK_ITEMS`
-    items, each a C-encoder dump split at its ``", "``, which no such scalar holds.
+    """JSON texts of plain scalars joined by ``sep``, in pieces of
+    :data:`hyf.core.BLOCK_POINTS` items, each one C-encoder dump split at its
+    ``", "``, which no such scalar holds.
 
     ``items`` is a list, a tuple or a 1-D array; an array is turned into
-    Python scalars one block at a time.
+    Python scalars one block at a time.  A block of integers or finite
+    floats is dumped by ``repr``, which gives the same text: it writes each
+    item's text into one buffer, where ``json.dumps`` keeps every item's
+    text until it joins them (2.5 times the peak memory).
     """
-    for start in range(0, len(items), JSON_BLOCK_ITEMS):
-        block = items[start:start + JSON_BLOCK_ITEMS]
-        if isinstance(block, np.ndarray):
-            block = block.tolist()
-        text = json.dumps(block)[1:-1].replace(", ", sep)
-        yield sep + text if start else text
+    for block in core.blocks(len(items)):
+        piece, dump = items[block], json.dumps
+        if isinstance(piece, np.ndarray):
+            if piece.dtype.kind in "iu" or (piece.dtype.kind == "f" and np.isfinite(piece).all()):
+                dump = repr
+            piece = piece.tolist()
+        if block.start:
+            yield sep
+        yield dump(piece)[1:-1].replace(", ", sep)
 
 
 def _encode(obj, pad: str, repeated: set[int], memo: dict) -> Iterator[str]:

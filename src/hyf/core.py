@@ -29,6 +29,34 @@ Label = Literal["A", "B"]
 
 _LABELS = ("A", "B")
 
+# points per block of every per-tick kernel: a block's float64 temporary is
+# 64 KiB, under glibc's default 128 KiB mmap threshold, so block temporaries
+# reuse heap memory instead of growing it.  Apart from its inputs and its
+# result, no kernel holds an array larger than one block, except where it
+# needs one whole: the covariance's np.dot operands and the array the
+# oracle's median partitions.
+BLOCK_POINTS = 2**13
+
+
+def blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most :data:`BLOCK_POINTS` that cover ``range(n)``."""
+    step = BLOCK_POINTS
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))
+
+
+def _next(block: slice) -> slice:
+    """``block`` moved on by one: the later ends of the intervals it starts."""
+    return slice(block.start + 1, block.stop + 1)
+
+
+def _first_true(n: int, test) -> int | None:
+    """First ``k < n`` that ``test(block)`` marks True, one block at a time, or None."""
+    for block in blocks(n):
+        hit = test(block)
+        if hit.any():
+            return block.start + int(np.argmax(hit))
+    return None
+
 
 def _frozen_array(data, dtype) -> np.ndarray:
     """``data`` as a read-only array of ``dtype``.
@@ -82,31 +110,31 @@ class ObservationSeries:
             raise LengthMismatch(
                 f"leg {self.label}: {times.size} times vs {values.size} values"
             )
-        # ndarray.all() skips np.all's dispatch, which dominates on short legs
-        if not np.isfinite(times).all():
+        # three passes in this order, each a block at a time; the first
+        # defect of the first pass that finds one is reported
+        n = times.size
+        if _first_true(n, lambda b: ~np.isfinite(times[b])) is not None:
             raise ValidationError(f"leg {self.label}: non-finite observation time")
-        # with two or more points a non-finite value makes an adjacent
-        # increment non-finite too, so one test covers both
+        # a non-finite value makes an adjacent increment non-finite too, so
+        # one test covers both
         with np.errstate(over="ignore", invalid="ignore"):
-            increments = values[1:] - values[:-1]
-            gaps = times[1:] - times[:-1]
-        if not np.isfinite(increments).all():
-            finite = np.isfinite(values)
-            if not finite.all():
-                k = int(np.argmin(finite))
+            k = _first_true(n - 1, lambda b: ~np.isfinite(values[_next(b)] - values[b]))
+        if k is not None:
+            j = _first_true(n, lambda b: ~np.isfinite(values[b]))
+            if j is not None:
                 raise ValidationError(
-                    f"leg {self.label}: non-finite value {float(values[k])!r} at position {k}"
+                    f"leg {self.label}: non-finite value {float(values[j])!r} at position {j}"
                 )
-            k = int(np.argmin(np.isfinite(increments))) + 1
             raise ValidationError(
-                f"leg {self.label}: increment from {float(values[k - 1])!r} to "
-                f"{float(values[k])!r} at position {k} overflows"
+                f"leg {self.label}: increment from {float(values[k])!r} to "
+                f"{float(values[k + 1])!r} at position {k + 1} overflows"
             )
-        if not np.all(gaps > 0):
-            k = int(np.argmax(gaps <= 0)) + 1
+        # between finite times, t[k + 1] - t[k] > 0 exactly when t[k + 1] > t[k]
+        k = _first_true(n - 1, lambda b: times[_next(b)] <= times[b])
+        if k is not None:
             raise NonMonotoneTimes(
-                f"leg {self.label}: time {float(times[k])!r} at position {k} does not "
-                f"increase past {float(times[k - 1])!r}"
+                f"leg {self.label}: time {float(times[k + 1])!r} at position {k + 1} does not "
+                f"increase past {float(times[k])!r}"
             )
 
     @property
@@ -169,19 +197,17 @@ class LabelSequence:
             raise LengthMismatch("times and is_a differ in length")
         # every comparison with nan is false, so nan fails the order test,
         # and an increasing sequence can be infinite only at its two ends
-        ordered = ((times[1:] > times[:-1]).all() and np.isfinite(times[:1]).all()
-                   and np.isfinite(times[-1:]).all())
+        n = times.size
+        ordered = (_first_true(n - 1, lambda b: ~(times[_next(b)] > times[b])) is None
+                   and np.isfinite(times[:1]).all() and np.isfinite(times[-1:]).all())
         if not ordered:
-            finite = np.isfinite(times)
-            if not finite.all():
-                k = int(np.argmin(finite))
+            k = _first_true(n, lambda b: ~np.isfinite(times[b]))
+            if k is not None:
                 raise ValidationError(f"non-finite time {float(times[k])!r} at position {k}")
-            gaps = np.diff(times)
-            if np.any(gaps == 0):
-                k = int(np.argmax(gaps == 0))
+            k = _first_true(n - 1, lambda b: times[_next(b)] == times[b])
+            if k is not None:
                 raise CrossSeriesTie(f"time {float(times[k])!r} appears in both series")
-            if np.any(gaps < 0):
-                raise NonMonotoneTimes("merged entries are not sorted by time")
+            raise NonMonotoneTimes("merged entries are not sorted by time")
         for lab in _LABELS:
             count = self.leg_count(lab)
             if count < 2:
@@ -233,17 +259,17 @@ def merge_labels(s1: ObservationSeries, s2: ObservationSeries) -> LabelSequence:
     if s1.label == s2.label:
         raise ValidationError("series must carry distinct labels")
     t1, t2 = s1.times, s2.times
-    # merge position of each leg-2 time: the leg-1 times up to it, tied
-    # ones included (the order a stable sort gives), plus its own index
-    at = np.searchsorted(t1, t2, side="right")
-    at += np.arange(t2.size)
     from_1 = np.ones(t1.size + t2.size, dtype=bool)
-    from_1[at] = False
     times = np.empty(from_1.size)
-    times[at] = t2
-    del at
+    for b in blocks(t2.size):
+        # merge position of each leg-2 time: the leg-1 times up to it, tied
+        # ones included (the order a stable sort gives), plus its own index
+        at = np.searchsorted(t1, t2[b], side="right")
+        at += np.arange(b.start, b.stop)
+        from_1[at] = False
+        times[at] = t2[b]
     times[from_1] = t1
-    is_a = from_1 if s1.label == "A" else ~from_1
+    is_a = from_1 if s1.label == "A" else np.logical_not(from_1, out=from_1)
     times.flags.writeable = is_a.flags.writeable = False
     return LabelSequence(times, is_a)
 
@@ -293,6 +319,15 @@ def overlap_ranges(
     )
 
 
+def range_blocks(
+    t_opp: np.ndarray, t: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """:func:`overlap_ranges` of the intervals ``(t[k], t[k + 1]]``, a block of
+    ``k`` at a time: ``(block, first, last)``."""
+    for b in blocks(t.size - 1):
+        yield b, *overlap_ranges(t_opp, t[b], t[_next(b)])
+
+
 def clip_ranges(
     first: np.ndarray, last: np.ndarray, m_opp: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -300,10 +335,11 @@ def clip_ranges(
 
     ``lo = max(1, first)`` and ``count = max(0, min(M, last) - lo + 1)``;
     the met intervals are ``lo .. lo + count - 1``, and ``lo - 1`` is
-    always a valid opposite point index.
+    always a valid opposite point index.  ``lo`` and ``count`` are written
+    over ``first`` and ``last``.
     """
-    lo = np.maximum(first, 1)
-    count = np.minimum(last, m_opp)
+    lo = np.maximum(first, 1, out=first)
+    count = np.minimum(last, m_opp, out=last)
     count -= lo
     count += 1
     return lo, np.maximum(count, 0, out=count)
@@ -317,12 +353,17 @@ def safe_median(x: np.ndarray) -> float:
     ``ndarray.mean``, as ``np.median`` does, without ``np.median``'s
     import of ``numpy.ma`` on its first call.
     """
-    half = np.asarray(x, dtype=float) / 2
+    return median_of_halves(np.asarray(x, dtype=float) / 2)
+
+
+def median_of_halves(half: np.ndarray) -> float:
+    """:func:`safe_median` of ``2 * half``, partitioning ``half`` in place."""
     if half.size == 0:
         raise ValueError("median of an empty array")
     mid, odd = divmod(half.size, 2)
-    middle = np.partition(half, mid if odd else (mid - 1, mid))[mid - 1 + odd:mid + 1]
-    return 2 * float(middle.mean())
+    # np.partition is this on a copy
+    half.partition(mid if odd else (mid - 1, mid))
+    return 2 * float(half[mid - 1 + odd:mid + 1].mean())
 
 
 def tie_mask(sorted_a: np.ndarray, b: np.ndarray) -> np.ndarray:

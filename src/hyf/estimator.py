@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
+from typing import Iterator, Literal
 
 import numpy as np
 
-from .core import ObservationSeries, clip_ranges, enumerate_overlaps, overlap_ranges
+from .core import ObservationSeries, blocks, clip_ranges, enumerate_overlaps, range_blocks
 from .errors import ValidationError
 
 Anchoring = Literal["row", "alternative"]
@@ -85,23 +85,32 @@ class TermList:
             return float(self.grouped_terms.sum())
 
 
-def _opposite_sums(series: ObservationSeries, opposite: ObservationSeries) -> np.ndarray:
-    """Telescoped opposite-leg increment sum over each own interval.
+def _sum_blocks(
+    series: ObservationSeries, opposite: ObservationSeries
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Telescoped opposite-leg increment sum over each own interval, a block
+    of intervals at a time: ``(block, sums)``.
 
     The opposite increments over a met range ``lo..hi`` sum to
     ``values[hi] - values[lo - 1]``, which is 0 for an empty range.
     """
-    t = series.times
-    lo, count = clip_ranges(
-        *overlap_ranges(opposite.times, t[:-1], t[1:]), opposite.n_intervals
-    )
-    v = opposite.values
-    # the range's last interval, then the point before its first
-    count += lo
-    count -= 1
-    lo -= 1
-    sums = v[count]
-    sums -= v[lo]
+    v, m_opp = opposite.values, opposite.n_intervals
+    for b, first, last in range_blocks(opposite.times, series.times):
+        lo, count = clip_ranges(first, last, m_opp)
+        # the range's last interval, then the point before its first
+        count += lo
+        count -= 1
+        lo -= 1
+        sums = v[count]
+        sums -= v[lo]
+        yield b, sums
+
+
+def _opposite_sums(series: ObservationSeries, opposite: ObservationSeries) -> np.ndarray:
+    """All of :func:`_sum_blocks`'s sums, in one array."""
+    sums = np.empty(series.n_intervals)
+    for b, part in _sum_blocks(series, opposite):
+        sums[b] = part
     return sums
 
 
@@ -119,71 +128,131 @@ def hy_covariance(s1: ObservationSeries, s2: ObservationSeries) -> float:
     return covariance
 
 
+def _row_blocks(
+    s1: ObservationSeries, s2: ObservationSeries
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The overlap pairs row by row, a block of leg-1 intervals at a time.
+
+    Each block with pairs gives ``(i, lo, count)``: its row ``r`` holds the
+    ``count[r] >= 1`` pairs ``(i + r, lo[r])`` to ``(i + r, lo[r] + count[r] - 1)``,
+    and the rows of all blocks follow each other in staircase order.  Leg
+    2's intervals tile ``(t2[0], t2[-1]]``, so the leg-1 intervals that meet
+    leg 2 are the consecutive ones that meet that span.
+    """
+    m2 = s2.n_intervals
+    for b, first, last in range_blocks(s2.times, s1.times):
+        lo, count = clip_ranges(first, last, m2)
+        met = count > 0
+        if met.any():
+            a, z = int(np.argmax(met)), met.size - int(np.argmax(met[::-1]))
+            yield b.start + a + 1, lo[a:z], count[a:z]
+
+
 def _staircase(s1: ObservationSeries, s2: ObservationSeries) -> tuple[int, np.ndarray, np.ndarray]:
-    """The overlap pairs row by row, without building them: ``(i0, lo, count)``.
-
-    Row ``r`` holds the ``count[r] >= 1`` pairs ``(i0 + r, lo[r])`` to
-    ``(i0 + r, lo[r] + count[r] - 1)``, and the rows follow each other in
-    staircase order.  Leg 2's intervals tile ``(t2[0], t2[-1]]``, so the
-    leg-1 intervals that meet leg 2 are the consecutive ones that meet
-    that span.
-    """
-    t1 = s1.times
-    lo, count = clip_ranges(*overlap_ranges(s2.times, t1[:-1], t1[1:]), s2.n_intervals)
-    met = count > 0
-    if not met.any():
-        return 1, lo[:0], count[:0]
-    a, b = int(np.argmax(met)), met.size - int(np.argmax(met[::-1]))
-    return a + 1, lo[a:b], count[a:b]
+    """All of :func:`_row_blocks`'s rows at once: ``(i0, lo, count)``."""
+    rows = list(_row_blocks(s1, s2))
+    if not rows:
+        return 1, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return rows[0][0], np.concatenate([r[1] for r in rows]), np.concatenate([r[2] for r in rows])
 
 
-def _turns(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Type of the step out of each row's last pair (int8).
-
-    Type 0 is a row step ``(i + 1, j)``, into a next row that starts at the
-    same leg-2 interval; any other step is type 2: a shared timestamp moves
-    the next row on by one interval, and one extra step closes the last row.
-    """
-    turn = np.full(lo.size, 2, dtype=np.int8)
-    last = lo[:-1] + count[:-1]
-    last -= 1
-    turn[:-1][lo[1:] == last] = 0
-    return turn
-
-
-def _step_runs(turn: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maximal runs of the staircase's step types: (type, length) per run.
+class _StepRuns:
+    """Maximal runs of the staircase's step types, from its rows fed in order.
 
     Step ``k`` leads from pair ``k`` to pair ``k + 1``.  Row ``r``'s pairs
     are joined by ``count[r] - 1`` column steps ``(i, j + 1)`` (type 1),
-    and then comes the step ``turn[r]`` out of its last pair.  A row's
-    column steps are one run, between two turns; consecutive turns of one
-    type form one run when the rows between them have no column step.
+    and then comes the step out of its last pair: type 0 is a row step
+    ``(i + 1, j)``, into a next row that starts at the same leg-2 interval;
+    any other step is type 2 (a shared timestamp moves the next row on by
+    one interval, and one extra step closes the last row).  A row's column
+    steps are one run, between two turns; consecutive turns of one type
+    form one run when the rows between them have no column step.
+
+    :meth:`feed` takes the rows a block at a time and :meth:`close` ends
+    them; each returns the ``(type, length)`` of the runs it completed.  A
+    row's turn depends on the next row, so the last row fed is held back,
+    and so is the run of turns still open at the end of a block.  Under
+    ``"alternative"`` anchoring the first row with a column step is taken
+    out as ``column``, the ``(axis, anchor, lo, hi)`` group factored out
+    first, whose first pair is pair ``cut``; the rows on either side of it
+    join with a step of type 2.
     """
-    # row r opens a run of its column steps when it has any, then a run of
-    # turns when its turn does not continue the previous row's run
-    wide = count > 1
-    opens = np.empty(turn.size, dtype=bool)
-    opens[:1] = True
-    np.not_equal(turn[1:], turn[:-1], out=opens[1:])
-    opens |= wide
-    slots = np.full((turn.size, 2), -1, dtype=np.int8)
-    slots[wide, 0] = 1
-    slots[opens, 1] = turn[opens]
-    kind = slots[slots >= 0]
-    del slots
-    length = np.empty(kind.size, dtype=np.int64)
-    steps = count[wide]
-    steps -= 1
-    length[kind == 1] = steps
-    del steps
-    # a run of turns lasts until the next row that opens one
-    rows = np.flatnonzero(opens)
-    length[kind != 1] = np.diff(rows, append=turn.size)
-    return kind, length
+
+    def __init__(self, anchoring: Anchoring) -> None:
+        self.column: tuple | None = None
+        self.cut = 0
+        self._seek = anchoring == "alternative"
+        # (lo, last, count) of the held row; a row whose turn must be type 2
+        # is held with last = 0, where no row starts
+        self._held = (np.empty(0, dtype=np.int64),) * 3
+        self._open = (-1, 0)
+
+    def feed(self, i: int, lo: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Take rows ``i, i + 1, ...`` with ``lo`` and ``count`` (see :func:`_row_blocks`)."""
+        last = lo + count
+        last -= 1
+        if self._seek:
+            wide = np.flatnonzero(count > 1)
+            if wide.size:
+                r = int(wide[0])
+                self.column = (1, i + r, int(lo[r]), int(last[r]))
+                self.cut += int(count[:r].sum())
+                self._seek = False
+                lo, last, count = (np.delete(x, r) for x in (lo, last, count))
+                if r:
+                    last[r - 1] = 0
+                else:
+                    self._held[1][:] = 0
+            else:
+                self.cut += int(count.sum())
+        lo, last, count = (np.concatenate(pair) for pair in zip(self._held, (lo, last, count)))
+        self._held = lo[-1:], last[-1:], count[-1:]
+        turn = np.full(max(lo.size - 1, 0), 2, dtype=np.int8)
+        turn[lo[1:] == last[:-1]] = 0
+        return self._runs(turn, count[:-1])
+
+    def close(self) -> tuple[np.ndarray, np.ndarray]:
+        """End the rows: the held row's turn closes the staircase."""
+        count = self._held[2]
+        kind, length = self._runs(np.full(count.size, 2, dtype=np.int8), count)
+        open_kind, open_length = self._open
+        if open_kind < 0:
+            return kind, length
+        return np.append(kind, np.int8(open_kind)), np.append(length, open_length)
+
+    def _runs(self, turn: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The runs these rows (with their turns) complete; the last run of
+        turns stays open, and rows that open no run extend the one open before."""
+        # row r opens a run of its column steps when it has any, then a run of
+        # turns when its turn does not continue the previous row's run
+        open_kind, open_length = self._open
+        wide = count > 1
+        opens = np.empty(turn.size, dtype=bool)
+        np.not_equal(turn[:1], open_kind, out=opens[:1])
+        np.not_equal(turn[1:], turn[:-1], out=opens[1:])
+        opens |= wide
+        rows = np.flatnonzero(opens)
+        if not rows.size:
+            self._open = open_kind, open_length + turn.size
+            return np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int64)
+        slots = np.full((turn.size, 2), -1, dtype=np.int8)
+        slots[wide, 0] = 1
+        slots[opens, 1] = turn[opens]
+        # the run open before, then every run these rows open
+        kind = np.concatenate([[open_kind], slots[slots >= 0]]).astype(np.int8)
+        length = np.empty(kind.size, dtype=np.int64)
+        length[0] = open_length + rows[0]
+        steps = count[wide]
+        steps -= 1
+        length[1:][kind[1:] == 1] = steps
+        # a run of turns lasts until the next row that opens one
+        length[1:][kind[1:] != 1] = np.diff(rows, append=turn.size)
+        self._open = int(kind[-1]), int(length[-1])
+        done = slice(0 if open_kind >= 0 else 1, -1)
+        return kind[done], length[done]
 
 
-def _swallowed(kind: np.ndarray, length: np.ndarray) -> np.ndarray:
+def _swallowed(kind: np.ndarray, length: np.ndarray, first: int = 0) -> np.ndarray:
     """Whether the longest-run greedy sweep swallows each run's first step.
 
     At each pair the sweep takes the longer of the row run and the column
@@ -193,7 +262,8 @@ def _swallowed(kind: np.ndarray, length: np.ndarray) -> np.ndarray:
     group's boundary.  A run whose first step was swallowed keeps its other
     steps; when that was its only step, the next run starts whole, so
     swallowing alternates along a chain of one-step runs.  Every other
-    step left open closes a single-pair group.  Returns int8 0/1 per run.
+    step left open closes a single-pair group.  ``first`` is whether the
+    first run's first step is swallowed.  Returns int8 0/1 per run.
     """
     telescoping = kind < 2
     # swallowed[r] is fixed unless run r - 1 is a one-step row or column
@@ -202,7 +272,8 @@ def _swallowed(kind: np.ndarray, length: np.ndarray) -> np.ndarray:
     fixed = np.arange(kind.size)
     fixed[1:][telescoping[:-1] & (length[:-1] == 1)] = 0
     np.maximum.accumulate(fixed, out=fixed)
-    swallowed = np.zeros(kind.size, dtype=np.int8)
+    swallowed = np.empty(kind.size, dtype=np.int8)
+    swallowed[:1] = first
     swallowed[1:] = telescoping[:-1]
     swallowed = swallowed[fixed]
     fixed &= 1
@@ -210,6 +281,24 @@ def _swallowed(kind: np.ndarray, length: np.ndarray) -> np.ndarray:
     del fixed
     swallowed[1::2] ^= 1
     return swallowed
+
+
+def _group_count(kind: np.ndarray, length: np.ndarray, first: int) -> tuple[int, int]:
+    """Number of groups that runs ``kind, length`` close, without building them,
+    and whether the step after them is swallowed (``first`` as for :func:`_swallowed`)."""
+    swallowed = _swallowed(kind, length, first).view(bool)
+    telescoping = kind < 2
+    # one group per row or column run unless its only step was swallowed
+    groups = np.count_nonzero(telescoping) - np.count_nonzero(
+        telescoping & swallowed & (length == 1))
+    # one single-pair group per open step of any other run
+    other = ~telescoping
+    groups += length[other].sum() - np.count_nonzero(swallowed[other])
+    if kind.size:
+        # after a one-step row or column run swallowing flips, after any
+        # other run it is whether that run telescopes
+        first = (not swallowed[-1]) if telescoping[-1] and length[-1] == 1 else telescoping[-1]
+    return int(groups), int(first)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,32 +323,9 @@ class _Sweep:
     @classmethod
     def of(cls, s1: ObservationSeries, s2: ObservationSeries, anchoring: Anchoring) -> "_Sweep":
         i0, lo, count = _staircase(s1, s2)
-        turn = _turns(lo, count)
-        wide = count > 1
-        if anchoring != "alternative" or not wide.any():
-            return cls(i0, lo, count, *_step_runs(turn, count))
-        # the full column of the first row with a column step (the first
-        # upward corner); the rows on either side of it join with a step
-        # of type 2, as i moves on by two
-        r = int(np.argmax(wide))
-        turn = np.delete(turn, r)
-        turn[r - 1:r] = 2
-        column = (1, i0 + r, int(lo[r]), int(lo[r] + count[r] - 1))
-        runs = _step_runs(turn, np.delete(count, r))
-        return cls(i0, lo, count, *runs, column, int(count[:r].sum()))
-
-    def group_count(self) -> int:
-        """Number of groups, without building them."""
-        kind, length = self.kind, self.length
-        swallowed = _swallowed(kind, length).view(bool)
-        telescoping = kind < 2
-        # one group per row or column run unless its only step was swallowed
-        groups = np.count_nonzero(telescoping) - np.count_nonzero(
-            telescoping & swallowed & (length == 1))
-        # one single-pair group per open step of any other run
-        other = ~telescoping
-        groups += length[other].sum() - np.count_nonzero(swallowed[other])
-        return int(groups) + (self.column is not None)
+        runs = _StepRuns(anchoring)
+        kind, length = (np.concatenate(x) for x in zip(runs.feed(i0, lo, count), runs.close()))
+        return cls(i0, lo, count, kind, length, runs.column, runs.cut)
 
     def groups(self) -> np.ndarray:
         """The ``(axis, anchor, lo, hi)`` rows, in sweep order of their first pair."""
@@ -345,8 +411,15 @@ def telescope_rows(
     """
     if anchoring not in ("row", "alternative"):
         raise ValueError(f"unknown anchoring {anchoring!r}")
-    sweep = _Sweep.of(s1, s2, anchoring)
-    return TermList(s1, s2, anchoring, int(sweep.count.sum()), sweep.group_count())
+    # the rows a block at a time, each block's runs counted as they close
+    runs = _StepRuns(anchoring)
+    raw = groups = swallowed = 0
+    for i, lo, count in _row_blocks(s1, s2):
+        raw += int(count.sum())
+        closed, swallowed = _group_count(*runs.feed(i, lo, count), swallowed)
+        groups += closed
+    groups += _group_count(*runs.close(), swallowed)[0] + (runs.column is not None)
+    return TermList(s1, s2, anchoring, raw, groups)
 
 
 def point_coefficients(series: ObservationSeries, opposite: ObservationSeries) -> np.ndarray:
@@ -357,10 +430,15 @@ def point_coefficients(series: ObservationSeries, opposite: ObservationSeries) -
     ``series.values[k]``.  Raises :class:`ValidationError` when finite
     prices overflow a coefficient.
     """
+    coeff = np.empty(series.n_points)
+    # the sum over the interval before point k less the one after it; no
+    # interval lies before the first point or after the last
+    before = np.zeros(1)
     with np.errstate(over="ignore", invalid="ignore"):
-        padded = np.concatenate([[0.0], _opposite_sums(series, opposite), [0.0]])
-        coeff = padded[:-1] - padded[1:]
-    if not np.isfinite(coeff).all():
+        for b, sums in _sum_blocks(series, opposite):
+            np.subtract(np.concatenate([before, sums[:-1]]), sums, out=coeff[b])
+            before = sums[-1:]
+        np.subtract(before, 0.0, out=coeff[-1:])
+    if not all(np.isfinite(coeff[b]).all() for b in blocks(coeff.size)):
         raise ValidationError(f"leg {series.label}: a point coefficient overflows")
     return coeff
-

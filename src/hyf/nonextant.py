@@ -4,27 +4,29 @@ A data point is *nonextant* when the estimator's output does not depend
 on its value, i.e. its linear coefficient is zero.  Three independent
 detectors are provided and cross-checked in the test suite:
 
-* interval rule: a point is cancelled when the union of its two adjacent
-  intervals fits inside a single opposite-leg interval; for the second
-  and penultimate point of a leg, where that containment test can fail
-  for pure edge reasons, the fallback is the exactly-one-overlap
-  condition,
+* interval rule: a point is cancelled when its two adjacent intervals
+  meet the same clipped range of opposite-leg intervals (the intervals
+  before a leg's first point and after its last meet nothing); away from
+  the ends of the opposite leg's span this is containment of the union of
+  the two intervals in a single opposite-leg interval,
 * label rule: the same decisions computed purely from the merged A/B
   label sequence (containment = being the middle of a same-label triple),
 * coefficient oracle: direct zero test of the analytic coefficients.
 
-The first and last point of a leg always survive.  Detections are
-classified by which condition fired: ``f_interior`` counts containment
-(triple-middle) detections, ``f_total`` additionally counts the
-edge-fallback detections, which enter the index sets only when
-``include_boundary`` is set.
+On boundary-aligned inputs the first and last point of a leg always
+survive.  Detections are classified by which condition fired:
+``f_interior`` counts containment (triple-middle) detections, ``f_total``
+additionally counts every other detection, which enters the index sets
+only when ``include_boundary`` is set.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -32,9 +34,12 @@ from .core import (
     LabelSequence,
     ObservationSeries,
     _frozen_vector,
+    blocks,
     clip_ranges,
     overlap_ranges,
-    safe_median,
+    median_of_halves,
+    range_blocks,
+    tie_mask,
 )
 from .errors import EmptyPattern, IndexOutOfRange, ValidationError, ZeroOverlaps
 from .estimator import point_coefficients
@@ -101,8 +106,8 @@ def _build_report(
     method: str,
     include_boundary: bool,
 ) -> NonextantReport:
-    """Report of each leg's (containment, edge-fallback) index arrays, which
-    are ascending and disjoint."""
+    """Report of each leg's (containment, other) index arrays, which are
+    ascending and disjoint."""
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
 
@@ -128,35 +133,58 @@ def _build_report(
 
 def overlap_count(s1: ObservationSeries, s2: ObservationSeries) -> int:
     """Number of overlapping interval pairs, without materialising them."""
-    t2 = s2.times
-    first, last = overlap_ranges(s1.times, t2[:-1], t2[1:])
-    return int(clip_ranges(first, last, s1.n_intervals)[1].sum())
+    m1 = s1.n_intervals
+    return sum(int(clip_ranges(first, last, m1)[1].sum())
+               for _, first, last in range_blocks(s1.times, s2.times))
 
 
-def _span_ranges(
-    series: ObservationSeries, opposite: ObservationSeries
-) -> tuple[np.ndarray, np.ndarray]:
-    """Opposite intervals met by, and containment of, each candidate span.
+# a raw range that clips to no interval and contains no span: the range of
+# the intervals before a leg's first point and after its last
+_NOWHERE = np.array([-1])
+_NOWHERE.flags.writeable = False
 
-    Candidate ``j = 1..M-1`` of ``series`` spans ``(t[j-1], t[j+1]]``;
-    returns ``(met, contained)`` with entry ``j - 1`` for candidate ``j``.
+
+def _rule_side(
+    ranges: Iterable[tuple[np.ndarray, np.ndarray]], m_opp: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Nonextant points of one leg: (containment, other) indices and its overlap count.
+
+    ``ranges`` gives the raw :func:`overlap_ranges` ``(first, last)`` of the
+    leg's intervals in order, a block at a time; the opposite leg has
+    ``m_opp`` intervals.  Point ``k`` is nonextant when its two adjacent
+    intervals meet the same clipped opposite range (both none counting as
+    the same).  It is contained when the span of both lies inside one
+    opposite interval: the first interval's ``first`` equals the second's
+    ``last`` and is a valid interval index.  One interval is carried from
+    block to block, and each block's indices are kept until they are
+    joined.
     """
-    t = series.times
-    first, last = overlap_ranges(opposite.times, t[:-2], t[2:])
-    met = clip_ranges(first, last, opposite.n_intervals)[1]
-    return met, (first == last) & (met == 1)
+    contained, other = [], []
+    overlaps = k = 0
+    held = _NOWHERE, _NOWHERE
+    for first, last in itertools.chain(ranges, [held]):
+        first, last = (np.concatenate(pair) for pair in zip(held, (first, last)))
+        held = first[-1:].copy(), last[-1:].copy()
+        inside = first[:-1] == last[1:]
+        inside &= first[:-1] >= 1
+        inside &= first[:-1] <= m_opp
+        lo, count = clip_ranges(first, last, m_opp)
+        overlaps += int(count[1:].sum())
+        # no range met is the same range wherever it would start
+        lo[count == 0] = 0
+        same = lo[:-1] == lo[1:]
+        same &= count[:-1] == count[1:]
+        same &= ~inside
+        contained.append(np.flatnonzero(inside) + k)
+        other.append(np.flatnonzero(same) + k)
+        k += inside.size
+    return np.concatenate(contained), np.concatenate(other), overlaps
 
 
-def _rule_side(met: np.ndarray, contained: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nonextant candidates of one leg: (containment, edge-fallback) indices.
-
-    The second and penultimate points that fail containment fall back to
-    the exactly-one-overlap test.
-    """
-    edges = np.array(sorted({1, contained.size}) if contained.size else [], dtype=np.int64)
-    at = edges - 1
-    boundary = edges[~contained[at] & (met[at] == 1)]
-    return np.flatnonzero(contained) + 1, boundary
+def _interval_side(series: ObservationSeries, opposite: ObservationSeries):
+    """:func:`_rule_side` of ``series`` from its intervals' opposite ranges."""
+    ranges = ((first, last) for _, first, last in range_blocks(opposite.times, series.times))
+    return _rule_side(ranges, opposite.n_intervals)[:2]
 
 
 def detect_interval_rule(
@@ -164,37 +192,40 @@ def detect_interval_rule(
     s2: ObservationSeries,
     include_boundary: bool = False,
 ) -> NonextantReport:
-    """Detect nonextant points of both legs by interval containment.
+    """Detect nonextant points of both legs from their intervals' opposite ranges.
 
-    A point is nonextant when the union of its two adjacent intervals
-    lies inside a single opposite-leg interval.  With
-    ``include_boundary`` the second and penultimate points that fail
-    containment are additionally tested with the exactly-one-overlap
-    fallback, and those extra detections enter the index sets.
+    A point is nonextant when its two adjacent intervals meet the same
+    clipped range of opposite-leg intervals; the intervals before a leg's
+    first point and after its last meet nothing.  Containment of the two
+    intervals' union in one opposite interval is the interior class; the
+    other detections enter the index sets only with ``include_boundary``.
     """
-    leg1 = _rule_side(*_span_ranges(s1, s2))
-    leg2 = _rule_side(*_span_ranges(s2, s1))
+    leg1 = _interval_side(s1, s2)
+    leg2 = _interval_side(s2, s1)
     m = overlap_count(s1, s2)
     return _build_report(leg1, leg2, m, "interval_rule", include_boundary)
 
 
-def _opposite_before(own: np.ndarray) -> np.ndarray:
-    """Number of opposite entries before each own entry of a label mask.
+def _label_ranges(is_a: np.ndarray, own: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Raw opposite ranges of one leg's intervals (leg A's where ``own``) from
+    the A-labels, a block at a time.
 
-    That is the entry's merge position less the own entries before it;
-    with tie-free legs these are exactly the counts :func:`overlap_ranges`
-    takes from the times.
+    The number of opposite entries before an own entry is its merge
+    position less the own entries before it; with tie-free legs these are
+    exactly the counts :func:`overlap_ranges` takes from the times, so own
+    interval ``k`` has ``first`` the count before point ``k - 1`` and
+    ``last`` the count before point ``k``.  One count is carried from block
+    to block.
     """
-    before = np.flatnonzero(own)
-    before -= np.arange(before.size)
-    return before
-
-
-def _label_side(before: np.ndarray, m_opp: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_rule_side` of one leg from its :func:`_opposite_before` counts."""
-    first, last = before[:-2], before[2:]
-    # equal counts: the own neighbours are adjacent in the merge
-    return _rule_side(clip_ranges(first, last, m_opp)[1], first == last)
+    held = np.empty(0, dtype=np.int64)
+    seen = 0
+    for b in blocks(is_a.size):
+        before = np.flatnonzero(is_a[b] == own)
+        before -= np.arange(seen - b.start, seen - b.start + before.size)
+        seen += before.size
+        before = np.concatenate([held, before])
+        held = before[-1:]
+        yield before[:-1], before[1:]
 
 
 def detect_label_rule(
@@ -204,21 +235,18 @@ def detect_label_rule(
     """Detect nonextant points from the merged label sequence alone.
 
     A point is nonextant exactly when its merged-sequence neighbours
-    carry its own label (middle of a same-label triple); second and
-    penultimate points that are not middles fall back to the
-    exactly-one-overlap test, evaluated on merge positions.  Runs in
+    carry its own label (middle of a same-label triple), or, at the ends
+    of the opposite leg's span, when its two adjacent intervals meet the
+    same clipped opposite range, evaluated on merge positions.  Runs in
     O(n).
     """
     is_a = labels.is_a
     m_a = int(np.count_nonzero(is_a)) - 1
     m_b = is_a.size - m_a - 2
-    # one leg's counts at a time, each freed before the next is made
-    b_before_a = _opposite_before(is_a)
-    m = int(clip_ranges(b_before_a[:-1], b_before_a[1:], m_b)[1].sum())
-    leg_a = _label_side(b_before_a, m_b)
-    del b_before_a
-    leg_b = _label_side(_opposite_before(~is_a), m_a)
-    return _build_report(leg_a, leg_b, m, "label_rule", include_boundary)
+    # one leg's counts at a time, a block at a time
+    interior_a, other_a, m = _rule_side(_label_ranges(is_a, True), m_b)
+    leg_b = _rule_side(_label_ranges(is_a, False), m_a)[:2]
+    return _build_report((interior_a, other_a), leg_b, m, "label_rule", include_boundary)
 
 
 def count_pattern(labels: LabelSequence | str, pattern: str) -> int:
@@ -254,13 +282,17 @@ def oracle_detect(
     sides = []
     for series, opposite in ((s1, s2), (s2, s1)):
         coeff = point_coefficients(series, opposite)
-        scale = safe_median(np.abs(opposite.increments))
-        detected = np.abs(coeff) <= ORACLE_RELATIVE_TOLERANCE * scale
-        interior = np.zeros_like(detected)
-        interior[1:-1] = _span_ranges(series, opposite)[1]
-        interior &= detected
-        boundary = detected & ~interior
-        sides.append((np.flatnonzero(interior), np.flatnonzero(boundary)))
+        # safe_median(np.abs(opposite.increments)) from the one array it partitions
+        v = opposite.values
+        half = np.subtract(v[1:], v[:-1])
+        np.abs(half, out=half)
+        half /= 2
+        threshold = ORACLE_RELATIVE_TOLERANCE * median_of_halves(half)
+        del half
+        detected = np.concatenate([np.flatnonzero(np.abs(coeff[b]) <= threshold) + b.start
+                                   for b in blocks(coeff.size)])
+        contained = tie_mask(_interval_side(series, opposite)[0], detected)
+        sides.append((detected[contained], detected[~contained]))
     m = overlap_count(s1, s2)
     return _build_report(sides[0], sides[1], m, "oracle", include_boundary)
 

@@ -213,8 +213,8 @@ def _strictly_increasing(t: np.ndarray) -> bool:
     return bool(np.all(np.diff(t) > 0))
 
 
-def _boundary_aligned(ta: np.ndarray, tb: np.ndarray) -> bool:
-    # first overlap must be (1, 1), last must be (M1, M2)
+def boundary_aligned(ta: np.ndarray, tb: np.ndarray) -> bool:
+    """Whether the first overlapping pair is (1, 1) and the last (M1, M2)."""
     return bool(
         ta[1] > tb[0]
         and ta[0] < tb[1]
@@ -275,7 +275,7 @@ def two_leg_generate_inputs(
             continue
         if first_shared_time(ta, tb) is not None:
             continue
-        if not _boundary_aligned(ta, tb):
+        if not boundary_aligned(ta, tb):
             continue
         return (
             ObservationSeries(ta, np.zeros(ta.size), "A"),
@@ -395,3 +395,160 @@ def label_count(is_a: np.ndarray, include_boundary: bool) -> int:
         f += int(is_a[2] == is_a[0] == is_a[3]) + int(is_a[-3] == is_a[-1] == is_a[-4])
         f += int(is_a.size == 5 and is_a[0] == is_a[2] == is_a[4])
     return f
+
+
+# The full-array versions of the per-tick kernels, as they were before the
+# package ran them a block at a time: each builds its temporaries over a
+# whole leg.  The blocked kernels must give the same bits, counts, index
+# sets and messages.
+
+
+def _full_ranges(t_opp, t, m_opp):
+    """Clipped ``(lo, count)`` of every interval ``(t[k], t[k + 1]]``."""
+    first = np.searchsorted(t_opp, t[:-1], side="right")
+    last = np.searchsorted(t_opp, t[1:], side="left")
+    lo = np.maximum(first, 1)
+    return lo, np.maximum(np.minimum(last, m_opp) - lo + 1, 0)
+
+
+def full_array_covariance(s1: ObservationSeries, s2: ObservationSeries) -> float:
+    lo, count = _full_ranges(s2.times, s1.times, s2.n_intervals)
+    v = s2.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.dot(s1.increments, v[lo + count - 1] - v[lo - 1]))
+
+
+def full_array_overlap_count(s1: ObservationSeries, s2: ObservationSeries) -> int:
+    return int(_full_ranges(s1.times, s2.times, s1.n_intervals)[1].sum())
+
+
+def full_array_counts(s1: ObservationSeries, s2: ObservationSeries, anchoring: str) -> tuple[int, int]:
+    """``(raw_count, grouped_count)`` of ``telescope_rows`` from whole-staircase
+    arrays: the rows, each row's turn, the step runs and the swallowed runs."""
+    lo, count = _full_ranges(s2.times, s1.times, s2.n_intervals)
+    met = count > 0
+    lo, count = lo[met], count[met]
+    turn = np.full(lo.size, 2, dtype=np.int8)
+    turn[:-1][lo[1:] == lo[:-1] + count[:-1] - 1] = 0
+    column = 0
+    wide = count > 1
+    if anchoring == "alternative" and wide.any():
+        r = int(np.argmax(wide))
+        turn = np.delete(turn, r)
+        turn[r - 1:r] = 2
+        rows, column = np.delete(count, r), 1
+    else:
+        rows = count
+    wide = rows > 1
+    opens = np.ones(turn.size, dtype=bool)
+    opens[1:] = turn[1:] != turn[:-1]
+    opens |= wide
+    slots = np.full((turn.size, 2), -1, dtype=np.int8)
+    slots[wide, 0] = 1
+    slots[opens, 1] = turn[opens]
+    kind = slots[slots >= 0]
+    length = np.empty(kind.size, dtype=np.int64)
+    length[kind == 1] = rows[wide] - 1
+    length[kind != 1] = np.diff(np.flatnonzero(opens), append=turn.size)
+    telescoping = kind < 2
+    fixed = np.arange(kind.size)
+    fixed[1:][telescoping[:-1] & (length[:-1] == 1)] = 0
+    np.maximum.accumulate(fixed, out=fixed)
+    swallowed = np.zeros(kind.size, dtype=np.int8)
+    swallowed[1:] = telescoping[:-1]
+    swallowed = (swallowed[fixed] ^ (fixed & 1) ^ (np.arange(kind.size) & 1)).astype(bool)
+    groups = np.count_nonzero(telescoping) - np.count_nonzero(telescoping & swallowed & (length == 1))
+    groups += length[~telescoping].sum() - np.count_nonzero(swallowed[~telescoping])
+    return int(count.sum()), int(groups) + column
+
+
+def _full_rule_side(met, contained):
+    edges = np.array(sorted({1, contained.size}) if contained.size else [], dtype=np.int64)
+    at = edges - 1
+    return np.flatnonzero(contained) + 1, edges[~contained[at] & (met[at] == 1)]
+
+
+def _full_report(leg1, leg2, m, include_boundary):
+    """``(nonextant_1, nonextant_2, f_interior, f_total, m)`` with lists for index sets."""
+    def indices(leg):
+        interior, boundary = leg
+        return sorted([*interior.tolist(), *(boundary.tolist() if include_boundary else [])])
+    n1, n2 = indices(leg1), indices(leg2)
+    return n1, n2, len(leg1[0]) + len(leg2[0]), len(n1) + len(n2), m
+
+
+def full_array_interval_rule(s1, s2, include_boundary: bool):
+    """The interval rule with the second/penultimate exactly-one-overlap fallback,
+    from spans ``(t[j-1], t[j+1]]``; it equals the coefficient oracle on
+    boundary-aligned pairs only."""
+    def side(series, opposite):
+        t = series.times
+        first = np.searchsorted(opposite.times, t[:-2], side="right")
+        last = np.searchsorted(opposite.times, t[2:], side="left")
+        met = np.maximum(np.minimum(last, opposite.n_intervals) - np.maximum(first, 1) + 1, 0)
+        return _full_rule_side(met, (first == last) & (met == 1))
+    return _full_report(side(s1, s2), side(s2, s1), full_array_overlap_count(s1, s2),
+                        include_boundary)
+
+
+def full_array_label_rule(is_a: np.ndarray, include_boundary: bool):
+    """The label rule as :func:`full_array_interval_rule`, from merge positions."""
+    m_a, m_b = int(np.count_nonzero(is_a)) - 1, int(np.count_nonzero(~is_a)) - 1
+
+    def side(own, m_opp):
+        before = np.flatnonzero(own) - np.arange(np.count_nonzero(own))
+        first, last = before[:-2], before[2:]
+        met = np.maximum(np.minimum(last, m_opp) - np.maximum(first, 1) + 1, 0)
+        return _full_rule_side(met, first == last)
+    before_a = np.flatnonzero(is_a) - np.arange(m_a + 1)
+    lo = np.maximum(before_a[:-1], 1)
+    m = int(np.maximum(np.minimum(before_a[1:], m_b) - lo + 1, 0).sum())
+    return _full_report(side(is_a, m_b), side(~is_a, m_a), m, include_boundary)
+
+
+def full_array_merge(s1: ObservationSeries, s2: ObservationSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Merged times and leg-1 flags from every leg-2 merge position at once."""
+    at = np.searchsorted(s1.times, s2.times, side="right") + np.arange(s2.n_points)
+    from_1 = np.ones(s1.n_points + s2.n_points, dtype=bool)
+    from_1[at] = False
+    times = np.empty(from_1.size)
+    times[at] = s2.times
+    times[from_1] = s1.times
+    return times, from_1
+
+
+def full_array_series_error(times, values, label: str) -> str | None:
+    """The message of the first defect the series checks find, from whole-leg
+    increments and gaps (None for a valid leg of two points or more)."""
+    times, values = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
+    if not np.isfinite(times).all():
+        return f"leg {label}: non-finite observation time"
+    with np.errstate(over="ignore", invalid="ignore"):
+        increments = values[1:] - values[:-1]
+        gaps = times[1:] - times[:-1]
+    if not np.isfinite(increments).all():
+        finite = np.isfinite(values)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            return f"leg {label}: non-finite value {float(values[k])!r} at position {k}"
+        k = int(np.argmin(np.isfinite(increments))) + 1
+        return (f"leg {label}: increment from {float(values[k - 1])!r} to "
+                f"{float(values[k])!r} at position {k} overflows")
+    if not np.all(gaps > 0):
+        k = int(np.argmax(gaps <= 0)) + 1
+        return (f"leg {label}: time {float(times[k])!r} at position {k} does not "
+                f"increase past {float(times[k - 1])!r}")
+    return None
+
+
+def full_array_aligned_labels(rng: np.random.Generator, sizes: np.ndarray, p: float) -> np.ndarray:
+    """The aligned label strings with every label's uniform drawn in one call."""
+    is_a = rng.random(int(sizes.sum())) < p
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    first_a, last_a = rng.random((2, sizes.size)) < 0.5
+    is_a[starts] = first_a
+    is_a[starts + 1] = ~first_a
+    is_a[ends - 2] = ~last_a
+    is_a[ends - 1] = last_a
+    return is_a

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyf import __version__, cli, detect_interval_rule
+from hyf import __version__, cli, core, detect_interval_rule
 from hyf.cli import (
     TickParseError,
     _json_chunks,
@@ -281,6 +281,22 @@ class TestDetect:
         assert code == 4
         assert out == GOLDEN_DETECT_ALL_TEXT
         assert err == "hyf: detectors disagree; this indicates a bug\n"
+
+    @pytest.mark.parametrize("boundary", [[], ["--include-boundary"]])
+    def test_unaligned_pair_detectors_agree(self, capsys, tmp_path, boundary):
+        # leg A has three points before leg B's first: A's first two points
+        # cancel (zero coefficients), through the equal-range test alone
+        a = write_csv(tmp_path / "a.csv", [0, 1, 2, 4], [1, 2, 4, 3])
+        b = write_csv(tmp_path / "b.csv", [3, 5], [1, 7])
+        code, out, err = run_cli(capsys, "detect", a, b, "--method", "all", "--json", *boundary)
+        assert (code, err) == (0, "")
+        reports = json.loads(out)["results"]["reports"]
+        assert [r["method"] for r in reports] == ["interval_rule", "label_rule", "oracle"]
+        for report in reports:
+            assert report["legs"]["A"]["indices"] == ([0, 1] if boundary else [])
+            assert report["legs"]["B"]["indices"] == []
+            assert (report["f_interior"], report["f_total"], report["m"]) == (
+                0, 2 if boundary else 0, 1)
 
     def test_agreeing_method_all_text(self, capsys, tmp_path):
         a = write_csv(tmp_path / "a.csv", AGREEING_TIMES_A, [i * i % 7 + 0.5 for i in range(7)])
@@ -807,13 +823,13 @@ class TestJsonOutput:
     @given(obj=_JSON_VALUE)
     def test_blocks_of_two_match_indenting_encoder(self, obj):
         # flat lists longer than a block are dumped in several blocks
-        with mock.patch.object(cli, "JSON_BLOCK_ITEMS", 2):
+        with mock.patch.object(core, "BLOCK_POINTS", 2):
             assert "".join(_json_chunks(obj)) == json.dumps(obj, indent=2)
 
     def test_tuples_match_indenting_encoder(self):
         obj = {"a": (1, 2, 3), "b": [(0.5, None), ()], "c": ((1, [2]),)}
         for block in (1, 2, 4096):
-            with mock.patch.object(cli, "JSON_BLOCK_ITEMS", block):
+            with mock.patch.object(core, "BLOCK_POINTS", block):
                 assert "".join(_json_chunks(obj)) == json.dumps(obj, indent=2)
 
     def test_arrays_match_indenting_encoder(self):
@@ -822,7 +838,7 @@ class TestJsonOutput:
         obj = {"i": np.arange(7, dtype=np.int64), "t": times, "e": np.empty(0, dtype=np.int64),
                "b": np.array([True, False]), "n": [times, {"again": times}, (np.arange(3),)]}
         for block in (1, 2, 4096):
-            with mock.patch.object(cli, "JSON_BLOCK_ITEMS", block):
+            with mock.patch.object(core, "BLOCK_POINTS", block):
                 assert "".join(_json_chunks(obj)) == json.dumps(
                     obj, indent=2, default=np.ndarray.tolist)
 

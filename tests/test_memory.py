@@ -1,4 +1,4 @@
-"""Memory guard: each per-tick layer's transient peak, bounded in pair bytes.
+"""Memory guard: each per-tick layer's transient peak, bounded in pair bytes or blocks.
 
 A fixed-seed pair of about 100k ticks runs through the layers that once
 held whole copies of their input: the tick reader and writer, the
@@ -9,6 +9,12 @@ the memory in use when it starts, result included, is bounded as a
 multiple of the bytes of the pair's four arrays (1.6 MB here).  Each
 bound sits between the layer's peak and the peak it had while it held one
 more whole copy of its input, its output or a temporary of their size.
+
+The blocked kernels hold no temporary larger than one block of
+``core.BLOCK_POINTS`` points.  Their peak above their result (and above
+the arrays the result is computed from, where those must exist whole) is
+bounded by a fixed number of 64 KiB blocks, the same on pairs of about
+50k and 100k ticks; before the kernels were blocked it grew with the pair.
 """
 
 import argparse
@@ -20,27 +26,55 @@ import tracemalloc
 import pytest
 
 from hyf import AdversaryConfig, attach_random_walk, generate_inputs, merge_labels
-from hyf import cli
+from hyf import cli, core
+from hyf.adversary import draw_labels
 from hyf.estimator import hy_covariance, telescope_rows
 from hyf.nonextant import detect_interval_rule, detect_label_rule, oracle_detect
 
 
 def _transient_peak(fn, *args) -> int:
     """Bytes ``fn(*args)`` holds at its peak above what was in use before."""
+    return _peak_and_result(fn, *args)[0]
+
+
+def _peak_and_result(fn, *args):
+    """:func:`_transient_peak` and the result of ``fn(*args)``."""
     gc.collect()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - start
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start, result
     finally:
         tracemalloc.stop()
+
+
+def _blocks(nbytes: int) -> float:
+    """``nbytes`` in blocks of ``core.BLOCK_POINTS`` float64 values."""
+    return nbytes / (core.BLOCK_POINTS * 8)
+
+
+def _report_bytes(report) -> int:
+    return report.nonextant_1.nbytes + report.nonextant_2.nbytes
+
+
+def _owned_bytes(a) -> int:
+    """Bytes of the array ``a`` is, or is a view of."""
+    return (a if a.base is None else a.base).nbytes
 
 
 @pytest.fixture(scope="module")
 def pair():
     s1, s2 = generate_inputs(AdversaryConfig(1.0, 1.0, 50_000.0, seed=1729))
     return attach_random_walk(s1, s2, seed=1729)
+
+
+@pytest.fixture(scope="module", params=[25_000.0, 50_000.0], ids=["50k", "100k"])
+def sized(request):
+    """The config and pair at about 50k and 100k ticks; drawing the pair
+    here also makes the generator's one-time allocations."""
+    config = AdversaryConfig(1.0, 1.0, request.param, seed=1729)
+    return config, attach_random_walk(*generate_inputs(config), seed=1729)
 
 
 @pytest.fixture(scope="module")
@@ -82,13 +116,75 @@ def test_estimate_counts(pair, pair_bytes):
         terms = telescope_rows(*pair)
         return hy_covariance(*pair), terms.raw_count, terms.grouped_count
 
-    # the counts come from per-interval ranges (1.25 pair bytes); the
-    # (m, 2) overlap staircase alone is about one pair byte more
-    assert _transient_peak(counts) < 1.6 * pair_bytes
+    # the covariance's two leg-1 vectors (0.5 pair bytes) and blocks (0.71
+    # in all); the per-interval ranges of a leg alone are 0.5 more
+    assert _transient_peak(counts) < 1.0 * pair_bytes
 
 
 def test_merge_labels_and_detect_label_rule(pair, pair_bytes):
-    assert _transient_peak(lambda: detect_label_rule(merge_labels(*pair))) < 3.2 * pair_bytes
+    # the merged times and labels (0.56 pair bytes), the index sets and
+    # blocks: 0.80; whole-leg before-counts are 0.25 more each
+    assert _transient_peak(lambda: detect_label_rule(merge_labels(*pair))) < 1.0 * pair_bytes
+
+
+def test_detect_interval_rule_blocks(sized):
+    _, pair = sized
+    peak, report = _peak_and_result(detect_interval_rule, *pair, True)
+    # 6.3 blocks; whole-leg ranges took 12 at 50k ticks and 24 at 100k
+    assert _blocks(peak - _report_bytes(report)) < 8
+
+
+def test_merge_labels_and_label_rule_blocks(sized):
+    _, pair = sized
+
+    def label_rule():
+        labels = merge_labels(*pair)
+        return labels, detect_label_rule(labels, include_boundary=True)
+
+    peak, (labels, report) = _peak_and_result(label_rule)
+    held = labels.times.nbytes + labels.is_a.nbytes + _report_bytes(report)
+    # 2.7 blocks; whole-leg positions and before-counts took 8 and 17
+    assert _blocks(peak - held) < 5
+
+
+def test_hy_covariance_blocks(sized):
+    _, (s1, s2) = sized
+    # above the increments and opposite sums its one np.dot takes (one
+    # leg-1 vector each): 5.1 blocks; whole-leg ranges took 9 and 18
+    operands = 2 * 8 * s1.n_intervals
+    assert _blocks(_transient_peak(hy_covariance, s1, s2) - operands) < 6
+
+
+@pytest.mark.parametrize("anchoring", ["row", "alternative"])
+def test_telescope_counts_blocks(sized, anchoring):
+    _, pair = sized
+
+    def counts():
+        terms = telescope_rows(*pair, anchoring)
+        return terms.raw_count, terms.grouped_count
+
+    # 9.7 blocks; whole-staircase rows and runs took 16-19 and 31-37
+    assert _blocks(_transient_peak(counts)) < 12
+
+
+def test_generate_inputs_and_random_walk_blocks(sized):
+    config, _ = sized
+    # the merged draw: its times (as generate_poisson drew them) and labels;
+    # 1.1 blocks, where one uniform per label drawn at once took 6 and 12
+    peak, (times, is_a) = _peak_and_result(draw_labels, config)
+    draw = _owned_bytes(times) + is_a.nbytes
+    del times, is_a
+    assert _blocks(peak - draw) < 3
+    # the legs are split from the draw, which goes before they are checked:
+    # 0.2 blocks above the larger of draw plus legs' times and the result,
+    # where checking whole legs beside the draw took 13 and 27
+    peak, legs = _peak_and_result(generate_inputs, config)
+    leg_times = sum(s.times.nbytes for s in legs)
+    result = leg_times + sum(s.values.nbytes for s in legs)
+    assert _blocks(peak - max(draw + leg_times, result)) < 3
+    # 1.3 blocks above the new values; checking whole legs took 6.5 and 13
+    peak, walk = _peak_and_result(attach_random_walk, *legs, 1729)
+    assert _blocks(peak - sum(s.values.nbytes for s in walk)) < 3
 
 
 def test_json_writer(pair, pair_bytes):

@@ -24,7 +24,17 @@ from hyf import (
 )
 from hyf.nonextant import _build_report
 
-from _support import adversary_instance, naive_pattern_count, random_aligned_labels, split_legs
+from _support import (
+    adversary_instance,
+    boundary_aligned,
+    full_array_interval_rule,
+    full_array_label_rule,
+    naive_pattern_count,
+    random_aligned_labels,
+    random_tie_free_pair,
+    random_tied_pair,
+    split_legs,
+)
 from conftest import GOLDEN_MERGE
 
 
@@ -307,3 +317,56 @@ class TestDetectorEquivalence:
         share = (rate_a / (rate_a + rate_b)) ** 3
         frequency = count_pattern(merged, "AAA") / (merged.n - 2)
         assert frequency == pytest.approx(share, abs=0.01)
+
+
+def _report_tuple(report):
+    return (report.nonextant_1.tolist(), report.nonextant_2.tolist(),
+            report.f_interior, report.f_total, report.m)
+
+
+class TestEqualRangeRule:
+    """A point cancels when its two adjacent intervals meet the same clipped
+    opposite range; this holds on pairs that are not boundary aligned too."""
+
+    def test_three_points_before_the_opposite_leg(self):
+        # A at 0, 1, 2, 4 and B at 3, 5: A's first two points meet nothing on
+        # either side, so their coefficients are zero
+        s1 = validate_series([0, 1, 2, 4], [1.0, 2.0, 4.0, 3.0], "A")
+        s2 = validate_series([3, 5], [1.0, 7.0], "B")
+        reports = [detect_interval_rule(s1, s2, True),
+                   detect_label_rule(merge_labels(s1, s2), True),
+                   oracle_detect(s1, s2, True)]
+        for report in reports:
+            assert _report_tuple(report) == ([0, 1], [], 0, 2, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), include=st.booleans())
+    def test_detectors_agree_on_unaligned_pairs(self, seed, include):
+        rng = np.random.default_rng(seed)
+        s1, s2 = random_tie_free_pair(rng, max_points=9)
+        if boundary_aligned(s1.times, s2.times):
+            return
+        s1 = s1.with_values(rng.standard_normal(s1.n_points))
+        s2 = s2.with_values(rng.standard_normal(s2.n_points))
+        interval = detect_interval_rule(s1, s2, include)
+        assert interval.same_points(detect_label_rule(merge_labels(s1, s2), include))
+        assert interval.same_points(oracle_detect(s1, s2, include))
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), include=st.booleans())
+    def test_interval_rule_equals_oracle_on_tied_pairs(self, seed, include):
+        rng = np.random.default_rng(seed)
+        s1, s2 = random_tied_pair(rng, max_points=9)
+        s1 = s1.with_values(rng.standard_normal(s1.n_points))
+        s2 = s2.with_values(rng.standard_normal(s2.n_points))
+        assert detect_interval_rule(s1, s2, include).same_points(oracle_detect(s1, s2, include))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10**6), include=st.booleans())
+    def test_equals_the_edge_fallback_rule_on_aligned_pairs(self, seed, include):
+        times, is_a = random_aligned_labels(np.random.default_rng(seed))
+        s1, s2 = split_legs(times, is_a)
+        assert _report_tuple(detect_interval_rule(s1, s2, include)) == (
+            full_array_interval_rule(s1, s2, include))
+        assert _report_tuple(detect_label_rule(merge_labels(s1, s2), include)) == (
+            full_array_label_rule(is_a, include))
