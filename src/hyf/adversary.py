@@ -18,6 +18,7 @@ cell once each, as series, and every other trial in label blocks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ DEFAULT_SEED = 1729
 _VALUE_STREAM_KEY = 1 << 32
 
 # substream key of draw_label_block, clear of every trial index (below
-# montecarlo.MAX_RUNS) and of _VALUE_STREAM_KEY
+# 2**32, as _index checks) and of _VALUE_STREAM_KEY
 _BATCH_STREAM_KEY = 1 << 33
 
 # largest expected point count (a+b)·T one draw may ask for; a draw of
@@ -42,6 +43,19 @@ MAX_EXPECTED_POINTS = 1e8
 MAX_RESAMPLES = 1000
 
 _TINY = np.finfo(float).tiny  # keeps a uniform draw inside (0, 1)
+
+
+def _index(value, what: str, bits: int = 32) -> int:
+    """``value`` as a stream-key integer in ``[0, 2**bits)``.
+
+    Raises :class:`ValueError` for anything else, bools and integral
+    floats included, which ``int()`` would otherwise truncate silently.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if not 0 <= value < 2**bits:
+        raise ValueError(f"{what} must be in [0, 2**{bits}), got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -57,6 +71,10 @@ class AdversaryConfig:
         ``(a+b)·T`` at most :data:`MAX_EXPECTED_POINTS`.
     seed : int
         Master seed, a 64-bit unsigned integer.
+
+    Raises :class:`NonPositiveRate` for a rate that is not positive, and
+    :class:`ValueError` for any other field out of range or of the wrong
+    type: the rates and horizon must be real numbers, not bools.
     """
 
     rate_a: float
@@ -65,6 +83,10 @@ class AdversaryConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
+        for name in ("rate_a", "rate_b", "horizon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.rate_a <= 0 or self.rate_b <= 0:
             raise NonPositiveRate(
                 f"rates must be positive, got ({self.rate_a}, {self.rate_b})"
@@ -79,11 +101,7 @@ class AdversaryConfig:
                 f"expected point count (rate_a + rate_b) * horizon = {total * self.horizon:g} "
                 f"exceeds the generator cap of {MAX_EXPECTED_POINTS:g}"
             )
-        # a float or bool seed would be truncated silently by int()
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        _index(self.seed, "seed", 64)
 
 
 def generate_poisson(rate: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
@@ -143,14 +161,16 @@ def draw_labels(config: AdversaryConfig, trial: int = 0) -> tuple[np.ndarray, np
     probability ``pq / 2pq = 1/2``.  Only ``N < 4`` and float ties in the
     times lead to a redraw; ``N >= 4`` gives each leg two points or more.
 
-    Raises :class:`RejectionBudgetExceeded` when none of
+    Raises :class:`ValueError` unless ``trial`` is an integer in
+    ``[0, 2**32)``, and :class:`RejectionBudgetExceeded` when none of
     :data:`MAX_RESAMPLES` draws has four merged points (typically a sign
     that ``rate * horizon`` is too small).
     """
+    trial = _index(trial, "trial")
     p = config.rate_a / (config.rate_a + config.rate_b)
     for attempt in range(MAX_RESAMPLES):
         rng = np.random.default_rng(
-            np.random.SeedSequence([int(config.seed), int(trial), int(attempt)])
+            np.random.SeedSequence([int(config.seed), trial, attempt])
         )
         times = generate_poisson(config.rate_a + config.rate_b, config.horizon, rng)
         if times.size < 4 or not (times[1:] > times[:-1]).all():
@@ -171,11 +191,12 @@ def draw_label_block(
     probability zero, so they are not drawn.  Every draw comes from one
     stream keyed by ``(seed, block)``.
 
-    Raises :class:`RejectionBudgetExceeded` when some pair has no count of
-    four or more in :data:`MAX_RESAMPLES` draws.
+    Raises :class:`ValueError` unless ``block`` is an integer in
+    ``[0, 2**32)``, and :class:`RejectionBudgetExceeded` when some pair has
+    no count of four or more in :data:`MAX_RESAMPLES` draws.
     """
     rng = np.random.default_rng(
-        np.random.SeedSequence([int(config.seed), _BATCH_STREAM_KEY, int(block)])
+        np.random.SeedSequence([int(config.seed), _BATCH_STREAM_KEY, _index(block, "block")])
     )
     expected = (config.rate_a + config.rate_b) * config.horizon
     sizes = rng.poisson(expected, size)
@@ -221,7 +242,8 @@ def generate_inputs(
     """One accepted input pair: :func:`draw_labels` split by label.
 
     Values are zero, as the cancellation structure depends on the times
-    only; :func:`attach_random_walk` fills in continuous prices.
+    only; :func:`attach_random_walk` fills in continuous prices.  Raises
+    what :func:`draw_labels` raises.
     """
     times, is_a = draw_labels(config, trial)
     leg_a = times[is_a]
@@ -243,8 +265,13 @@ def attach_random_walk(
     seed: int,
     trial: int = 0,
 ) -> tuple[ObservationSeries, ObservationSeries]:
-    """Fill both legs with standard-normal random-walk prices."""
-    root = np.random.SeedSequence([int(seed), int(trial), _VALUE_STREAM_KEY])
+    """Fill both legs with standard-normal random-walk prices.
+
+    Raises :class:`ValueError` unless ``seed`` is a 64-bit unsigned
+    integer and ``trial`` an integer in ``[0, 2**32)``.
+    """
+    root = np.random.SeedSequence(
+        [_index(seed, "seed", 64), _index(trial, "trial"), _VALUE_STREAM_KEY])
     child_a, child_b = root.spawn(2)
     legs = []
     for series, child in ((s1, child_a), (s2, child_b)):

@@ -33,8 +33,7 @@ _LABELS = ("A", "B")
 # 64 KiB, under glibc's default 128 KiB mmap threshold, so block temporaries
 # reuse heap memory instead of growing it.  Apart from its inputs and its
 # result, no kernel holds an array larger than one block, except where it
-# needs one whole: the covariance's np.dot operands and the array the
-# oracle's median partitions.
+# needs one whole: the array the oracle's median partitions.
 BLOCK_POINTS = 2**13
 
 
@@ -75,8 +74,14 @@ def _frozen_array(data, dtype) -> np.ndarray:
 
 
 def _frozen_vector(data, dtype, what: str) -> np.ndarray:
-    """:func:`_frozen_array` of ``data``, which must be one-dimensional."""
-    out = _frozen_array(data, dtype)
+    """:func:`_frozen_array` of ``data``, which must be one-dimensional and
+    real; anything else is a :class:`ValidationError`."""
+    try:
+        if np.iscomplexobj(data):
+            raise TypeError("complex values are not allowed")
+        out = _frozen_array(data, dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what}: {exc}") from None
     if out.ndim != 1:
         raise ValidationError(f"{what} must be one-dimensional, got shape {out.shape}")
     return out
@@ -167,10 +172,12 @@ class ObservationSeries:
 def validate_series(times, values, label: Label) -> ObservationSeries:
     """Validate raw arrays and build an :class:`ObservationSeries`.
 
-    Raises :class:`NonMonotoneTimes`, :class:`LengthMismatch`,
-    :class:`TooFewPoints`, or :class:`ValidationError` for arrays that are
-    not one-dimensional or hold non-finite data, when the data cannot form
-    a usable series.
+    Items are converted as ``float()`` converts them, so numeric strings
+    are read as their numbers.  Raises :class:`NonMonotoneTimes`,
+    :class:`LengthMismatch`, :class:`TooFewPoints`, or
+    :class:`ValidationError` for arrays that are not one-dimensional, hold
+    complex numbers or items ``float()`` cannot convert, or hold
+    non-finite data, when the data cannot form a usable series.
     """
     return ObservationSeries(times, values, label)
 
@@ -376,8 +383,8 @@ def tie_mask(sorted_a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def first_shared_time(sorted_a: np.ndarray, sorted_b: np.ndarray):
     """First value of ascending ``sorted_b`` also in ascending ``sorted_a``, or None."""
-    hits = np.flatnonzero(tie_mask(sorted_a, sorted_b))
-    return sorted_b[hits[0]] if hits.size else None
+    k = _first_true(sorted_b.size, lambda b: tie_mask(sorted_a, sorted_b[b]))
+    return None if k is None else sorted_b[k]
 
 
 def enumerate_overlaps(s1: ObservationSeries, s2: ObservationSeries) -> OverlapSet:

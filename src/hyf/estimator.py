@@ -9,19 +9,24 @@ overlapping intervals::
 It is affine in every individual observation value, and grouping the sum
 by a fixed anchor interval telescopes the opposite-leg increments into a
 single endpoint difference; :func:`telescope_rows` returns that grouping
-and the term values as arrays.  Some observations drop out of the
-telescoped form entirely; :mod:`hyf.nonextant` locates them.
+and the term values as arrays.  The pairs step from one to the next
+across the merged events, the distinct times strictly inside the legs'
+common span, so ``m`` is the number of events plus one, and the grouping
+telescopes along the runs of one leg's events.  Some observations drop
+out of the telescoped form entirely; :mod:`hyf.nonextant` locates them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, Literal
 
 import numpy as np
 
-from .core import ObservationSeries, blocks, clip_ranges, enumerate_overlaps, range_blocks
+from .core import ObservationSeries, _next, blocks, clip_ranges, enumerate_overlaps, range_blocks
 from .errors import ValidationError
 
 Anchoring = Literal["row", "alternative"]
@@ -55,7 +60,7 @@ class TermList:
 
     @cached_property
     def groups(self) -> np.ndarray:
-        return _Sweep.of(self.s1, self.s2, self.anchoring).groups()
+        return _groups(self.s1, self.s2, self.anchoring)
 
     @cached_property
     def raw_terms(self) -> np.ndarray:
@@ -106,150 +111,97 @@ def _sum_blocks(
         yield b, sums
 
 
-def _opposite_sums(series: ObservationSeries, opposite: ObservationSeries) -> np.ndarray:
-    """All of :func:`_sum_blocks`'s sums, in one array."""
-    sums = np.empty(series.n_intervals)
-    for b, part in _sum_blocks(series, opposite):
-        sums[b] = part
-    return sums
-
-
 def hy_covariance(s1: ObservationSeries, s2: ObservationSeries) -> float:
     """Evaluate the double sum, telescoped per leg-1 interval.
 
     Each leg-1 increment multiplies the summed leg-2 increments over the
-    intervals it overlaps, so no pair is materialised.  Raises
+    intervals it overlaps, so no pair is materialised.  The result is the
+    correctly rounded sum of these products (``math.fsum``), the same on
+    every machine, BLAS thread count and block size.  Raises
     :class:`ValidationError` when finite prices overflow that sum.
     """
+    v = s1.values
     with np.errstate(over="ignore", invalid="ignore"):
-        covariance = float(np.dot(s1.increments, _opposite_sums(s1, s2)))
-    if not np.isfinite(covariance):
+        products = ((sums * (v[_next(b)] - v[b])).tolist() for b, sums in _sum_blocks(s1, s2))
+        try:
+            covariance = math.fsum(chain.from_iterable(products))
+        except ValueError:  # inf - inf
+            covariance = math.nan
+        except OverflowError:  # a partial sum of finite products
+            raise ValidationError(
+                "covariance is beyond the float range: the price products overflow") from None
+    if not math.isfinite(covariance):
         raise ValidationError(f"covariance is {covariance!r}: the price products overflow")
     return covariance
 
 
-def _row_blocks(
-    s1: ObservationSeries, s2: ObservationSeries
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The overlap pairs row by row, a block of leg-1 intervals at a time.
+def _merged(kind: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Runs ``kind, length`` with the empty ones dropped and neighbours of one kind joined."""
+    keep = length > 0
+    kind, length = kind[keep], length[keep]
+    starts = np.flatnonzero(np.diff(kind, prepend=np.int8(-1)))
+    return kind[starts], np.add.reduceat(length, starts)
 
-    Each block with pairs gives ``(i, lo, count)``: its row ``r`` holds the
-    ``count[r] >= 1`` pairs ``(i + r, lo[r])`` to ``(i + r, lo[r] + count[r] - 1)``,
-    and the rows of all blocks follow each other in staircase order.  Leg
-    2's intervals tile ``(t2[0], t2[-1]]``, so the leg-1 intervals that meet
-    leg 2 are the consecutive ones that meet that span.
+
+def _event_runs(
+    s1: ObservationSeries, s2: ObservationSeries, anchoring: Anchoring = "row"
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """The staircase's step runs as the greedy sweep takes them, a block of
+    leg-2 points at a time: ``(kind, length, taken)``.
+
+    Step ``k`` leads from overlap pair ``k`` to pair ``k + 1`` across one
+    event, a distinct merged time strictly inside the common span
+    ``(max(t1[0], t2[0]), min(t1[-1], t2[-1]))``: a leg-1 time alone is a
+    row step ``(i + 1, j)`` (kind 0), a leg-2 time alone a column step
+    ``(i, j + 1)`` (kind 1), and a time of both legs moves both (kind 2).
+    One closing kind-2 step ends the last pair, so ``m`` is the number of
+    events plus one.  The runs are the run-length code of the kinds in
+    time order; the leg-1 points between two leg-2 points are one kind-0
+    run.  The last two runs are held back until later events end them.
+
+    Under ``"alternative"`` anchoring the first kind-1 run goes with its
+    row, with the step into the row and the step out of it; unless the
+    row came first, one kind-2 step joins the pairs on either side.  The
+    block where this happens gives the number of pairs that went as
+    ``taken``, and a kind-2 run may then come in two parts, which count
+    as one.
     """
-    m2 = s2.n_intervals
-    for b, first, last in range_blocks(s2.times, s1.times):
-        lo, count = clip_ranges(first, last, m2)
-        met = count > 0
-        if met.any():
-            a, z = int(np.argmax(met)), met.size - int(np.argmax(met[::-1]))
-            yield b.start + a + 1, lo[a:z], count[a:z]
-
-
-def _staircase(s1: ObservationSeries, s2: ObservationSeries) -> tuple[int, np.ndarray, np.ndarray]:
-    """All of :func:`_row_blocks`'s rows at once: ``(i0, lo, count)``."""
-    rows = list(_row_blocks(s1, s2))
-    if not rows:
-        return 1, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return rows[0][0], np.concatenate([r[1] for r in rows]), np.concatenate([r[2] for r in rows])
-
-
-class _StepRuns:
-    """Maximal runs of the staircase's step types, from its rows fed in order.
-
-    Step ``k`` leads from pair ``k`` to pair ``k + 1``.  Row ``r``'s pairs
-    are joined by ``count[r] - 1`` column steps ``(i, j + 1)`` (type 1),
-    and then comes the step out of its last pair: type 0 is a row step
-    ``(i + 1, j)``, into a next row that starts at the same leg-2 interval;
-    any other step is type 2 (a shared timestamp moves the next row on by
-    one interval, and one extra step closes the last row).  A row's column
-    steps are one run, between two turns; consecutive turns of one type
-    form one run when the rows between them have no column step.
-
-    :meth:`feed` takes the rows a block at a time and :meth:`close` ends
-    them; each returns the ``(type, length)`` of the runs it completed.  A
-    row's turn depends on the next row, so the last row fed is held back,
-    and so is the run of turns still open at the end of a block.  Under
-    ``"alternative"`` anchoring the first row with a column step is taken
-    out as ``column``, the ``(axis, anchor, lo, hi)`` group factored out
-    first, whose first pair is pair ``cut``; the rows on either side of it
-    join with a step of type 2.
-    """
-
-    def __init__(self, anchoring: Anchoring) -> None:
-        self.column: tuple | None = None
-        self.cut = 0
-        self._seek = anchoring == "alternative"
-        # (lo, last, count) of the held row; a row whose turn must be type 2
-        # is held with last = 0, where no row starts
-        self._held = (np.empty(0, dtype=np.int64),) * 3
-        self._open = (-1, 0)
-
-    def feed(self, i: int, lo: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Take rows ``i, i + 1, ...`` with ``lo`` and ``count`` (see :func:`_row_blocks`)."""
-        last = lo + count
-        last -= 1
-        if self._seek:
-            wide = np.flatnonzero(count > 1)
-            if wide.size:
-                r = int(wide[0])
-                self.column = (1, i + r, int(lo[r]), int(last[r]))
-                self.cut += int(count[:r].sum())
-                self._seek = False
-                lo, last, count = (np.delete(x, r) for x in (lo, last, count))
-                if r:
-                    last[r - 1] = 0
-                else:
-                    self._held[1][:] = 0
-            else:
-                self.cut += int(count.sum())
-        lo, last, count = (np.concatenate(pair) for pair in zip(self._held, (lo, last, count)))
-        self._held = lo[-1:], last[-1:], count[-1:]
-        turn = np.full(max(lo.size - 1, 0), 2, dtype=np.int8)
-        turn[lo[1:] == last[:-1]] = 0
-        return self._runs(turn, count[:-1])
-
-    def close(self) -> tuple[np.ndarray, np.ndarray]:
-        """End the rows: the held row's turn closes the staircase."""
-        count = self._held[2]
-        kind, length = self._runs(np.full(count.size, 2, dtype=np.int8), count)
-        open_kind, open_length = self._open
-        if open_kind < 0:
-            return kind, length
-        return np.append(kind, np.int8(open_kind)), np.append(length, open_length)
-
-    def _runs(self, turn: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The runs these rows (with their turns) complete; the last run of
-        turns stays open, and rows that open no run extend the one open before."""
-        # row r opens a run of its column steps when it has any, then a run of
-        # turns when its turn does not continue the previous row's run
-        open_kind, open_length = self._open
-        wide = count > 1
-        opens = np.empty(turn.size, dtype=bool)
-        np.not_equal(turn[:1], open_kind, out=opens[:1])
-        np.not_equal(turn[1:], turn[:-1], out=opens[1:])
-        opens |= wide
-        rows = np.flatnonzero(opens)
-        if not rows.size:
-            self._open = open_kind, open_length + turn.size
-            return np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int64)
-        slots = np.full((turn.size, 2), -1, dtype=np.int8)
-        slots[wide, 0] = 1
-        slots[opens, 1] = turn[opens]
-        # the run open before, then every run these rows open
-        kind = np.concatenate([[open_kind], slots[slots >= 0]]).astype(np.int8)
-        length = np.empty(kind.size, dtype=np.int64)
-        length[0] = open_length + rows[0]
-        steps = count[wide]
-        steps -= 1
-        length[1:][kind[1:] == 1] = steps
-        # a run of turns lasts until the next row that opens one
-        length[1:][kind[1:] != 1] = np.diff(rows, append=turn.size)
-        self._open = int(kind[-1]), int(length[-1])
-        done = slice(0 if open_kind >= 0 else 1, -1)
-        return kind[done], length[done]
+    t1, t2 = s1.times, s2.times
+    start, stop = max(t1[0], t2[0]), min(t1[-1], t2[-1])
+    if not start < stop:
+        yield np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int64), 0
+        return
+    inside = t2[np.searchsorted(t2, start, side="right"):np.searchsorted(t2, stop, side="left")]
+    # the held runs, and the leg-1 points up to the last event so far
+    held, passed = ((0, 0), (0, 0)), int(np.searchsorted(t1, start, side="right"))
+    seek = anchoring == "alternative"
+    # the leg-2 events, then the closing one at the span's end
+    for b in blocks(inside.size + 1):
+        closing = b.stop > inside.size
+        t = np.append(inside[b], stop) if closing else inside[b]
+        pos = np.searchsorted(t1, t)
+        tie = t1[pos] == t
+        tie[-1] |= closing
+        # the held runs, then per event a kind-0 run of the leg-1 points
+        # since the event before, and the event
+        kind = np.zeros(2 * t.size + 2, dtype=np.int8)
+        length = np.ones(2 * t.size + 2, dtype=np.int64)
+        kind[:2], length[:2] = held
+        kind[3::2] = tie + 1
+        length[2::2] = pos - np.append(passed, pos[:-1] + tie[:-1])
+        passed = int(pos[-1] + tie[-1])
+        del t, pos, tie
+        kind, length = _merged(kind, length)
+        r, taken = int(np.argmax(kind == 1)), 0
+        if seek and kind[r] == 1 and r + 1 < kind.size:
+            seek, taken = False, int(length[r]) + 1
+            length[r + 1] -= 1
+            length[r - 1] -= r > 0
+            kind[r], length[r] = 2, r > 0
+            kind, length = _merged(kind, length)
+        n = kind.size if closing else max(kind.size - 2, 0)
+        yield kind[:n], length[:n], taken
+        held = tuple(np.pad(x[n:], (2 - x.size + n, 0)) for x in (kind, length))
 
 
 def _swallowed(kind: np.ndarray, length: np.ndarray, first: int = 0) -> np.ndarray:
@@ -301,98 +253,55 @@ def _group_count(kind: np.ndarray, length: np.ndarray, first: int) -> tuple[int,
     return int(groups), int(first)
 
 
-@dataclass(frozen=True, eq=False)
-class _Sweep:
-    """The staircase the greedy sweep takes, as rows and step runs.
+def _groups(s1: ObservationSeries, s2: ObservationSeries, anchoring: Anchoring) -> np.ndarray:
+    """:attr:`TermList.groups`, from all the runs at once.
 
-    ``i0``, ``lo`` and ``count`` are :func:`_staircase`'s rows; ``kind``
-    and ``length`` the step runs of the rows the sweep takes, which under
-    ``"alternative"`` anchoring leave out the row of ``column``, the
-    ``(axis, anchor, lo, hi)`` group factored out first, whose first pair
-    is pair ``cut``.
+    Pair ``k`` is the first pair moved on by the ``k`` steps before it.
+    Under ``"alternative"`` anchoring the sweep's pairs from the left-out
+    column's first pair on come after the column's, and the column comes
+    before the first group that starts there.
     """
+    def runs(anchoring: Anchoring) -> tuple[np.ndarray, np.ndarray, int]:
+        kind, length, taken = zip(*_event_runs(s1, s2, anchoring))
+        return np.concatenate(kind), np.concatenate(length), sum(taken)
 
-    i0: int
-    lo: np.ndarray
-    count: np.ndarray
-    kind: np.ndarray
-    length: np.ndarray
-    column: tuple | None = None
-    cut: int = 0
+    (steps, step_length, _), (kind, length, taken) = runs("row"), runs(anchoring)
+    first_time = max(s1.times[0], s2.times[0])
+    first_pair = [int(np.searchsorted(s.times, first_time, side="right")) for s in (s1, s2)]
+    ends = np.cumsum(step_length)
 
-    @classmethod
-    def of(cls, s1: ObservationSeries, s2: ObservationSeries, anchoring: Anchoring) -> "_Sweep":
-        i0, lo, count = _staircase(s1, s2)
-        runs = _StepRuns(anchoring)
-        kind, length = (np.concatenate(x) for x in zip(runs.feed(i0, lo, count), runs.close()))
-        return cls(i0, lo, count, kind, length, runs.column, runs.cut)
+    def pair(k: np.ndarray) -> list[np.ndarray]:
+        r = np.searchsorted(ends, k, side="right")
+        # the steps of run r still ahead of pair k
+        ahead = ends[r] - k
+        # i moves on the steps of kinds 0 and 2, j on those of kinds 1 and 2
+        return [first + np.cumsum(step_length * moves)[r] - ahead * moves[r]
+                for first, moves in zip(first_pair, (steps != 1, steps != 0))]
 
-    def groups(self) -> np.ndarray:
-        """The ``(axis, anchor, lo, hi)`` rows, in sweep order of their first pair."""
-        kind, length = self.kind, self.length.copy()
-        swallowed = _swallowed(kind, length)
-        # each run's first open pair and number of open steps
-        first = np.cumsum(length)
-        first -= length
-        first += swallowed
-        length -= swallowed
-        del swallowed
-        # a row or column run with an open step is one group, from its
-        # first open pair to its last pair; any other run is a one-pair
-        # group per open step
-        telescoping = kind < 2
-        axis = np.where(telescoping, kind, 0)
-        span = np.where(telescoping, length, 0)
-        per_run = np.minimum(length, 1, out=length, where=telescoping)
-        del telescoping
-        # group g of run r starts at pair first[r] + g - (groups before run r)
-        first += per_run
-        first -= np.cumsum(per_run)
-        start = np.repeat(first, per_run)
-        del first
-        start += np.arange(start.size)
-        end = np.repeat(span, per_run)
-        del span
-        end += start
-        axis = np.repeat(axis, per_run)
-        del per_run
-        groups = np.empty((start.size, 4), dtype=np.int64)
-        groups[:, 0] = axis
-        # axis 0 anchors on leg-2 interval j and sweeps i, axis 1 the
-        # other way round
-        row = axis == 0
-        del axis
-        column = ~row
-
-        def put(k: int, on_row: np.ndarray, on_column: np.ndarray) -> None:
-            # no temporary of the whole column, as np.where would make
-            np.copyto(groups[:, k], on_row, where=row)
-            np.copyto(groups[:, k], on_column, where=column)
-
-        i, j = self._pair(start)
-        put(1, j, i)
-        put(2, i, j)
-        del i, j
-        i, j = self._pair(end)
-        put(3, i, j)
-        if self.column is not None:
-            groups = np.insert(groups, np.searchsorted(start, self.cut), self.column, axis=0)
-        return groups
-
-    def _pair(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(i, j)`` of the sweep's pairs ``k``."""
-        if self.column is not None:
-            # the sweep's pairs from the cut on come after the column's
-            _, _, lo, hi = self.column
-            k = k + (k >= self.cut) * (hi - lo + 1)
-        ends = np.cumsum(self.count)
-        row = np.searchsorted(ends, k, side="right")
-        # pair k is the (k - first pair of its row)-th of its row
-        j = k - ends[row]
-        j += self.count[row]
-        j += self.lo[row]
-        row += self.i0
-        return row, j
+    # the pairs before the first kind-1 run, and those the sweep leaves out
+    ones = np.flatnonzero(steps == 1)
+    cut = int(step_length[:ones[0]].sum()) if ones.size else 0
+    swallowed = _swallowed(kind, length)
+    # a row or column run with an open step is one group, from its first
+    # open pair to its last pair; any other run is a one-pair group per
+    # open step
+    telescoping = kind < 2
+    length -= swallowed
+    per_run = np.where(telescoping, np.minimum(length, 1), length)
+    # group g of run r starts at r's first open pair + g - (groups before r)
+    start = np.repeat(np.cumsum(length + swallowed) - length + per_run - np.cumsum(per_run), per_run)
+    start += np.arange(start.size)
+    end = start + np.repeat(np.where(telescoping, length, 0), per_run)
+    axis = np.repeat(np.where(telescoping, kind, 0), per_run)
+    del swallowed, telescoping, per_run, length
+    (i, j), (i_end, j_end) = (pair(k + (k >= cut) * taken) for k in (start, end))
+    # axis 0 anchors on leg-2 interval j and sweeps i, axis 1 the other way
+    row = axis == 0
+    groups = np.stack([axis, np.where(row, j, i), np.where(row, i, j), np.where(row, i_end, j_end)], 1)
+    if taken:
+        i, j = (int(x[0]) for x in pair(np.array([cut])))
+        groups = np.insert(groups, np.searchsorted(start, cut), (1, i, j, j + taken - 1), axis=0)
+    return groups
 
 
 def telescope_rows(
@@ -402,23 +311,24 @@ def telescope_rows(
 ) -> TermList:
     """Group the double sum into telescoped anchor terms.
 
-    ``"row"`` applies the longest-run greedy sweep (rows preferred on
-    ties).  ``"alternative"`` first factors out the full column at the
-    first upward corner of the staircase and then sweeps the remainder;
-    it generally produces one more group than ``"row"`` and the same
-    total value.  Neither grouping is claimed to be minimal.  The terms
-    come back with their counts; pairs and groups are built when read.
+    ``m`` is the number of distinct merged times strictly inside the
+    legs' common span plus one (:func:`_event_runs`), and a row (column)
+    group telescopes along a run of leg-1 (leg-2) events.  ``"row"``
+    applies the longest-run greedy sweep (rows preferred on ties).
+    ``"alternative"`` first factors out the full column at the first
+    upward corner of the staircase and then sweeps the remainder; it
+    generally produces one more group than ``"row"`` and the same total
+    value.  Neither grouping is claimed to be minimal.  The terms come
+    back with their counts, from the runs a block at a time; pairs and
+    groups are built when read.
     """
     if anchoring not in ("row", "alternative"):
         raise ValueError(f"unknown anchoring {anchoring!r}")
-    # the rows a block at a time, each block's runs counted as they close
-    runs = _StepRuns(anchoring)
     raw = groups = swallowed = 0
-    for i, lo, count in _row_blocks(s1, s2):
-        raw += int(count.sum())
-        closed, swallowed = _group_count(*runs.feed(i, lo, count), swallowed)
-        groups += closed
-    groups += _group_count(*runs.close(), swallowed)[0] + (runs.column is not None)
+    for kind, length, taken in _event_runs(s1, s2, anchoring):
+        raw += int(length.sum()) + taken
+        closed, swallowed = _group_count(kind, length, swallowed)
+        groups += closed + (taken > 0)
     return TermList(s1, s2, anchoring, raw, groups)
 
 

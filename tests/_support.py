@@ -412,10 +412,11 @@ def _full_ranges(t_opp, t, m_opp):
 
 
 def full_array_covariance(s1: ObservationSeries, s2: ObservationSeries) -> float:
+    """The correctly rounded sum of every per-interval product, from whole-leg arrays."""
     lo, count = _full_ranges(s2.times, s1.times, s2.n_intervals)
     v = s2.values
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.dot(s1.increments, v[lo + count - 1] - v[lo - 1]))
+        return math.fsum((s1.increments * (v[lo + count - 1] - v[lo - 1])).tolist())
 
 
 def full_array_overlap_count(s1: ObservationSeries, s2: ObservationSeries) -> int:

@@ -55,6 +55,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed must be an integer"):
             AdversaryConfig(rate_a=1, rate_b=1, horizon=1, seed=seed)
 
+    @pytest.mark.parametrize("fields", [
+        (True, 1, 10),
+        (1, np.bool_(True), 10),
+        (1, 1, True),
+        ("1", 1, 10),
+    ])
+    def test_bool_or_non_number_rate_or_horizon_rejected(self, fields):
+        with pytest.raises(ValueError, match="must be a real number"):
+            AdversaryConfig(*fields, 0)
+
     def test_numpy_integer_seed_accepted(self):
         assert AdversaryConfig(rate_a=1, rate_b=1, horizon=1, seed=np.uint64(2**63)).seed == 2**63
 
@@ -190,6 +200,47 @@ class TestGenerateInputs:
         with pytest.raises(RejectionBudgetExceeded):
             generate_inputs(AdversaryConfig(rate_a=1, rate_b=1, horizon=0.001, seed=5))
         assert len(calls) == 20
+
+
+class TestStreamIndices:
+    """Trial and block indices key the seeded streams, so each must be an
+    integer in [0, 2**32): a larger one could reach another stream's key,
+    and int() would truncate a float or take a bool silently."""
+
+    CONFIG = AdversaryConfig(rate_a=1, rate_b=1, horizon=10, seed=0)
+
+    @pytest.mark.parametrize("draw", [draw_labels, generate_inputs])
+    def test_trial_beyond_32_bits_rejected(self, draw):
+        with pytest.raises(ValueError, match="trial must be in"):
+            draw(self.CONFIG, 2**33)
+        with pytest.raises(ValueError, match="trial must be in"):
+            draw(self.CONFIG, -1)
+
+    def test_non_integral_trial_rejected(self):
+        with pytest.raises(ValueError, match="trial must be an integer"):
+            generate_inputs(self.CONFIG, 1.5)
+
+    @pytest.mark.parametrize("trial", [True, np.bool_(False)])
+    def test_bool_trial_rejected(self, trial):
+        with pytest.raises(ValueError, match="trial must be an integer"):
+            generate_inputs(self.CONFIG, trial)
+
+    @pytest.mark.parametrize("block", [2**32, -1, 1.0, True])
+    def test_block_index_checked(self, block):
+        with pytest.raises(ValueError, match="block must be"):
+            draw_label_block(self.CONFIG, block, 5)
+
+    @pytest.mark.parametrize("trial", [2**32, 1.5, True])
+    def test_random_walk_trial_checked(self, trial):
+        s1, s2 = generate_inputs(self.CONFIG)
+        with pytest.raises(ValueError, match="trial must be"):
+            attach_random_walk(s1, s2, seed=0, trial=trial)
+
+    def test_numpy_integer_indices_accepted(self):
+        assert np.array_equal(draw_labels(self.CONFIG, np.uint32(2**32 - 1))[0],
+                              draw_labels(self.CONFIG, 2**32 - 1)[0])
+        assert np.array_equal(draw_label_block(self.CONFIG, np.int64(3), 5)[0],
+                              draw_label_block(self.CONFIG, 3, 5)[0])
 
 
 class TestDrawLabelBlock:

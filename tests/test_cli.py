@@ -706,6 +706,23 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert "covariance -30.0" in proc.stdout
 
+    def test_estimate_is_the_same_at_one_and_two_blas_threads(self, capsys, tmp_path):
+        # above about 10k intervals OpenBLAS splits a dot product over its
+        # threads, which changes the order of its additions and so the digits
+        prefix = str(tmp_path / "pair")
+        code, _, _ = run_cli(capsys, "simulate", "--horizon", "10000", "--seed", "7",
+                             "--out-prefix", prefix)
+        assert code == 0
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hyf", "estimate", f"{prefix}_a.csv", f"{prefix}_b.csv"],
+                capture_output=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_module_exit_code_for_validation(self, tmp_path, golden_files):
         a, _ = golden_files
         tied = tmp_path / "tied.csv"

@@ -74,6 +74,20 @@ class TestValidateSeries:
         with pytest.raises(ValidationError, match="one-dimensional"):
             validate_series(times, values, "A")
 
+    @pytest.mark.parametrize("values", [
+        [1j, 2, 3],
+        np.array([1j, 2, 3]),
+        np.array([1j, 2, 3], dtype=object),
+    ])
+    def test_complex_values_rejected(self, values):
+        with pytest.raises(ValidationError, match="leg A: values"):
+            validate_series([1, 2, 3], values, "A")
+
+    @pytest.mark.parametrize("values", [["a", "b", "c"], [{}, 1, 2], [[1, 2], [3]]])
+    def test_unconvertible_values_rejected(self, values):
+        with pytest.raises(ValidationError, match="leg B: values"):
+            validate_series([1, 2, 3], values, "B")
+
     def test_writeable_input_is_copied(self):
         times, values = np.array([1.0, 2.0]), np.array([3.0, 4.0])
         s = validate_series(times, values, "A")

@@ -167,6 +167,16 @@ def test_telescope_counts_blocks(sized, anchoring):
     assert _blocks(_transient_peak(counts)) < 12
 
 
+def test_first_shared_time_blocks(sized):
+    _, (s1, s2) = sized
+    # a tie-free pair, so every time of leg B is looked up: 2.2 blocks; the
+    # whole-leg positions, clipped positions, gathered times and hits took
+    # 6 and 12
+    peak, shared = _peak_and_result(core.first_shared_time, s1.times, s2.times)
+    assert shared is None
+    assert _blocks(peak) < 4
+
+
 def test_generate_inputs_and_random_walk_blocks(sized):
     config, _ = sized
     # the merged draw: its times (as generate_poisson drew them) and labels;
