@@ -318,7 +318,7 @@ def overlap_ranges(
     These are strict endpoint comparisons, exact for the half-open
     convention even when the legs share timestamps.  Every overlap,
     count, coefficient and containment test in the package derives from
-    this one range.
+    this one range, except the label rule's, which reads labels only.
     """
     return (
         np.searchsorted(t_opp, starts, side="right"),

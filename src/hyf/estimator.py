@@ -111,6 +111,23 @@ def _sum_blocks(
         yield b, sums
 
 
+def _exact_sum(values) -> float:
+    """The correctly rounded sum of finite floats ``values``, however far its
+    partial sums stray past the float range.
+
+    Every finite double is an integer multiple of ``2**-1074``, so the
+    values are added exactly as those integers and divided once.  The
+    division raises :class:`OverflowError` when the sum is beyond the float
+    range; an infinite value raises it too, and a nan ``ValueError``.
+    """
+    unit = 1 << 1074
+    total = 0
+    for x in values:
+        numerator, denominator = x.as_integer_ratio()
+        total += numerator * (unit // denominator)
+    return total / unit
+
+
 def hy_covariance(s1: ObservationSeries, s2: ObservationSeries) -> float:
     """Evaluate the double sum, telescoped per leg-1 interval.
 
@@ -118,18 +135,26 @@ def hy_covariance(s1: ObservationSeries, s2: ObservationSeries) -> float:
     intervals it overlaps, so no pair is materialised.  The result is the
     correctly rounded sum of these products (``math.fsum``), the same on
     every machine, BLAS thread count and block size.  Raises
-    :class:`ValidationError` when finite prices overflow that sum.
+    :class:`ValidationError` when a product or the sum is beyond the float
+    range.
     """
     v = s1.values
+
+    def products():
+        return chain.from_iterable(
+            (sums * (v[_next(b)] - v[b])).tolist() for b, sums in _sum_blocks(s1, s2))
+
     with np.errstate(over="ignore", invalid="ignore"):
-        products = ((sums * (v[_next(b)] - v[b])).tolist() for b, sums in _sum_blocks(s1, s2))
         try:
-            covariance = math.fsum(chain.from_iterable(products))
+            covariance = math.fsum(products())
         except ValueError:  # inf - inf
             covariance = math.nan
-        except OverflowError:  # a partial sum of finite products
-            raise ValidationError(
-                "covariance is beyond the float range: the price products overflow") from None
+        except OverflowError:  # a partial sum of finite products: sum them exactly
+            try:
+                covariance = _exact_sum(products())
+            except (OverflowError, ValueError):
+                raise ValidationError(
+                    "covariance is beyond the float range: the price products overflow") from None
     if not math.isfinite(covariance):
         raise ValidationError(f"covariance is {covariance!r}: the price products overflow")
     return covariance
@@ -265,7 +290,8 @@ def _groups(s1: ObservationSeries, s2: ObservationSeries, anchoring: Anchoring) 
         kind, length, taken = zip(*_event_runs(s1, s2, anchoring))
         return np.concatenate(kind), np.concatenate(length), sum(taken)
 
-    (steps, step_length, _), (kind, length, taken) = runs("row"), runs(anchoring)
+    steps, step_length, _ = runs("row")
+    kind, length, taken = (steps, step_length, 0) if anchoring == "row" else runs(anchoring)
     first_time = max(s1.times[0], s2.times[0])
     first_pair = [int(np.searchsorted(s.times, first_time, side="right")) for s in (s1, s2)]
     ends = np.cumsum(step_length)
@@ -286,7 +312,8 @@ def _groups(s1: ObservationSeries, s2: ObservationSeries, anchoring: Anchoring) 
     # open pair to its last pair; any other run is a one-pair group per
     # open step
     telescoping = kind < 2
-    length -= swallowed
+    # not in place: under "row" anchoring length is step_length
+    length = length - swallowed
     per_run = np.where(telescoping, np.minimum(length, 1), length)
     # group g of run r starts at r's first open pair + g - (groups before r)
     start = np.repeat(np.cumsum(length + swallowed) - length + per_run - np.cumsum(per_run), per_run)

@@ -1,23 +1,32 @@
 """Detection of observations that cancel out of the covariance entirely.
 
 A data point is *nonextant* when the estimator's output does not depend
-on its value, i.e. its linear coefficient is zero.  Three independent
-detectors are provided and cross-checked in the test suite:
+on its value, i.e. its linear coefficient is zero.  Three detectors each
+decide this from their own input, so that the test suite and ``detect
+--method all`` can cross-check them:
 
-* interval rule: a point is cancelled when its two adjacent intervals
-  meet the same clipped range of opposite-leg intervals (the intervals
-  before a leg's first point and after its last meet nothing); away from
-  the ends of the opposite leg's span this is containment of the union of
-  the two intervals in a single opposite-leg interval,
-* label rule: the same decisions computed purely from the merged A/B
-  label sequence (containment = being the middle of a same-label triple),
-* coefficient oracle: direct zero test of the analytic coefficients.
+* interval rule, from the two series: a point is cancelled when its two
+  adjacent intervals meet the same clipped range of opposite-leg
+  intervals (the intervals before a leg's first point and after its last
+  meet nothing); it is contained when the union of the two intervals
+  lies inside a single opposite-leg interval,
+* label rule, from the merged A/B labels alone: for an own point ``k``,
+  ``before`` and ``after`` count the opposite labels before and after it,
+  and ``prev`` and ``next`` say whether its merged neighbours carry its
+  own label.  It is contained when ``prev and next and before >= 1 and
+  after >= 1`` (the middle of a same-label triple).  Its left side is
+  empty when ``k == 0 or before == 0 or (after == 0 and prev)``, its right
+  side when ``k`` is its leg's last point ``or after == 0 or (before == 0
+  and next)``.  Any other point is detected when both sides are empty, or
+  when neither is and ``(prev or before <= 1) and (next or after <= 1)``,
+* coefficient oracle, from the analytic coefficients: a point is detected
+  when its coefficient is zero, and contained when its two adjacent
+  intervals lie inside one opposite-leg interval.
 
 On boundary-aligned inputs the first and last point of a leg always
-survive.  Detections are classified by which condition fired:
-``f_interior`` counts containment (triple-middle) detections, ``f_total``
-additionally counts every other detection, which enters the index sets
-only when ``include_boundary`` is set.
+survive.  ``f_interior`` counts containment (triple-middle) detections,
+``f_total`` additionally counts every other detection, which enters the
+index sets only when ``include_boundary`` is set.
 """
 
 from __future__ import annotations
@@ -26,20 +35,19 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from .core import (
     LabelSequence,
     ObservationSeries,
+    _first_true,
     _frozen_vector,
     blocks,
     clip_ranges,
     overlap_ranges,
     median_of_halves,
     range_blocks,
-    tie_mask,
 )
 from .errors import EmptyPattern, IndexOutOfRange, ValidationError, ZeroOverlaps
 from .estimator import point_coefficients
@@ -99,13 +107,8 @@ class OpenInterval:
         return cls(math.inf, -math.inf)
 
 
-def _build_report(
-    leg1: tuple[np.ndarray, np.ndarray],
-    leg2: tuple[np.ndarray, np.ndarray],
-    m: int,
-    method: str,
-    include_boundary: bool,
-) -> NonextantReport:
+def _build_report(leg1: tuple[np.ndarray, np.ndarray], leg2: tuple[np.ndarray, np.ndarray],
+                  m: int, method: str, include_boundary: bool) -> NonextantReport:
     """Report of each leg's (containment, other) index arrays, which are
     ascending and disjoint."""
     if method not in _METHODS:
@@ -121,14 +124,9 @@ def _build_report(
         return interior
 
     nonextant_1, nonextant_2 = indices(leg1), indices(leg2)
-    return NonextantReport(
-        nonextant_1=nonextant_1,
-        nonextant_2=nonextant_2,
-        f_interior=len(leg1[0]) + len(leg2[0]),
-        f_total=nonextant_1.size + nonextant_2.size,
-        m=m,
-        method=method,
-    )
+    return NonextantReport(nonextant_1=nonextant_1, nonextant_2=nonextant_2,
+                           f_interior=len(leg1[0]) + len(leg2[0]),
+                           f_total=nonextant_1.size + nonextant_2.size, m=m, method=method)
 
 
 def overlap_count(s1: ObservationSeries, s2: ObservationSeries) -> int:
@@ -144,32 +142,28 @@ _NOWHERE = np.array([-1])
 _NOWHERE.flags.writeable = False
 
 
-def _rule_side(
-    ranges: Iterable[tuple[np.ndarray, np.ndarray]], m_opp: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Nonextant points of one leg: (containment, other) indices and its overlap count.
+def _interval_side(series: ObservationSeries, opposite: ObservationSeries):
+    """Nonextant points of ``series``: (containment, other) indices.
 
-    ``ranges`` gives the raw :func:`overlap_ranges` ``(first, last)`` of the
-    leg's intervals in order, a block at a time; the opposite leg has
-    ``m_opp`` intervals.  Point ``k`` is nonextant when its two adjacent
-    intervals meet the same clipped opposite range (both none counting as
-    the same).  It is contained when the span of both lies inside one
-    opposite interval: the first interval's ``first`` equals the second's
-    ``last`` and is a valid interval index.  One interval is carried from
-    block to block, and each block's indices are kept until they are
-    joined.
+    Point ``k`` is nonextant when its two adjacent intervals meet the same
+    clipped range of opposite intervals (both none counting as the same).
+    It is contained when the span of both lies inside one opposite
+    interval: the first interval's raw :func:`overlap_ranges` ``first``
+    equals the second's ``last`` and is a valid interval index.  The
+    ranges come a block at a time; one interval is carried from block to
+    block, and each block's indices are kept until they are joined.
     """
+    m_opp = opposite.n_intervals
     contained, other = [], []
-    overlaps = k = 0
-    held = _NOWHERE, _NOWHERE
-    for first, last in itertools.chain(ranges, [held]):
+    k, held = 0, (_NOWHERE, _NOWHERE)
+    ranges = range_blocks(opposite.times, series.times)
+    for _, first, last in itertools.chain(ranges, [(None, *held)]):
         first, last = (np.concatenate(pair) for pair in zip(held, (first, last)))
         held = first[-1:].copy(), last[-1:].copy()
         inside = first[:-1] == last[1:]
         inside &= first[:-1] >= 1
         inside &= first[:-1] <= m_opp
         lo, count = clip_ranges(first, last, m_opp)
-        overlaps += int(count[1:].sum())
         # no range met is the same range wherever it would start
         lo[count == 0] = 0
         same = lo[:-1] == lo[1:]
@@ -178,13 +172,7 @@ def _rule_side(
         contained.append(np.flatnonzero(inside) + k)
         other.append(np.flatnonzero(same) + k)
         k += inside.size
-    return np.concatenate(contained), np.concatenate(other), overlaps
-
-
-def _interval_side(series: ObservationSeries, opposite: ObservationSeries):
-    """:func:`_rule_side` of ``series`` from its intervals' opposite ranges."""
-    ranges = ((first, last) for _, first, last in range_blocks(opposite.times, series.times))
-    return _rule_side(ranges, opposite.n_intervals)[:2]
+    return np.concatenate(contained), np.concatenate(other)
 
 
 def detect_interval_rule(
@@ -200,32 +188,45 @@ def detect_interval_rule(
     intervals' union in one opposite interval is the interior class; the
     other detections enter the index sets only with ``include_boundary``.
     """
-    leg1 = _interval_side(s1, s2)
-    leg2 = _interval_side(s2, s1)
-    m = overlap_count(s1, s2)
-    return _build_report(leg1, leg2, m, "interval_rule", include_boundary)
+    return _build_report(_interval_side(s1, s2), _interval_side(s2, s1),
+                         overlap_count(s1, s2), "interval_rule", include_boundary)
 
 
-def _label_ranges(is_a: np.ndarray, own: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Raw opposite ranges of one leg's intervals (leg A's where ``own``) from
-    the A-labels, a block at a time.
+def _label_side(is_a: np.ndarray, own: bool, n_own: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nonextant points of one leg (leg A's where ``own``) from the labels alone:
+    (containment, other) indices, by the conditions in the module docstring.
 
-    The number of opposite entries before an own entry is its merge
-    position less the own entries before it; with tie-free legs these are
-    exactly the counts :func:`overlap_ranges` takes from the times, so own
-    interval ``k`` has ``first`` the count before point ``k - 1`` and
-    ``last`` the count before point ``k``.  One count is carried from block
-    to block.
+    A side that is not empty meets only the opposite interval around the
+    point when its neighbour is own, or when the one opposite point it
+    crosses is the opposite leg's first (last), which clips away.
     """
-    held = np.empty(0, dtype=np.int64)
+    n_opp = is_a.size - n_own
+    contained, other = [], []
     seen = 0
     for b in blocks(is_a.size):
-        before = np.flatnonzero(is_a[b] == own)
-        before -= np.arange(seen - b.start, seen - b.start + before.size)
-        seen += before.size
-        before = np.concatenate([held, before])
-        held = before[-1:]
-        yield before[:-1], before[1:]
+        # the block with one label of context on each side, none past the ends
+        mine = np.zeros(b.stop - b.start + 2, dtype=bool)
+        context = is_a[max(b.start - 1, 0):b.stop + 1] == own
+        mine[int(b.start == 0):][:context.size] = context
+        i = np.flatnonzero(mine[1:-1])
+        prev, next_ = mine[i], mine[i + 2]
+        # the merge position less the own points before it
+        before = i - np.arange(seen - b.start, seen - b.start + i.size)
+        after = n_opp - before
+        none_before, none_after = before == 0, after == 0
+        inside = prev & next_ & ~(none_before | none_after)
+        left_none = none_before | (none_after & prev)
+        right_none = none_after | (none_before & next_)
+        # the leg's first and last point have no interval on one side
+        left_none[:1] |= seen == 0
+        right_none[-1:] |= seen + i.size == n_own
+        same = left_none == right_none
+        same &= left_none | ((prev | (before <= 1)) & (next_ | (after <= 1)))
+        same &= ~inside
+        contained.append(np.flatnonzero(inside) + seen)
+        other.append(np.flatnonzero(same) + seen)
+        seen += i.size
+    return np.concatenate(contained), np.concatenate(other)
 
 
 def detect_label_rule(
@@ -234,19 +235,19 @@ def detect_label_rule(
 ) -> NonextantReport:
     """Detect nonextant points from the merged label sequence alone.
 
-    A point is nonextant exactly when its merged-sequence neighbours
-    carry its own label (middle of a same-label triple), or, at the ends
-    of the opposite leg's span, when its two adjacent intervals meet the
-    same clipped opposite range, evaluated on merge positions.  Runs in
-    O(n).
+    Each leg's points are decided by :func:`_label_side`; ``m`` is the
+    distance in merge positions from the later leg's first point to the
+    earlier leg's last point (0 when they do not overlap).  Runs in O(n).
     """
     is_a = labels.is_a
-    m_a = int(np.count_nonzero(is_a)) - 1
-    m_b = is_a.size - m_a - 2
-    # one leg's counts at a time, a block at a time
-    interior_a, other_a, m = _rule_side(_label_ranges(is_a, True), m_b)
-    leg_b = _rule_side(_label_ranges(is_a, False), m_a)[:2]
-    return _build_report((interior_a, other_a), leg_b, m, "label_rule", include_boundary)
+    n = is_a.size
+    n_a = int(np.count_nonzero(is_a))
+    # the runs of one label at either end: the entries before the later
+    # leg's first point and after the earlier leg's last point
+    lead, trail = (_first_true(n, lambda b: x[b] != x[0]) for x in (is_a, is_a[::-1]))
+    m = max(0, n - 1 - lead - trail)
+    leg_a, leg_b = _label_side(is_a, True, n_a), _label_side(is_a, False, n - n_a)
+    return _build_report(leg_a, leg_b, m, "label_rule", include_boundary)
 
 
 def count_pattern(labels: LabelSequence | str, pattern: str) -> int:
@@ -273,11 +274,12 @@ def oracle_detect(
 
     The coefficients are computed analytically, so only representation
     error remains; a point is flagged when its coefficient is at most
-    ``1e-12`` relative to the median absolute opposite-leg increment.
-    Detections are classified with the same containment test the other
-    detectors use, so reports compare field for field.  Meaningful as
-    ground truth only when values are continuously distributed (zero
-    increments would mask genuinely extant points).
+    ``1e-12`` relative to the median absolute opposite-leg increment.  A
+    detected point is contained when :func:`overlap_ranges` puts the union
+    of its two adjacent intervals inside one opposite interval, so reports
+    compare field for field.  Meaningful as ground truth only when values
+    are continuously distributed (zero increments would mask genuinely
+    extant points).
     """
     sides = []
     for series, opposite in ((s1, s2), (s2, s1)):
@@ -289,12 +291,18 @@ def oracle_detect(
         half /= 2
         threshold = ORACLE_RELATIVE_TOLERANCE * median_of_halves(half)
         del half
-        detected = np.concatenate([np.flatnonzero(np.abs(coeff[b]) <= threshold) + b.start
-                                   for b in blocks(coeff.size)])
-        contained = tie_mask(_interval_side(series, opposite)[0], detected)
-        sides.append((detected[contained], detected[~contained]))
-    m = overlap_count(s1, s2)
-    return _build_report(sides[0], sides[1], m, "oracle", include_boundary)
+        t, end, m_opp = series.times, series.n_intervals, opposite.n_intervals
+        contained, other = [], []
+        for b in blocks(coeff.size):
+            k = np.flatnonzero(np.abs(coeff[b]) <= threshold) + b.start
+            first, last = overlap_ranges(opposite.times, t[np.maximum(k - 1, 0)],
+                                         t[np.minimum(k + 1, end)])
+            # the first and last point have one adjacent interval only
+            inside = (first == last) & (first >= 1) & (first <= m_opp) & (k > 0) & (k < end)
+            contained.append(k[inside])
+            other.append(k[~inside])
+        sides.append((np.concatenate(contained), np.concatenate(other)))
+    return _build_report(*sides, overlap_count(s1, s2), "oracle", include_boundary)
 
 
 def nonextant_interval(

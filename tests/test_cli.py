@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -184,6 +185,16 @@ class TestEstimate:
         assert out == ""
         assert err.startswith("hyf: invalid input: covariance is ")
         assert err.count("\n") == 1
+
+    def test_covariance_past_an_overflowing_partial_sum_exits_0(self, capsys, tmp_path):
+        # the products x, y, -z near the float maximum sum exactly to x + y - z
+        prices_a, prices_b = [0.0, 1e154, 2e154, 1e154], [0.0, 1e154, 2e154, 3e154]
+        a = write_csv(tmp_path / "a.csv", [0, 1, 2, 3], prices_a)
+        b = write_csv(tmp_path / "b.csv", [0, 1, 2, 3], prices_b)
+        code, out, err = run_cli(capsys, "estimate", a, b)
+        assert (code, err) == (0, "")
+        exact = sum(map(Fraction, (np.diff(prices_a) * np.diff(prices_b)).tolist()))
+        assert out.startswith(f"covariance {float(exact)!r}\n")
 
     def test_non_utf8_file_exits_2_with_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyf import (
+    ValidationError,
     enumerate_overlaps,
     hy_covariance,
     overlap_count,
@@ -37,6 +40,25 @@ def test_synchronous_pair_gives_realized_variance():
     s1 = validate_series(t, v, "A")
     s2 = validate_series(t, v, "B")
     assert hy_covariance(s1, s2) == pytest.approx(float(np.sum(np.diff(v) ** 2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("prices_a", [
+    # products x, y, -z near the float maximum: the partial sum x + y
+    # overflows math.fsum, the exact sum is finite
+    [0.0, 1e154, 2e154, 1e154],
+    # x, y, z: the sum itself is beyond the float range
+    [0.0, 1e154, 2e154, 3e154],
+])
+def test_sum_exact_where_a_partial_sum_overflows(prices_a):
+    t = [0.0, 1.0, 2.0, 3.0]
+    s1 = validate_series(t, prices_a, "A")
+    s2 = validate_series(t, [0.0, 1e154, 2e154, 3e154], "B")
+    exact = sum(map(Fraction, (s1.increments * s2.increments).tolist()))
+    if abs(exact) > sys.float_info.max:
+        with pytest.raises(ValidationError, match="beyond the float range"):
+            hy_covariance(s1, s2)
+    else:
+        assert hy_covariance(s1, s2) == float(exact)
 
 
 def test_constant_leg_gives_zero(golden_pair):

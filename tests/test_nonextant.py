@@ -1,3 +1,7 @@
+import inspect
+import textwrap
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from hyf import (
     detect_label_rule,
     enumerate_overlaps,
     merge_labels,
+    nonextant,
     nonextant_interval,
     oracle_detect,
     overlap_count,
@@ -370,3 +375,57 @@ class TestEqualRangeRule:
             full_array_interval_rule(s1, s2, include))
         assert _report_tuple(detect_label_rule(merge_labels(s1, s2), include)) == (
             full_array_label_rule(is_a, include))
+
+
+def _mutant(fn, old: str, new: str):
+    """``fn`` compiled again from its source with the one ``old`` replaced by
+    ``new``: a planted fault."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    namespace = {}
+    exec(source.replace(old, new), fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
+class TestPlantedFaults:
+    """Each detector decides from its own input, so a fault planted in one
+    decision shows as a disagreement with the others.  The fixed pairs are
+    the 20 adversary instances of trials 0-19, in both boundary modes."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        return [adversary_instance(trial) for trial in range(20)]
+
+    @staticmethod
+    def _disagreements(pairs, name, fault):
+        """How often, with ``fault`` planted into ``nonextant.<name>``, the
+        interval rule's report differs from the label rule's and the oracle's."""
+        with mock.patch.object(nonextant, name, _mutant(getattr(nonextant, name), *fault)):
+            label = oracle = 0
+            for s1, s2 in pairs:
+                merged = merge_labels(s1, s2)
+                for include in (False, True):
+                    interval = detect_interval_rule(s1, s2, include)
+                    label += not interval.same_points(detect_label_rule(merged, include))
+                    oracle += not interval.same_points(oracle_detect(s1, s2, include))
+        return label, oracle
+
+    @pytest.mark.parametrize("fault", [
+        ("first[:-1] >= 1", "first[:-1] >= 2"),
+        ("first[:-1] <= m_opp", "first[:-1] < m_opp"),
+        # the leg's first point always cancels
+        ("same &= ~inside", "same &= ~inside\n        same[:1] |= k == 0"),
+    ])
+    def test_interval_rule_fault_shows(self, pairs, fault):
+        label, oracle = self._disagreements(pairs, "_interval_side", fault)
+        assert label > 0 and oracle > 0
+
+    @pytest.mark.parametrize("fault", [
+        ("before == 0, after == 0", "before <= 1, after == 0"),
+        ("before == 0, after == 0", "before == 0, after <= 1"),
+        ("(prev | (before <= 1))", "(prev | (before <= 2))"),
+        ("seen + i.size == n_own", "seen + i.size == n_own + 1"),
+    ])
+    def test_label_rule_fault_shows(self, pairs, fault):
+        label, oracle = self._disagreements(pairs, "_label_side", fault)
+        assert label > 0 and oracle == 0
