@@ -98,42 +98,48 @@ _NUMERIC_BODY_BYTES = b"0123456789eE.+-,\r\n"
 _FAST_HEADERS = (b"time,price\n", b"time,price\r\n")
 
 
+# bytes of a tick file's body read at a time by the streamed reader, the
+# size of a block of float64 (see core.BLOCK_POINTS).  The reader holds
+# about 2.5 chunks beside its columns; a chunk is about 1700 rows of
+# simulated text, and np.loadtxt costs about 3 µs per call, so 1 MiB
+# chunks would hold 16 times the memory for no measurable gain in time.
+READ_CHUNK_BYTES = 1 << 16
+
+
 def read_tick_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse a ``time,price`` CSV into read-only ``(times, prices)``; any
     malformed content is a parse error.
 
-    The header line and then the body are read once each.  A plain
-    numeric body is parsed by ``np.loadtxt``.  Its result counts only
-    when it has one two-column row per body line, so a blank line (which
-    ``loadtxt`` skips) never passes; every other file, and every failure,
-    goes through :func:`_read_tick_lines`, which owns all messages.
+    A plain numeric body is parsed by ``np.loadtxt``, whose result counts
+    only when it has one two-column row per body line, so a blank line
+    (which ``loadtxt`` skips) never passes.  A regular file is streamed
+    (:func:`_streamed_columns`): two passes over pieces of about
+    :data:`READ_CHUNK_BYTES`, so that the reader holds its two columns and
+    a few pieces, never the whole text.  An input that cannot seek (a
+    pipe) is read whole, and so is a file the streamed reader refuses.
+    A whole body that is not plain numeric text, or that ``loadtxt``
+    refuses, goes through :func:`_read_tick_lines`, which owns all
+    messages.
     """
     try:
-        # unbuffered, so the body is read into one bytes object of its own
-        # size; the header is read a byte at a time, no further than the
-        # longest header the fast path takes
+        # unbuffered, so each read makes one bytes object of its own size;
+        # the header is read a byte at a time, no further than the longest
+        # header the fast path takes
         with open(path, "rb", buffering=0) as fh:
             header = fh.readline(len(_FAST_HEADERS[-1]))
+            if fh.seekable():
+                columns = _streamed_columns(fh, header)
+                if columns is not None:
+                    return _frozen_columns(*columns)
+                fh.seek(0)
+                header = fh.readline(len(_FAST_HEADERS[-1]))
             body = fh.read()
     except OSError as exc:
         raise TickParseError(path, 0, f"cannot read file: {exc}") from exc
-    # loadtxt warns on a body of blank lines only, so the first row must
-    # have content
-    if (
-        header in _FAST_HEADERS
-        and body[:1] not in (b"", b"\r", b"\n")
-        and not body.translate(None, _NUMERIC_BODY_BYTES)
-    ):
-        rows = body.count(b"\n") + (not body.endswith(b"\n"))
-        try:
-            data = np.loadtxt(io.BytesIO(body), delimiter=",", ndmin=2,
-                              comments=None, encoding="ascii")
-        except ValueError:
-            pass
-        else:
-            if data.shape == (rows, 2):
-                del body
-                return _frozen_columns(data[:, 0].copy(), data[:, 1].copy())
+    data = _parsed_piece(body) if header in _FAST_HEADERS else None
+    if data is not None:
+        del body
+        return _frozen_columns(data[:, 0].copy(), data[:, 1].copy())
     raw = header + body
     del body
     try:
@@ -142,6 +148,89 @@ def read_tick_file(path: str) -> tuple[np.ndarray, np.ndarray]:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise TickParseError(path, line, f"not UTF-8 text (byte {raw[exc.start]:#04x})") from None
     return _read_tick_lines(path, text)
+
+
+def _streamed_columns(fh, header: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The columns of the plain numeric body after ``header``, parsed a
+    piece at a time, or None where the whole-body reader must decide.
+
+    Pass 1 counts the rows; pass 2 reads the body again and writes each
+    piece's rows straight into the two columns.  Both passes check every
+    piece, and pass 2's pieces must fill the columns exactly, so a file
+    that changes between the passes is refused rather than read in part.
+    The pieces go through ``map``, so no loop variable keeps the last one
+    while the next is read.
+    """
+    if header not in _FAST_HEADERS:
+        return None
+    start = fh.tell()
+    rows = 0
+    for count in map(_piece_rows, _pieces(fh)):
+        if count is None:
+            return None
+        rows += count
+    fh.seek(start)
+    times, prices = np.empty(rows), np.empty(rows)
+    filled = 0
+    for data in map(_parsed_piece, _pieces(fh)):
+        if data is None or filled + len(data) > rows:
+            return None
+        times[filled:filled + len(data)], prices[filled:filled + len(data)] = data.T
+        filled += len(data)
+    return (times, prices) if filled == rows else None
+
+
+def _pieces(fh) -> Iterator[bytes]:
+    """The rest of ``fh`` as whole lines, read :data:`READ_CHUNK_BYTES` at a
+    time: a piece ends at a chunk's last newline, the text after it is
+    carried into the next piece, and a last line with no newline is a
+    piece of its own."""
+    carry: list[bytes] = []
+    while chunk := fh.read(READ_CHUNK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            carry.append(chunk)
+            continue
+        # one copy into the piece; the chunk goes before the piece is
+        # checked or parsed, and the piece before the next chunk is read
+        piece = b"".join([*carry, memoryview(chunk)[:cut]])
+        carry = [chunk[cut:]]
+        del chunk
+        yield piece
+        del piece
+    rest = b"".join(carry)
+    if rest:
+        yield rest
+
+
+def _piece_rows(piece: bytes) -> int | None:
+    """Rows of a piece of body that starts at a line, or None where
+    ``loadtxt`` may not parse it: it is empty, holds a byte outside
+    :data:`_NUMERIC_BODY_BYTES`, or starts with a blank line (``loadtxt``
+    warns on a piece of blank lines only)."""
+    if piece[:1] in (b"", b"\r", b"\n") or piece.translate(None, _NUMERIC_BODY_BYTES):
+        return None
+    # numpy compares bytes several times faster than bytes.count counts
+    # one; a chunk at a time, so that a whole body takes no mask of its size
+    view = np.frombuffer(piece, dtype=np.uint8)
+    newlines = sum(int(np.count_nonzero(view[k:k + READ_CHUNK_BYTES] == ord("\n")))
+                   for k in range(0, view.size, READ_CHUNK_BYTES))
+    return newlines + (not piece.endswith(b"\n"))
+
+
+def _parsed_piece(piece: bytes) -> np.ndarray | None:
+    """``np.loadtxt``'s ``(rows, 2)`` array of a piece of body that starts at
+    a line, or None where :func:`_piece_rows` refuses the piece, or
+    ``loadtxt`` refuses it or skips a line of it."""
+    rows = _piece_rows(piece)
+    if rows is None:
+        return None
+    try:
+        data = np.loadtxt(io.BytesIO(piece), delimiter=",", ndmin=2,
+                          comments=None, encoding="ascii")
+    except ValueError:
+        return None
+    return data if data.shape == (rows, 2) else None
 
 
 def _read_tick_lines(path: str, text: str) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ the two series share timestamps; operations that need a total merge order
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Literal
 
 import numpy as np
@@ -182,24 +183,25 @@ def validate_series(times, values, label: Label) -> ObservationSeries:
     return ObservationSeries(times, values, label)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LabelSequence:
     """Time-ordered merge of two series' observation times, tagged A/B.
 
-    ``is_a`` holds one bool per entry, True for a leg-A point.
-    Construction requires a strict total order, so both legs must be
-    tie-free against each other, and each must contribute at least two
-    points.
+    ``is_a`` holds one bool per entry, True for a leg-A point, and
+    ``times`` the entries' times.  Construction requires a strict total
+    order, so both legs must be tie-free against each other, and each
+    must contribute at least two points.  A sequence that
+    :func:`merge_labels` built fills ``times`` from its legs on first
+    access, since the label rule reads only ``is_a``.
     """
 
-    times: np.ndarray
     is_a: np.ndarray
 
-    def __post_init__(self) -> None:
-        times = _frozen_vector(self.times, float, "times")
-        is_a = _frozen_vector(self.is_a, bool, "is_a")
-        object.__setattr__(self, "times", times)
+    def __init__(self, times, is_a) -> None:
+        times = _frozen_vector(times, float, "times")
+        is_a = _frozen_vector(is_a, bool, "is_a")
         object.__setattr__(self, "is_a", is_a)
+        self.__dict__["times"] = times
         if times.size != is_a.size:
             raise LengthMismatch("times and is_a differ in length")
         # every comparison with nan is false, so nan fails the order test,
@@ -223,6 +225,23 @@ class LabelSequence:
                 )
 
     @classmethod
+    def _of_legs(cls, is_a: np.ndarray, times_a: np.ndarray,
+                 times_b: np.ndarray) -> "LabelSequence":
+        """The sequence of read-only labels ``is_a`` that merge the ordered,
+        tie-free legs' times, each leg at least two points; not checked."""
+        merged = object.__new__(cls)
+        object.__setattr__(merged, "is_a", is_a)
+        object.__setattr__(merged, "_legs", (times_a, times_b))
+        return merged
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        times = np.empty(self.is_a.size)
+        times[self.is_a], times[~self.is_a] = self._legs
+        times.flags.writeable = False
+        return times
+
+    @classmethod
     def from_string(cls, pattern: str, times=None) -> "LabelSequence":
         """Build a sequence from a label string like ``"BAAB"``.
 
@@ -238,7 +257,7 @@ class LabelSequence:
 
     @property
     def n(self) -> int:
-        return int(self.times.size)
+        return int(self.is_a.size)
 
     @property
     def as_string(self) -> str:
@@ -267,18 +286,23 @@ def merge_labels(s1: ObservationSeries, s2: ObservationSeries) -> LabelSequence:
         raise ValidationError("series must carry distinct labels")
     t1, t2 = s1.times, s2.times
     from_1 = np.ones(t1.size + t2.size, dtype=bool)
-    times = np.empty(from_1.size)
     for b in blocks(t2.size):
-        # merge position of each leg-2 time: the leg-1 times up to it, tied
-        # ones included (the order a stable sort gives), plus its own index
+        # merge position of each leg-2 time: the leg-1 times up to it plus
+        # its own index.  The last of those leg-1 times is a tie when it
+        # equals it (index -1 where there is none: the last leg-1 time,
+        # which is larger)
         at = np.searchsorted(t1, t2[b], side="right")
+        tied = t1[at - 1] == t2[b]
+        if tied.any():
+            raise CrossSeriesTie(f"time {float(t2[b][tied][0])!r} appears in both series")
         at += np.arange(b.start, b.stop)
         from_1[at] = False
-        times[at] = t2[b]
-    times[from_1] = t1
-    is_a = from_1 if s1.label == "A" else np.logical_not(from_1, out=from_1)
-    times.flags.writeable = is_a.flags.writeable = False
-    return LabelSequence(times, is_a)
+    if s1.label == "A":
+        is_a, legs = from_1, (t1, t2)
+    else:
+        is_a, legs = np.logical_not(from_1, out=from_1), (t2, t1)
+    is_a.flags.writeable = False
+    return LabelSequence._of_legs(is_a, *legs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,8 +341,10 @@ def overlap_ranges(
 
     These are strict endpoint comparisons, exact for the half-open
     convention even when the legs share timestamps.  Every overlap,
-    count, coefficient and containment test in the package derives from
-    this one range, except the label rule's, which reads labels only.
+    coefficient and containment test in the package derives from this
+    one range, except the label rule's, which reads labels only; the
+    overlap count ``m`` needs no range, only the times inside the legs'
+    common span.
     """
     return (
         np.searchsorted(t_opp, starts, side="right"),

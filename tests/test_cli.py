@@ -9,6 +9,7 @@ import pickle
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -798,6 +799,11 @@ def _near_valid_csv(draw):
     return text.encode("utf-8")
 
 
+# chunk sizes at which every row, \r\n pair and blank line of a small file
+# straddles a chunk edge somewhere, and the default
+_CHUNKS = (1, 2, 3, 5, 7, cli.READ_CHUNK_BYTES)
+
+
 class TestTickParsing:
     """``read_tick_file``'s fast path against the line-by-line reference."""
 
@@ -825,7 +831,88 @@ class TestTickParsing:
             expected = _parsed(_read_tick_lines, str(path), text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning would reach stderr
-            assert _parsed(read_tick_file, str(path)) == expected
+            for chunk in _CHUNKS:
+                with mock.patch.object(cli, "READ_CHUNK_BYTES", chunk):
+                    assert _parsed(read_tick_file, str(path)) == expected, chunk
+
+    @pytest.mark.parametrize("change", ["line_end", "mid_row", "header_only", "grown",
+                                        "blank_line", "space", "same_rows"])
+    def test_file_changed_between_passes(self, tmp_path, monkeypatch, change):
+        # a file that changes after the streamed reader has counted its
+        # rows gives what the whole-body reader gives on its new content
+        raw = b"time,price\n" + b"".join(b"%d,%d.5\n" % (k, -k) for k in range(40))
+        changed = {
+            "line_end": raw[:raw.index(b"\n30,")],
+            "mid_row": raw[:raw.index(b"\n30,") + 3],
+            "header_only": b"time,price\n",
+            "grown": raw + b"40,1\n41,2\n",
+            "blank_line": raw.replace(b"\n30,-30.5\n", b"\n\n30,-30.\n"),
+            "space": raw.replace(b"30,-30.5", b"30,-30 5"),
+            "same_rows": raw.replace(b"30,-30.5", b"30,-30.7"),
+        }[change]
+        path = tmp_path / "t.csv"
+        path.write_bytes(raw)
+        real, passes = cli._pieces, []
+
+        def pieces(fh):
+            passes.append(fh.tell())
+            if len(passes) == 2:
+                path.write_bytes(changed)
+            return real(fh)
+
+        monkeypatch.setattr(cli, "_pieces", pieces)
+        monkeypatch.setattr(cli, "READ_CHUNK_BYTES", 16)
+        expected = _parsed(_read_tick_lines, str(path), changed.decode("ascii"))
+        assert _parsed(read_tick_file, str(path)) == expected
+        # pass 1 took the first content, and pass 2 began
+        assert passes == [len(b"time,price\n")] * 2
+
+
+def _feed(path: str, raw: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(raw)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+class TestPipeInput:
+    """Legs read from named pipes, which cannot seek and so are read whole,
+    give the outcome of the same bytes in regular files."""
+
+    @pytest.fixture(scope="class")
+    def simulated(self, tmp_path_factory):
+        # about 75 kB a leg: more than a pipe holds, and many chunks
+        prefix = tmp_path_factory.mktemp("pipe") / "s"
+        assert main(["simulate", "--horizon", "1000", "--seed", "5",
+                     "--out-prefix", str(prefix)]) == 0
+        return tuple(Path(f"{prefix}_{leg}.csv").read_bytes() for leg in "ab")
+
+    @pytest.mark.parametrize("pair", ["simulated", "golden", "tied", "malformed"])
+    @pytest.mark.parametrize("argv", [
+        ["estimate"], ["estimate", "--json"],
+        ["detect", "--method", "all", "--include-boundary"],
+        ["detect", "--method", "all", "--include-boundary", "--json"],
+    ])
+    def test_fifo_legs_match_regular_files(self, capsys, tmp_path, simulated, pair, argv):
+        golden = tuple(
+            ("time,price\n" + "".join(f"{t!r},{p!r}\n" for t, p in zip(times, prices))).encode()
+            for times, prices in ((GOLDEN_TIMES_A, GOLDEN_PRICES_A),
+                                  (GOLDEN_TIMES_B, GOLDEN_PRICES_B)))
+        raws = {"simulated": simulated, "golden": golden,
+                "tied": (golden[0], b"time,price\n2,1\n20,1\n"),
+                "malformed": (golden[0], BAD_A)}[pair]
+        paths = write_pair(tmp_path, raws)
+        expected = run_cli(capsys, argv[0], *paths, *argv[1:])
+        writers = []
+        for path, raw in zip(paths, raws):
+            os.remove(path)
+            os.mkfifo(path)
+            writers.append(threading.Thread(target=_feed, args=(path, raw), daemon=True))
+            writers[-1].start()
+        got = run_cli(capsys, argv[0], *paths, *argv[1:])
+        for writer in writers:
+            writer.join(timeout=10)
+        assert not any(writer.is_alive() for writer in writers)
+        assert got == expected
 
 
 _JSON_TEXT = st.lists(st.sampled_from([", ", '"', "\x00", "a", "\n", "\\", "\u00e9", "1"]),

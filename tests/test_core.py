@@ -274,6 +274,21 @@ class TestEnumerateOverlaps:
         assert overlap_count(s1, s2) == enumerate_overlaps(s1, s2).m
         assert overlap_count(s2, s1) == 10
 
+    @pytest.mark.parametrize("ta, tb", [
+        ([1, 2, 4, 7], [1, 2, 4, 7]),  # synchronous
+        ([1, 2, 3], [5, 6, 7]),  # disjoint
+        ([1, 2, 3], [3, 4, 5]),  # one shared end time, no overlap
+        ([0, 10], [2, 3, 5]),  # one leg inside one interval of the other
+        ([1, 2, 3, 4], [1.5, 2.5]),  # unaligned
+        ([1, 3, 5, 7], [2, 3, 6, 7, 9]),  # tied and unaligned
+        ([1, 3, 5, 7, 9], [0, 3, 5, 9, 10]),  # tied, one leg inside the other's span
+    ])
+    def test_overlap_count_edge_pairs(self, ta, tb):
+        for a, b in ((ta, tb), (tb, ta)):
+            s1 = validate_series(a, np.zeros(len(a)), "A")
+            s2 = validate_series(b, np.zeros(len(b)), "B")
+            assert overlap_count(s1, s2) == len(brute_overlap_pairs(s1.times, s2.times))
+
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_sweep_equals_brute_force(self, seed):

@@ -15,6 +15,9 @@ The blocked kernels hold no temporary larger than one block of
 the arrays the result is computed from, where those must exist whole) is
 bounded by a fixed number of 64 KiB blocks, the same on pairs of about
 50k and 100k ticks; before the kernels were blocked it grew with the pair.
+The streamed tick reader's peak above its columns is bounded the same way
+in chunks of ``cli.READ_CHUNK_BYTES``; reading the whole text, it grew
+with the file.
 """
 
 import argparse
@@ -82,21 +85,25 @@ def pair_bytes(pair):
     return sum(s.times.nbytes + s.values.nbytes for s in pair)
 
 
-@pytest.fixture(scope="module")
-def tick_file(pair, tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("memory") / "a.csv")
-    cli.write_tick_file(path, pair[0])
-    return path
-
-
 def test_pair_is_about_100k_ticks(pair):
     assert 99_000 < pair[0].n_points + pair[1].n_points < 101_000
 
 
-def test_read_tick_file(tick_file, pair_bytes):
-    # one leg's text is about 1.2 pair bytes and its parsed rows 0.5: a
-    # second copy of the text would pass the bound
-    assert _transient_peak(cli.read_tick_file, tick_file) < 3 * pair_bytes
+def test_read_tick_file(sized, tmp_path, monkeypatch):
+    # above its two columns the streamed reader holds a chunk and the piece
+    # cut from it, or a piece, its newline mask and the previous piece's
+    # rows: 2.5 chunks at 50k and 100k ticks, where reading the whole text
+    # took 22 and 45 chunks of 64 KiB (one leg's text is about 1.2 pair
+    # bytes, its columns 0.5)
+    _, (s1, s2) = sized
+    path = str(tmp_path / "a.csv")
+    cli.write_tick_file(path, s1)
+    chunk = 1 << 16
+    monkeypatch.setattr(cli, "READ_CHUNK_BYTES", chunk)
+    peak, columns = _peak_and_result(cli.read_tick_file, path)
+    assert (peak - sum(c.nbytes for c in columns)) / chunk < 4
+    pair_bytes = sum(s.times.nbytes + s.values.nbytes for s in (s1, s2))
+    assert peak < 1.0 * pair_bytes
 
 
 def test_write_tick_file(pair, pair_bytes, tmp_path):
@@ -122,9 +129,10 @@ def test_estimate_counts(pair, pair_bytes):
 
 
 def test_merge_labels_and_detect_label_rule(pair, pair_bytes):
-    # the merged times and labels (0.56 pair bytes), the index sets and
-    # blocks: 0.80; whole-leg before-counts are 0.25 more each
-    assert _transient_peak(lambda: detect_label_rule(merge_labels(*pair))) < 1.0 * pair_bytes
+    # the labels, the index sets and blocks: 0.32 pair bytes; the merged
+    # times, which the label rule never reads, are 0.5 more and whole-leg
+    # before-counts 0.25 more each
+    assert _transient_peak(lambda: detect_label_rule(merge_labels(*pair))) < 0.5 * pair_bytes
 
 
 def test_detect_interval_rule_blocks(sized):
@@ -142,8 +150,9 @@ def test_merge_labels_and_label_rule_blocks(sized):
         return labels, detect_label_rule(labels, include_boundary=True)
 
     peak, (labels, report) = _peak_and_result(label_rule)
-    held = labels.times.nbytes + labels.is_a.nbytes + _report_bytes(report)
-    # 2.7 blocks; whole-leg positions and before-counts took 8 and 17
+    held = labels.is_a.nbytes + _report_bytes(report)
+    # 2.7 blocks; whole-leg positions and before-counts took 8 and 17, and
+    # the merged times, which the label rule never reads, 8 and 16
     assert _blocks(peak - held) < 5
 
 
