@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObservationSeries, blocks
+from .core import ObservationSeries, _first_true, _next, blocks
 from .errors import NonPositiveRate, RejectionBudgetExceeded
 
 DEFAULT_SEED = 1729
@@ -72,9 +72,10 @@ class AdversaryConfig:
     seed : int
         Master seed, a 64-bit unsigned integer.
 
-    Raises :class:`NonPositiveRate` for a rate that is not positive, and
-    :class:`ValueError` for any other field out of range or of the wrong
-    type: the rates and horizon must be real numbers, not bools.
+    Raises :class:`NonPositiveRate` for a rate that is not positive and
+    finite, and :class:`ValueError` for any other field out of range or of
+    the wrong type: the rates and horizon must be real numbers, not bools,
+    and the rates' sum must not overflow.
     """
 
     rate_a: float
@@ -90,6 +91,10 @@ class AdversaryConfig:
         if self.rate_a <= 0 or self.rate_b <= 0:
             raise NonPositiveRate(
                 f"rates must be positive, got ({self.rate_a}, {self.rate_b})"
+            )
+        if not (math.isfinite(self.rate_a) and math.isfinite(self.rate_b)):
+            raise NonPositiveRate(
+                f"rates must be positive and finite, got ({self.rate_a}, {self.rate_b})"
             )
         if not 0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
@@ -132,9 +137,11 @@ def generate_poisson(rate: float, horizon: float, rng: np.random.Generator) -> n
     # below a rate of about 1e-306 a gap overflows to inf, past any horizon
     with np.errstate(over="ignore"):
         while True:
-            # reached + cumsum(-log(u) / rate), computed in the draw's array
+            # reached + cumsum(-log(u) / rate), computed in the draw's array;
+            # a uniform is 0 or at least 2**-53, so the maximum moves only
+            # zeros, and takes no mask the size of the draw
             arrivals = rng.random(chunk)
-            arrivals[arrivals == 0.0] = _TINY
+            np.maximum(arrivals, _TINY, out=arrivals)
             np.log(arrivals, out=arrivals)
             np.negative(arrivals, out=arrivals)
             arrivals /= rate
@@ -173,7 +180,11 @@ def draw_labels(config: AdversaryConfig, trial: int = 0) -> tuple[np.ndarray, np
             np.random.SeedSequence([int(config.seed), trial, attempt])
         )
         times = generate_poisson(config.rate_a + config.rate_b, config.horizon, rng)
-        if times.size < 4 or not (times[1:] > times[:-1]).all():
+        # the tie check a block at a time: a freed mask the size of the
+        # draw would raise glibc's mmap threshold, and the labels would
+        # then leave a hole of their size in the heap
+        if times.size < 4 or _first_true(times.size - 1,
+                                         lambda b: times[_next(b)] <= times[b]) is not None:
             continue
         return times, _aligned_labels(rng, np.array([times.size]), p)
     raise _budget_exceeded(config)
@@ -241,15 +252,29 @@ def generate_inputs(
 ) -> tuple[ObservationSeries, ObservationSeries]:
     """One accepted input pair: :func:`draw_labels` split by label.
 
+    Leg B's times are copied out of the merged draw; leg A's are moved to
+    the front of the draw's own buffer, a block at a time, and the buffer
+    is shrunk to them, so the draw and both legs are never held at once.
     Values are zero, as the cancellation structure depends on the times
-    only; :func:`attach_random_walk` fills in continuous prices.  Raises
-    what :func:`draw_labels` raises.
+    only; :func:`attach_random_walk` fills in continuous prices.  They are
+    allocated after the split, and never written.  Raises what
+    :func:`draw_labels` raises.
     """
     times, is_a = draw_labels(config, trial)
-    leg_a = times[is_a]
-    leg_b = times[np.logical_not(is_a, out=is_a)]
-    # the merged draw goes before the legs are checked
-    del times, is_a
+    is_b = np.logical_not(is_a, out=is_a)
+    leg_b = times[is_b]
+    # generate_poisson's times are a prefix of the array it drew, which
+    # owns its memory
+    leg_a = times.base
+    n_a = 0
+    for block in blocks(times.size):
+        # a copy, so the block is read before any of it is overwritten
+        part = times[block][~is_b[block]]
+        leg_a[n_a:n_a + part.size] = part
+        n_a += part.size
+    del times, is_a, is_b
+    # the view of the buffer is gone, and the buffer stays owned
+    leg_a.resize(n_a, refcheck=False)
     legs = []
     for label, leg in (("A", leg_a), ("B", leg_b)):
         # frozen here, the new arrays are handed over without a copy

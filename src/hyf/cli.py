@@ -261,14 +261,21 @@ def _frozen_columns(times: np.ndarray, prices: np.ndarray) -> tuple[np.ndarray, 
 
 
 def write_tick_file(path: str, series: ObservationSeries) -> None:
-    # one string per block of core.BLOCK_POINTS points (about 300 kB of
-    # text), where a whole 500k-point leg's lists and text are tens of MB
+    """Write ``series`` as a ``time,price`` CSV, each float by its ``repr``.
+
+    The text is formatted in pieces of a quarter of
+    :data:`hyf.core.BLOCK_POINTS` rows (about 80 kB of text), so that a
+    piece's float lists, line strings and joined text take about five
+    blocks of float64, whatever the length of the leg.
+    """
     times, values = series.times, series.values
+    step = max(1, core.BLOCK_POINTS // 4)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("time,price\n")
-        for block in core.blocks(times.size):
+        for start in range(0, times.size, step):
+            piece = slice(start, start + step)
             fh.write("".join([f"{t!r},{p!r}\n"
-                              for t, p in zip(times[block].tolist(), values[block].tolist())]))
+                              for t, p in zip(times[piece].tolist(), values[piece].tolist())]))
 
 
 # Leg B's text work moves to a forked child, beside leg A in this process,
@@ -522,8 +529,25 @@ def _json_chunks(obj) -> Iterator[str]:
     return _encode(obj, "", _repeated(obj), {})
 
 
+class _Gathered:
+    """``values[indices]``, gathered only a slice at a time: a 1-D array's
+    ``len`` and slices, which is all :func:`_scalar_blocks` takes."""
+
+    def __init__(self, values: np.ndarray, indices: np.ndarray):
+        self.values, self.indices = values, indices
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, block: slice) -> np.ndarray:
+        return self.values[self.indices[block]]
+
+
 def _is_scalar_list(obj) -> bool:
-    """True for a 1-D numeric or bool array and a list or tuple of plain scalars."""
+    """True for a 1-D numeric or bool array, such an array's :class:`_Gathered`
+    items, and a list or tuple of plain scalars."""
+    if isinstance(obj, _Gathered):
+        obj = obj.values
     if isinstance(obj, np.ndarray):
         return obj.ndim == 1 and obj.dtype.kind in "biuf"
     return isinstance(obj, (list, tuple)) and set(map(type, obj)) <= _JSON_SCALARS
@@ -557,11 +581,12 @@ def _scalar_blocks(items, sep: str) -> Iterator[str]:
     :data:`hyf.core.BLOCK_POINTS` items, each one C-encoder dump split at its
     ``", "``, which no such scalar holds.
 
-    ``items`` is a list, a tuple or a 1-D array; an array is turned into
-    Python scalars one block at a time.  A block of integers or finite
-    floats is dumped by ``repr``, which gives the same text: it writes each
-    item's text into one buffer, where ``json.dumps`` keeps every item's
-    text until it joins them (2.5 times the peak memory).
+    ``items`` is a list, a tuple, a 1-D array or a :class:`_Gathered`; an
+    array is gathered and turned into Python scalars one block at a time.
+    A block of integers or finite floats is dumped by ``repr``, which gives
+    the same text: it writes each item's text into one buffer, where
+    ``json.dumps`` keeps every item's text until it joins them (2.5 times
+    the peak memory).
     """
     for block in core.blocks(len(items)):
         piece, dump = items[block], json.dumps
@@ -621,10 +646,11 @@ def _emit(args, payload: dict, text: Iterable[str]) -> None:
 
 
 def _legs_payload(report: NonextantReport, s1: ObservationSeries, s2: ObservationSeries) -> dict:
-    # arrays, which the writers turn into Python scalars a block at a time
+    # the writers gather the times and turn both lists into Python scalars
+    # a block at a time
     return {
-        "A": {"indices": report.nonextant_1, "times": s1.times[report.nonextant_1]},
-        "B": {"indices": report.nonextant_2, "times": s2.times[report.nonextant_2]},
+        "A": {"indices": report.nonextant_1, "times": _Gathered(s1.times, report.nonextant_1)},
+        "B": {"indices": report.nonextant_2, "times": _Gathered(s2.times, report.nonextant_2)},
     }
 
 

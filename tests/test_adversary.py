@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyf.adversary
+import hyf.cli
+import hyf.core
 import hyf.montecarlo
 from hyf import (
     AdversaryConfig,
@@ -35,6 +37,25 @@ class TestConfig:
             AdversaryConfig(rate_a=0.0, rate_b=1.0, horizon=10.0)
         with pytest.raises(NonPositiveRate):
             AdversaryConfig(rate_a=1.0, rate_b=-2.0, horizon=10.0)
+
+    @pytest.mark.parametrize("rate_a, rate_b, shown", [
+        (math.nan, 1.0, "(nan, 1.0)"),
+        (1.0, math.nan, "(1.0, nan)"),
+        (math.inf, 1.0, "(inf, 1.0)"),
+        (1.0, math.inf, "(1.0, inf)"),
+    ])
+    def test_non_finite_rate_rejected(self, rate_a, rate_b, shown):
+        message = f"rates must be positive and finite, got {shown}"
+        with pytest.raises(NonPositiveRate) as info:
+            AdversaryConfig(rate_a=rate_a, rate_b=rate_b, horizon=10.0)
+        assert str(info.value) == message
+
+    def test_overflowing_rate_sum_rejected(self):
+        # each rate is finite, only their sum is not
+        with pytest.raises(ValueError) as info:
+            AdversaryConfig(rate_a=1e308, rate_b=1e308, horizon=10.0)
+        assert not isinstance(info.value, NonPositiveRate)
+        assert str(info.value) == "rate_a + rate_b must be finite, got inf"
 
     def test_zero_horizon_rejected(self):
         with pytest.raises(ValueError):
@@ -301,15 +322,40 @@ class TestPinnedStreams:
         assert _sha256(sizes.astype("<i8")) == (
             "346bf58e6408482267544905b8e1eeb4ac91d9b2ae39f989f53a84ea131d7ca3")
 
-    def test_simulate_files(self, tmp_path):
+    SIMULATE_200 = ["--rate-a", "1", "--rate-b", "0.25", "--horizon", "200", "--seed", "2301"]
+    DIGESTS_200 = [
+        "7028af72351fe0a0c10c6d617003025e98f4e65008947b8dda4a4f3fe62b077f",
+        "3d38a543562ecd3c23e79306b2fbec3d17126bd4069794e20b9e69a1a822d9c5",
+    ]
+
+    @staticmethod
+    def _simulate_digests(tmp_path, flags):
         prefix = tmp_path / "sim"
-        assert main(["simulate", "--rate-a", "1", "--rate-b", "0.25", "--horizon", "200",
-                     "--seed", "2301", "--out-prefix", str(prefix)]) == 0
-        digests = [hashlib.sha256((tmp_path / f"sim_{leg}.csv").read_bytes()).hexdigest()
-                   for leg in "ab"]
+        assert main(["simulate", *flags, "--out-prefix", str(prefix)]) == 0
+        return [hashlib.sha256((tmp_path / f"sim_{leg}.csv").read_bytes()).hexdigest()
+                for leg in "ab"]
+
+    def test_simulate_files(self, tmp_path):
+        assert self._simulate_digests(tmp_path, self.SIMULATE_200) == self.DIGESTS_200
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    def test_simulate_files_in_small_blocks(self, tmp_path, monkeypatch, block):
+        # block edges fall everywhere: in the leg split, the checks and the
+        # writer's pieces
+        monkeypatch.setattr(hyf.core, "BLOCK_POINTS", block)
+        assert self._simulate_digests(tmp_path, self.SIMULATE_200) == self.DIGESTS_200
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "in_process"])
+    def test_simulate_files_forked_in_several_blocks(self, tmp_path, monkeypatch, fork):
+        # about 30k points a leg: at least FORK_MIN_POINTS, so leg B is
+        # written by a forked child, and about 4 blocks, split and written
+        # in pieces
+        if not fork:
+            monkeypatch.setattr(hyf.cli, "FORK_MIN_POINTS", 2**62)
+        digests = self._simulate_digests(tmp_path, ["--horizon", "30000", "--seed", "2301"])
         assert digests == [
-            "7028af72351fe0a0c10c6d617003025e98f4e65008947b8dda4a4f3fe62b077f",
-            "3d38a543562ecd3c23e79306b2fbec3d17126bd4069794e20b9e69a1a822d9c5",
+            "8bc81201c82d482de8947a711e692f8a56251dbbaa06c0980aa4b6003e4cab60",
+            "786446091079dafe5d3d06cba7af23cbd4196b5bd97d64f52b46aa7dd7832d40",
         ]
 
 

@@ -467,6 +467,18 @@ class TestSimulate:
                              "--out-prefix", str(tmp_path / "x"))
         assert code == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--rate-a", "nan"], "rates must be positive and finite, got (nan, 1.0)"),
+        (["--rate-b", "inf"], "rates must be positive and finite, got (1.0, inf)"),
+        (["--rate-a", "1e308", "--rate-b", "1e308"], "rate_a + rate_b must be finite, got inf"),
+    ])
+    def test_non_finite_rate_is_usage_error(self, capsys, tmp_path, flags, message):
+        code, out, err = run_cli(capsys, "simulate", "--horizon", "10", *flags,
+                                 "--out-prefix", str(tmp_path / "x"))
+        assert (code, out) == (1, "")
+        assert err == f"hyf: error: {message}\nrun 'hyf --help' for usage\n"
+        assert not list(tmp_path.iterdir())
+
     def test_env_seed_override(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HYF_SEED", "42")
         assert main(["simulate", "--horizon", "100",
@@ -983,8 +995,9 @@ class TestJsonOutput:
         reports = payload["results"]["reports"]
         assert reports[0]["legs"] is reports[1]["legs"] is reports[2]["legs"]
         assert reports[0]["legs"]["A"]["indices"].size
-        # the index and time lists are arrays, encoded as their tolist()
-        assert out == json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
+        # the index lists are arrays and the time lists gather from them
+        # when sliced; each is encoded as its whole slice's tolist()
+        assert out == json.dumps(payload, indent=2, default=lambda o: o[:].tolist()) + "\n"
 
     def test_disagreeing_detect_all_matches_indenting_encoder(self, capsys, golden_files):
         code, out, _ = run_cli(capsys, "detect", *golden_files, "--method", "all",

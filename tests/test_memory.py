@@ -18,16 +18,23 @@ bounded by a fixed number of 64 KiB blocks, the same on pairs of about
 The streamed tick reader's peak above its columns is bounded the same way
 in chunks of ``cli.READ_CHUNK_BYTES``; reading the whole text, it grew
 with the file.
+
+``tracemalloc`` counts calloc'd zeros that never become resident and does
+not see holes left in the heap, so ``simulate``'s peak resident memory is
+also bounded, on Linux, from its ``wait4`` ``ru_maxrss``.
 """
 
 import argparse
 import contextlib
 import gc
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import hyf
 from hyf import AdversaryConfig, attach_random_walk, generate_inputs, merge_labels
 from hyf import cli, core
 from hyf.adversary import draw_labels
@@ -106,10 +113,12 @@ def test_read_tick_file(sized, tmp_path, monkeypatch):
     assert peak < 1.0 * pair_bytes
 
 
-def test_write_tick_file(pair, pair_bytes, tmp_path):
-    # one block of text at a time; a whole leg's lists and lines are
-    # about 2 pair bytes
-    assert _transient_peak(cli.write_tick_file, str(tmp_path / "w.csv"), pair[0]) < pair_bytes
+def test_write_tick_file(sized, tmp_path):
+    # a quarter block of rows at a time: their float lists, line strings
+    # and joined text take 5.1 blocks at 50k and 100k ticks, where a whole
+    # block's took 20 and a whole leg's about 2 pair bytes
+    _, (s1, _) = sized
+    assert _blocks(_transient_peak(cli.write_tick_file, str(tmp_path / "w.csv"), s1)) < 7
 
 
 def test_telescope_rows(pair, pair_bytes):
@@ -194,9 +203,12 @@ def test_generate_inputs_and_random_walk_blocks(sized):
     draw = _owned_bytes(times) + is_a.nbytes
     del times, is_a
     assert _blocks(peak - draw) < 3
-    # the legs are split from the draw, which goes before they are checked:
-    # 0.2 blocks above the larger of draw plus legs' times and the result,
-    # where checking whole legs beside the draw took 13 and 27
+    # leg B is copied out of the draw and leg A moved into its buffer, which
+    # shrinks to it before the legs are checked: 0.3 and -0.6 blocks above
+    # the larger of draw plus legs' times and the result, where checking
+    # whole legs beside the draw took 13 and 27.  tracemalloc counts the
+    # zero values in full, though they are never written, so the result
+    # is the peak here; test_simulate_peak_rss bounds the resident memory
     peak, legs = _peak_and_result(generate_inputs, config)
     leg_times = sum(s.times.nbytes for s in legs)
     result = leg_times + sum(s.values.nbytes for s in legs)
@@ -208,24 +220,32 @@ def test_generate_inputs_and_random_walk_blocks(sized):
 
 def test_json_writer(pair, pair_bytes):
     report = detect_interval_rule(*pair, include_boundary=True)
-    legs = cli._legs_payload(report, *pair)
-    payload = {"results": {"reports": [cli._report_payload(report, legs)]}}
     args = argparse.Namespace(json=True)
+
+    def write():
+        legs = cli._legs_payload(report, *pair)
+        payload = {"results": {"reports": [cli._report_payload(report, legs)]}}
+        cli._emit(args, payload, ())
+
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        # one block of a list at a time; the whole document's text is
-        # about 0.8 pair bytes, and about as much again while it is encoded
-        assert _transient_peak(cli._emit, args, payload, ()) < pair_bytes
+        # one block of a list at a time, the times gathered a block at a
+        # time too: 0.52 pair bytes; gathering each leg's times whole took
+        # 0.64, and the whole document's text is about 0.8 more
+        assert _transient_peak(write) < 0.58 * pair_bytes
 
 
 def test_text_leg_lines(pair, pair_bytes):
     report = detect_interval_rule(*pair, include_boundary=True)
-    legs = cli._legs_payload(report, *pair)
     args = argparse.Namespace(json=False)
+
+    def write():
+        cli._emit(args, {}, cli._leg_lines(cli._legs_payload(report, *pair)))
+
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        # one block of a list at a time, as in --json (0.38 pair bytes);
-        # a list of every item's text and its joined line took 0.97
-        peak = _transient_peak(lambda: cli._emit(args, {}, cli._leg_lines(legs)))
-    assert peak < 0.6 * pair_bytes
+        # one block of a list at a time, as in --json (0.37 pair bytes);
+        # gathering each leg's times whole took 0.49, and a list of every
+        # item's text and its joined line 0.97 more
+        assert _transient_peak(write) < 0.43 * pair_bytes
 
 
 def test_detect_all_reports_and_json(pair, pair_bytes):
@@ -242,8 +262,47 @@ def test_detect_all_reports_and_json(pair, pair_bytes):
         cli._emit(args, payload, ())
 
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        # the index sets and times stay arrays, and the shared legs' text is
-        # kept as its pieces (1.7 pair bytes in all); one list of the 25k
-        # indices as Python ints is another 0.56, and joining the legs'
-        # text once more about 0.5
-        assert _transient_peak(detect_all) < 2.0 * pair_bytes
+        # the index sets stay arrays, the times are gathered a block at a
+        # time, and the shared legs' text is kept as its pieces (1.42 pair
+        # bytes in all); gathering each leg's times whole took 1.54, one
+        # list of the 25k indices as Python ints is another 0.56, and
+        # joining the legs' text once more about 0.5
+        assert _transient_peak(detect_all) < 1.48 * pair_bytes
+
+
+# runs argv[1:] and prints its ru_maxrss (KiB on Linux).  A process starts
+# with the peak RSS of the one that spawns it, so the command is spawned
+# from this small interpreter, not from the test process.
+_MAXRSS = """import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0
+print(usage.ru_maxrss)
+"""
+
+
+def _maxrss_bytes(*argv: str) -> int:
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hyf.__file__))}
+    proc = subprocess.run([sys.executable, "-c", _MAXRSS, sys.executable, *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    return int(proc.stdout) * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
+def test_simulate_peak_rss(tmp_path):
+    # above an interpreter that has imported hyf.cli and drawn from
+    # numpy.random, simulate holds its two series (one float64 time and value
+    # per point) and little else: 1.33 series bytes at about 200k ticks,
+    # where the merged draw beside both legs, the zero values written on
+    # the heap and the writer's whole blocks of text took 1.6.  Each is the
+    # least of three runs: a single run's peak varies by up to 0.6 MiB (0.2
+    # series bytes) from run to run on a shared host
+    start = min(_maxrss_bytes(
+        "-c", "import hyf.cli, numpy; numpy.random.default_rng(0).standard_normal(1)")
+        for _ in range(3))
+    peak = min(_maxrss_bytes("-m", "hyf", "simulate", "--horizon", "100000",
+                             "--out-prefix", str(tmp_path / "sim"))
+               for _ in range(3))
+    points = sum((tmp_path / f"sim_{leg}.csv").read_bytes().count(b"\n") - 1 for leg in "ab")
+    assert 190_000 < points < 210_000
+    assert (peak - start) / (16 * points) < 1.45
