@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObservationSeries, _first_true, _next, blocks
+from .core import ObservationSeries, _first_true, _integer, _next, blocks
 from .errors import NonPositiveRate, RejectionBudgetExceeded
 
 DEFAULT_SEED = 1729
@@ -46,16 +46,19 @@ _TINY = np.finfo(float).tiny  # keeps a uniform draw inside (0, 1)
 
 
 def _index(value, what: str, bits: int = 32) -> int:
-    """``value`` as a stream-key integer in ``[0, 2**bits)``.
-
-    Raises :class:`ValueError` for anything else, bools and integral
-    floats included, which ``int()`` would otherwise truncate silently.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+    """``value`` as a stream-key integer in ``[0, 2**bits)``; anything else
+    is a :class:`ValueError` (see :func:`hyf.core._integer`)."""
+    value = _integer(value, what)
     if not 0 <= value < 2**bits:
         raise ValueError(f"{what} must be in [0, 2**{bits}), got {value}")
-    return int(value)
+    return value
+
+
+def _real(value, what: str) -> None:
+    """Raise :class:`ValueError` naming ``what`` unless ``value`` is a real
+    number other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -85,9 +88,7 @@ class AdversaryConfig:
 
     def __post_init__(self) -> None:
         for name in ("rate_a", "rate_b", "horizon"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+            _real(getattr(self, name), name)
         if self.rate_a <= 0 or self.rate_b <= 0:
             raise NonPositiveRate(
                 f"rates must be positive, got ({self.rate_a}, {self.rate_b})"
@@ -314,8 +315,12 @@ def theoretical_loss(a: float, b: float) -> float:
 
     Symmetric, scale invariant, and minimised at 1/4 exactly when the
     rates are equal.  The shares are formed from rate ratios, never from
-    ``a + b``, which overflows for rates near the float maximum.
+    ``a + b``, which overflows for rates near the float maximum.  Raises
+    :class:`ValueError` for a rate that is a bool or not a real number, and
+    :class:`NonPositiveRate` for one that is not positive and finite.
     """
+    _real(a, "a")
+    _real(b, "b")
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise NonPositiveRate(f"rates must be positive and finite, got ({a}, {b})")
     p = 1.0 / (1.0 + b / a)

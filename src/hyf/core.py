@@ -49,6 +49,18 @@ def _next(block: slice) -> slice:
     return slice(block.start + 1, block.stop + 1)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as a Python ``int``.
+
+    Raises :class:`ValueError` naming ``what`` for anything but an integer,
+    bools and integral floats included, which ``int()`` would otherwise
+    truncate silently.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _first_true(n: int, test) -> int | None:
     """First ``k < n`` that ``test(block)`` marks True, one block at a time, or None."""
     for block in blocks(n):
@@ -158,7 +170,12 @@ class ObservationSeries:
         return np.diff(self.values)
 
     def interval(self, i: int) -> tuple[float, float]:
-        """Endpoints of interval ``i`` as ``(t[i-1], t[i]]``."""
+        """Endpoints of interval ``i`` as ``(t[i-1], t[i]]``.
+
+        Raises :class:`ValueError` for an ``i`` that is not an integer and
+        :class:`IndexOutOfRange` for one outside ``1..n_intervals``.
+        """
+        i = _integer(i, "interval index")
         if not 1 <= i <= self.n_intervals:
             raise IndexOutOfRange(
                 f"interval index {i} outside 1..{self.n_intervals}"

@@ -23,7 +23,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .adversary import AdversaryConfig, draw_label_block, generate_inputs, theoretical_loss
-from .core import merge_labels
+from .core import _integer, merge_labels
 from .errors import DetectorDisagreement
 from .nonextant import detect_interval_rule
 
@@ -42,7 +42,9 @@ BLOCK_LABELS = 2**14
 
 
 def check_runs(runs: int) -> None:
-    """Reject a run count below 2 or above :data:`MAX_RUNS` with ``ValueError``."""
+    """Reject a run count that is not an integer, or is below 2 or above
+    :data:`MAX_RUNS`, with ``ValueError``."""
+    runs = _integer(runs, "runs")
     if runs < 2:
         raise ValueError(f"need at least 2 runs for a deviation estimate, got {runs}")
     if runs > MAX_RUNS:

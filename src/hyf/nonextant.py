@@ -43,6 +43,7 @@ from .core import (
     ObservationSeries,
     _first_true,
     _frozen_vector,
+    _integer,
     blocks,
     clip_ranges,
     overlap_ranges,
@@ -268,7 +269,8 @@ def count_pattern(labels: LabelSequence | str, pattern: str) -> int:
     """Count (overlapping) occurrences of ``pattern`` in the label string.
 
     Raises :class:`EmptyPattern` for an empty pattern and
-    :class:`ValidationError` for a pattern with a letter other than A or B.
+    :class:`ValidationError` for a pattern or a label string with a letter
+    other than A or B.
     """
     if len(pattern) == 0:
         raise EmptyPattern("pattern must contain at least one label")
@@ -276,6 +278,9 @@ def count_pattern(labels: LabelSequence | str, pattern: str) -> int:
     if unknown:
         raise ValidationError(f"unknown label {min(unknown)!r} in pattern")
     text = labels.as_string if isinstance(labels, LabelSequence) else labels
+    unknown = set(text) - {"A", "B"}
+    if unknown:
+        raise ValidationError(f"unknown label {min(unknown)!r}")
     return len(re.findall(f"(?={re.escape(pattern)})", text))
 
 
@@ -330,8 +335,11 @@ def nonextant_interval(
     ``t1[i-1]`` to the last leg-2 time before ``t1[i]``; at ``i = 1`` the
     left end widens to the earlier of the leg-2 neighbours of ``t1[0]``,
     and symmetrically on the right at ``i = M``.  Strictly interior leg-2
-    points of the window are nonextant.
+    points of the window are nonextant.  Raises :class:`ValueError` for an
+    ``i`` that is not an integer and :class:`IndexOutOfRange` for one
+    outside ``1..M``.
     """
+    i = _integer(i, "interval index")
     m1 = s1.n_intervals
     if not 1 <= i <= m1:
         raise IndexOutOfRange(f"interval index {i} outside 1..{m1}")

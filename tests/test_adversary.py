@@ -11,6 +11,7 @@ import hyf.adversary
 import hyf.cli
 import hyf.core
 import hyf.montecarlo
+import hyf.ticks
 from hyf import (
     AdversaryConfig,
     NonPositiveRate,
@@ -351,7 +352,7 @@ class TestPinnedStreams:
         # written by a forked child, and about 4 blocks, split and written
         # in pieces
         if not fork:
-            monkeypatch.setattr(hyf.cli, "FORK_MIN_POINTS", 2**62)
+            monkeypatch.setattr(hyf.ticks, "FORK_MIN_POINTS", 2**62)
         digests = self._simulate_digests(tmp_path, ["--horizon", "30000", "--seed", "2301"])
         assert digests == [
             "8bc81201c82d482de8947a711e692f8a56251dbbaa06c0980aa4b6003e4cab60",
@@ -425,6 +426,11 @@ class TestTheoreticalLoss:
     @pytest.mark.parametrize("a,b", [(math.nan, 1), (1, math.nan), (math.inf, 1), (1, math.inf)])
     def test_non_finite_rejected(self, a, b):
         with pytest.raises(NonPositiveRate, match="finite"):
+            theoretical_loss(a, b)
+
+    @pytest.mark.parametrize("a,b", [(True, 1), (1, True), (1, False), ("1", 1), (1, 1j)])
+    def test_bool_and_non_real_rates_rejected(self, a, b):
+        with pytest.raises(ValueError, match="must be a real number"):
             theoretical_loss(a, b)
 
     @pytest.mark.parametrize("a,b,want", [

@@ -20,14 +20,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyf import __version__, cli, core, detect_interval_rule
-from hyf.cli import (
-    TickParseError,
-    _json_chunks,
-    _read_tick_lines,
-    main,
-    read_tick_file,
-)
+from hyf import __version__, cli, core, detect_interval_rule, ticks
+from hyf._output import _json_chunks
+from hyf.cli import main
+from hyf.ticks import TickParseError, _read_tick_lines, read_tick_file
 
 from _support import reference_tie_jitter
 from conftest import (
@@ -523,7 +519,7 @@ class TestSimulate:
         # a missing directory, or a directory where one tick file should go;
         # in process, then with leg B written by a forked child
         for min_points in (10**9, 0):
-            monkeypatch.setattr("hyf.cli.FORK_MIN_POINTS", min_points)
+            monkeypatch.setattr("hyf.ticks.FORK_MIN_POINTS", min_points)
             directory = tmp_path / str(min_points)
             directory.mkdir()
             prefix = directory / "missing" / "x"
@@ -541,7 +537,7 @@ class TestSimulate:
 
     def test_unwritable_pair_names_a(self, capsys, tmp_path, monkeypatch):
         for min_points in (10**9, 0):
-            monkeypatch.setattr("hyf.cli.FORK_MIN_POINTS", min_points)
+            monkeypatch.setattr("hyf.ticks.FORK_MIN_POINTS", min_points)
             for leg in "ab":
                 (tmp_path / f"{min_points}_{leg}.csv").mkdir()
             code, _, err = run_cli(capsys, "simulate", "--horizon", "10",
@@ -562,7 +558,7 @@ class TestSimulate:
 
         monkeypatch.setattr(cli, "write_tick_file", full_disk)
         for min_points in (10**9, 0):
-            monkeypatch.setattr("hyf.cli.FORK_MIN_POINTS", min_points)
+            monkeypatch.setattr("hyf.ticks.FORK_MIN_POINTS", min_points)
             prefix = tmp_path / str(min_points)
             code, _, err = run_cli(capsys, "simulate", "--horizon", "10",
                                    "--out-prefix", str(prefix))
@@ -813,7 +809,7 @@ def _near_valid_csv(draw):
 
 # chunk sizes at which every row, \r\n pair and blank line of a small file
 # straddles a chunk edge somewhere, and the default
-_CHUNKS = (1, 2, 3, 5, 7, cli.READ_CHUNK_BYTES)
+_CHUNKS = (1, 2, 3, 5, 7, ticks.READ_CHUNK_BYTES)
 
 
 class TestTickParsing:
@@ -844,14 +840,28 @@ class TestTickParsing:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning would reach stderr
             for chunk in _CHUNKS:
-                with mock.patch.object(cli, "READ_CHUNK_BYTES", chunk):
+                with mock.patch.object(ticks, "READ_CHUNK_BYTES", chunk):
                     assert _parsed(read_tick_file, str(path)) == expected, chunk
+            if not hasattr(os, "mkfifo"):
+                return
+            # the same bytes from a named pipe at the same path, which is
+            # read once and streamed from memory
+            path.unlink()
+            os.mkfifo(path)
+            for chunk in _CHUNKS:
+                writer = threading.Thread(target=_feed, args=(str(path), raw), daemon=True)
+                writer.start()
+                with mock.patch.object(ticks, "READ_CHUNK_BYTES", chunk):
+                    got = _parsed(read_tick_file, str(path))
+                writer.join(timeout=10)
+                assert not writer.is_alive()
+                assert got == expected, chunk
 
     @pytest.mark.parametrize("change", ["line_end", "mid_row", "header_only", "grown",
                                         "blank_line", "space", "same_rows"])
     def test_file_changed_between_passes(self, tmp_path, monkeypatch, change):
         # a file that changes after the streamed reader has counted its
-        # rows gives what the whole-body reader gives on its new content
+        # rows gives what the line parser gives on its new content
         raw = b"time,price\n" + b"".join(b"%d,%d.5\n" % (k, -k) for k in range(40))
         changed = {
             "line_end": raw[:raw.index(b"\n30,")],
@@ -864,7 +874,7 @@ class TestTickParsing:
         }[change]
         path = tmp_path / "t.csv"
         path.write_bytes(raw)
-        real, passes = cli._pieces, []
+        real, passes = ticks._pieces, []
 
         def pieces(fh):
             passes.append(fh.tell())
@@ -872,8 +882,8 @@ class TestTickParsing:
                 path.write_bytes(changed)
             return real(fh)
 
-        monkeypatch.setattr(cli, "_pieces", pieces)
-        monkeypatch.setattr(cli, "READ_CHUNK_BYTES", 16)
+        monkeypatch.setattr(ticks, "_pieces", pieces)
+        monkeypatch.setattr(ticks, "READ_CHUNK_BYTES", 16)
         expected = _parsed(_read_tick_lines, str(path), changed.decode("ascii"))
         assert _parsed(read_tick_file, str(path)) == expected
         # pass 1 took the first content, and pass 2 began
@@ -1143,7 +1153,7 @@ class TestCliFuzz:
 def _forked(min_bytes: int):
     """``FORK_MIN_BYTES`` set for one block: 0 parses every leg B that can be
     stat'ed in a forked child, a huge value keeps every leg in process."""
-    return mock.patch.object(cli, "FORK_MIN_BYTES", min_bytes)
+    return mock.patch.object(ticks, "FORK_MIN_BYTES", min_bytes)
 
 
 def _open_fds() -> int:
@@ -1205,7 +1215,7 @@ class TestForkedLegs:
     def test_simulated_pair_matches_in_process(self, capsys, tmp_path, monkeypatch):
         outputs = []
         for min_points in (10**9, 0):
-            monkeypatch.setattr("hyf.cli.FORK_MIN_POINTS", min_points)
+            monkeypatch.setattr("hyf.ticks.FORK_MIN_POINTS", min_points)
             prefix = tmp_path / str(min_points)
             code, out, _ = run_cli(capsys, "simulate", "--horizon", "500", "--seed", "9",
                                    "--out-prefix", str(prefix))
@@ -1232,7 +1242,7 @@ class TestForkedLegs:
         else:
             argv = ["estimate", *files]
         with _forked(10**18):
-            monkeypatch.setattr("hyf.cli.FORK_MIN_POINTS", 10**9)
+            monkeypatch.setattr("hyf.ticks.FORK_MIN_POINTS", 10**9)
             expected = run_cli(capsys, *argv)
         parent, calls, forks = os.getpid(), [], []
         name = "write_tick_file" if case.startswith("simulate") else "read_tick_file"
@@ -1252,7 +1262,7 @@ class TestForkedLegs:
         monkeypatch.setattr(os, "fork", counted_fork)
         before = _open_fds()
         with _forked(0):
-            monkeypatch.setattr("hyf.cli.FORK_MIN_POINTS", 0)
+            monkeypatch.setattr("hyf.ticks.FORK_MIN_POINTS", 0)
             assert run_cli(capsys, *argv) == expected
         _assert_no_child()
         assert _open_fds() == before

@@ -115,6 +115,12 @@ class TestValidateSeries:
         with pytest.raises(IndexOutOfRange):
             s1.interval(7)
 
+    @pytest.mark.parametrize("i", [True, 1.5, 2.0, "1"])
+    def test_interval_index_must_be_an_integer(self, golden_pair, i):
+        s1, _ = golden_pair
+        with pytest.raises(ValueError, match="interval index must be an integer"):
+            s1.interval(i)
+
 
 class TestMergeLabels:
     def test_golden_merge_string(self, golden_pair):

@@ -16,7 +16,7 @@ the arrays the result is computed from, where those must exist whole) is
 bounded by a fixed number of 64 KiB blocks, the same on pairs of about
 50k and 100k ticks; before the kernels were blocked it grew with the pair.
 The streamed tick reader's peak above its columns is bounded the same way
-in chunks of ``cli.READ_CHUNK_BYTES``; reading the whole text, it grew
+in chunks of ``ticks.READ_CHUNK_BYTES``; reading the whole text, it grew
 with the file.
 
 ``tracemalloc`` counts calloc'd zeros that never become resident and does
@@ -36,7 +36,7 @@ import pytest
 
 import hyf
 from hyf import AdversaryConfig, attach_random_walk, generate_inputs, merge_labels
-from hyf import cli, core
+from hyf import cli, core, ticks
 from hyf.adversary import draw_labels
 from hyf.estimator import hy_covariance, telescope_rows
 from hyf.nonextant import detect_interval_rule, detect_label_rule, oracle_detect
@@ -104,10 +104,10 @@ def test_read_tick_file(sized, tmp_path, monkeypatch):
     # bytes, its columns 0.5)
     _, (s1, s2) = sized
     path = str(tmp_path / "a.csv")
-    cli.write_tick_file(path, s1)
+    ticks.write_tick_file(path, s1)
     chunk = 1 << 16
-    monkeypatch.setattr(cli, "READ_CHUNK_BYTES", chunk)
-    peak, columns = _peak_and_result(cli.read_tick_file, path)
+    monkeypatch.setattr(ticks, "READ_CHUNK_BYTES", chunk)
+    peak, columns = _peak_and_result(ticks.read_tick_file, path)
     assert (peak - sum(c.nbytes for c in columns)) / chunk < 4
     pair_bytes = sum(s.times.nbytes + s.values.nbytes for s in (s1, s2))
     assert peak < 1.0 * pair_bytes
@@ -118,7 +118,7 @@ def test_write_tick_file(sized, tmp_path):
     # and joined text take 5.1 blocks at 50k and 100k ticks, where a whole
     # block's took 20 and a whole leg's about 2 pair bytes
     _, (s1, _) = sized
-    assert _blocks(_transient_peak(cli.write_tick_file, str(tmp_path / "w.csv"), s1)) < 7
+    assert _blocks(_transient_peak(ticks.write_tick_file, str(tmp_path / "w.csv"), s1)) < 7
 
 
 def test_telescope_rows(pair, pair_bytes):

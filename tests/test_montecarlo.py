@@ -61,6 +61,13 @@ class TestRunExperiment:
             run_experiment(quick_config(), runs=11)
         assert run_experiment(quick_config(), runs=10).runs == 10
 
+    @pytest.mark.parametrize("runs", [True, 2.5, 4.0, "3"])
+    def test_runs_must_be_an_integer(self, runs):
+        with pytest.raises(ValueError, match="runs must be an integer"):
+            run_experiment(quick_config(), runs=runs)
+        with pytest.raises(ValueError, match="runs must be an integer"):
+            loss_table([(1.0, 1.0)], [300.0], runs, seed=314)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             run_experiment(quick_config(), runs=4, boundary_mode="everything")

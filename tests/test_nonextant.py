@@ -181,6 +181,11 @@ class TestCountPattern:
         with pytest.raises(ValidationError, match="unknown label"):
             count_pattern("AAAA", pattern)
 
+    @pytest.mark.parametrize("text, letter", [("AXB", "X"), ("ab", "a"), ("AB ", " ")])
+    def test_label_string_of_other_letters_rejected(self, text, letter):
+        with pytest.raises(ValidationError, match=f"^unknown label {letter!r}$"):
+            count_pattern(text, "A")
+
     @settings(max_examples=200, deadline=None)
     @given(
         text=st.text(alphabet="AB", max_size=60),
@@ -211,6 +216,11 @@ class TestNonextantInterval:
             nonextant_interval(*golden_pair, i=0)
         with pytest.raises(IndexOutOfRange):
             nonextant_interval(*golden_pair, i=7)
+
+    @pytest.mark.parametrize("i", [True, 1.5, 2.0, "1"])
+    def test_index_must_be_an_integer(self, golden_pair, i):
+        with pytest.raises(ValueError, match="interval index must be an integer"):
+            nonextant_interval(*golden_pair, i=i)
 
     def test_windows_cover_exactly_the_cancelled_points(self, golden_pair):
         s1, s2 = attach_random_walk(*golden_pair, seed=17)

@@ -1,4 +1,5 @@
-"""The README's "Library quick start" block runs and prints what its comments say.
+"""The README's "Library quick start" block runs and prints what its comments
+say, and every ``hyf.<module>.<name>`` it cites exists.
 
 Each top-level statement of the block is run in turn; an expression
 statement whose line ends in a ``# ...`` comment is evaluated and compared
@@ -7,6 +8,7 @@ with that comment read as Python, where ``array(...)`` is a numpy array and
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -96,3 +98,14 @@ def test_comment_forms():
     assert _same((0.2531, 0.25), _expected("~0.250, 0.25"))
     assert not _same((0.2551, 0.25), _expected("~0.250, 0.25"))
     assert not _same(-30, _expected("-30.0"))
+
+
+def test_cited_module_names_resolve():
+    # a name that a refactor moves or deletes leaves no stale citation
+    cited = re.findall(r"`(hyf\.\w+)\.(\w+(?:\.\w+)*)`", README.read_text(encoding="utf-8"))
+    assert ("hyf.ticks", "READ_CHUNK_BYTES") in cited
+    for module, name in cited:
+        obj = importlib.import_module(module)
+        for part in name.split("."):
+            assert hasattr(obj, part), f"{module}.{name}"
+            obj = getattr(obj, part)
