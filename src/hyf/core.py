@@ -34,7 +34,7 @@ _LABELS = ("A", "B")
 # 64 KiB, under glibc's default 128 KiB mmap threshold, so block temporaries
 # reuse heap memory instead of growing it.  Apart from its inputs and its
 # result, no kernel holds an array larger than one block, except where it
-# needs one whole: the array the oracle's median partitions.
+# needs one whole: the oracle's own prices of the opposite leg.
 BLOCK_POINTS = 2**13
 
 
@@ -403,15 +403,10 @@ def safe_median(x: np.ndarray) -> float:
     ``ndarray.mean``, as ``np.median`` does, without ``np.median``'s
     import of ``numpy.ma`` on its first call.
     """
-    return median_of_halves(np.asarray(x, dtype=float) / 2)
-
-
-def median_of_halves(half: np.ndarray) -> float:
-    """:func:`safe_median` of ``2 * half``, partitioning ``half`` in place."""
+    half = np.asarray(x, dtype=float) / 2
     if half.size == 0:
         raise ValueError("median of an empty array")
     mid, odd = divmod(half.size, 2)
-    # np.partition is this on a copy
     half.partition(mid if odd else (mid - 1, mid))
     return 2 * float(half[mid - 1 + odd:mid + 1].mean())
 

@@ -156,9 +156,6 @@ def loss_table(
         raise ValueError("need at least one rate pair")
     if not horizons:
         raise ValueError("need at least one horizon")
-    rate_pairs = tuple((float(a), float(b)) for a, b in rate_pairs)
-    horizons = tuple(float(t) for t in horizons)
-
     # build every config first, so a bad cell fails before any trial runs
     configs = [
         [AdversaryConfig(rate_a, rate_b, horizon, seed) for rate_a, rate_b in rate_pairs]
@@ -169,8 +166,8 @@ def loss_table(
         for row in configs
     )
     return LossTable(
-        horizons=horizons,
-        rate_pairs=rate_pairs,
+        horizons=tuple(horizons),
+        rate_pairs=tuple(map(tuple, rate_pairs)),
         rows=rows,
         theoretical=tuple(theoretical_loss(a, b) for a, b in rate_pairs),
     )

@@ -19,9 +19,9 @@ decide this from their own input, so that the test suite and ``detect
   side when ``k`` is its leg's last point ``or after == 0 or (before == 0
   and next)``.  Any other point is detected when both sides are empty, or
   when neither is and ``(prev or before <= 1) and (next or after <= 1)``,
-* coefficient oracle, from the analytic coefficients: a point is detected
-  when its coefficient is zero, and contained when its two adjacent
-  intervals lie inside one opposite-leg interval.
+* coefficient oracle, from the analytic coefficients under prices of its
+  own: a point is detected when its coefficient is zero, and contained
+  when its two adjacent intervals lie inside one opposite-leg interval.
 
 On boundary-aligned inputs the first and last point of a leg always
 survive.  ``f_interior`` counts containment (triple-middle) detections,
@@ -47,14 +47,11 @@ from .core import (
     blocks,
     clip_ranges,
     overlap_ranges,
-    median_of_halves,
     range_blocks,
     tie_mask,
 )
 from .errors import EmptyPattern, IndexOutOfRange, ValidationError, ZeroOverlaps
 from .estimator import point_coefficients
-
-ORACLE_RELATIVE_TOLERANCE = 1e-12
 
 _METHODS = ("interval_rule", "label_rule", "oracle")
 
@@ -284,36 +281,45 @@ def count_pattern(labels: LabelSequence | str, pattern: str) -> int:
     return len(re.findall(f"(?={re.escape(pattern)})", text))
 
 
+def _oracle_prices(n: int) -> np.ndarray:
+    """The oracle's own prices of ``n`` points, read-only: point ``j`` costs
+    the top 50 bits of output ``j`` of splitmix64 from state 0, an integer
+    that float64 holds exactly."""
+    g = np.empty(n)
+    for b in blocks(n):
+        z = np.arange(b.start + 1, b.stop + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        g[b] = z >> np.uint64(14)
+    g.flags.writeable = False
+    return g
+
+
 def oracle_detect(
     s1: ObservationSeries,
     s2: ObservationSeries,
     include_boundary: bool = True,
 ) -> NonextantReport:
-    """Arbiter detector: report points whose coefficient is (near) zero.
+    """Arbiter detector: report points whose coefficient is zero.
 
-    The coefficients are computed analytically, so only representation
-    error remains; a point is flagged when its coefficient is at most
-    ``1e-12`` relative to the median absolute opposite-leg increment.  A
-    detected point is contained when :func:`overlap_ranges` puts the union
-    of its two adjacent intervals inside one opposite interval, so reports
-    compare field for field.  Meaningful as ground truth only when values
-    are continuously distributed (zero increments would mask genuinely
-    extant points).
+    Cancellation depends on the times alone, so the series' values are
+    ignored: each leg's :func:`point_coefficients` are taken against the
+    opposite leg priced by :func:`_oracle_prices`, at the top 50 bits of
+    splitmix64 output ``j`` for point ``j``.  Every coefficient is then an
+    exact integer below ``2**52`` in magnitude, and a point is detected
+    when its coefficient is exactly 0; a false zero needs two sums of
+    these 50-bit values to collide.  A detected point is contained when
+    :func:`overlap_ranges` puts the union of its two adjacent intervals
+    inside one opposite interval, so reports compare field for field.
     """
     sides = []
     for series, opposite in ((s1, s2), (s2, s1)):
-        coeff = point_coefficients(series, opposite)
-        # safe_median(np.abs(opposite.increments)) from the one array it partitions
-        v = opposite.values
-        half = np.subtract(v[1:], v[:-1])
-        np.abs(half, out=half)
-        half /= 2
-        threshold = ORACLE_RELATIVE_TOLERANCE * median_of_halves(half)
-        del half
+        coeff = point_coefficients(series, opposite.with_values(_oracle_prices(opposite.n_points)))
         t, end, m_opp = series.times, series.n_intervals, opposite.n_intervals
         contained, other = [], []
         for b in blocks(coeff.size):
-            k = np.flatnonzero(np.abs(coeff[b]) <= threshold) + b.start
+            k = np.flatnonzero(coeff[b] == 0) + b.start
             first, last = overlap_ranges(opposite.times, t[np.maximum(k - 1, 0)],
                                          t[np.minimum(k + 1, end)])
             # the first and last point have one adjacent interval only
@@ -321,6 +327,8 @@ def oracle_detect(
             contained.append(k[inside])
             other.append(k[~inside])
         sides.append((np.concatenate(contained), np.concatenate(other)))
+        # the next leg's prices are not made while these coefficients live
+        del coeff
     return _build_report(*sides, overlap_count(s1, s2), "oracle", include_boundary)
 
 

@@ -335,6 +335,16 @@ class TestSafeMedian:
         expected = 2 * float(np.median(x / 2))
         assert np.float64(safe_median(x)).tobytes() == np.float64(expected).tobytes()
 
+    @pytest.mark.parametrize("size", [999, 1000, 9999, 10000])
+    def test_bitwise_equal_on_long_seeded_arrays(self, size):
+        # partitioning an even size at the upper middle item alone leaves
+        # the lower one in place in all but a few of these 500 arrays per
+        # size, and in all of the small arrays above
+        for seed in range(500):
+            x = np.random.default_rng([seed, size]).standard_normal(size)
+            expected = 2 * float(np.median(x / 2))
+            assert np.float64(safe_median(x)).tobytes() == np.float64(expected).tobytes(), seed
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             safe_median(np.array([]))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hyf import (
     loss_table,
     run_experiment,
 )
+from hyf import cli
 from hyf.adversary import draw_label_block, draw_labels
 from hyf.montecarlo import label_counts
 
@@ -292,6 +294,20 @@ class TestLossTable:
             loss_table([], [100], runs=10, seed=1)
         with pytest.raises(ValueError):
             loss_table([(1, 1)], [], runs=10, seed=1)
+
+    @pytest.mark.parametrize("rates, horizon", [
+        ((True, 1), 10), ((1, False), 10), (("1", 1), 10), ((1, 1), True), ((1, 1), "10"),
+    ])
+    def test_inputs_checked_as_given(self, rates, horizon):
+        with pytest.raises(ValueError) as rejected:
+            AdversaryConfig(*rates, horizon, 0)
+        with pytest.raises(type(rejected.value), match=re.escape(str(rejected.value))):
+            loss_table([rates], [horizon], runs=2, seed=0)
+
+    def test_cli_parsed_inputs(self):
+        table = loss_table(cli._parse_rate_pairs("1,1/10"), cli._parse_horizons("50"),
+                           runs=2, seed=0)
+        assert (table.rate_pairs, table.horizons) == (((1.0, 0.1),), (50.0,))
 
     def test_deterministic(self):
         t1 = loss_table([(1, 0.5)], [80], runs=20, seed=77)

@@ -102,12 +102,13 @@ class TestGoldenDetection:
             c = oracle_detect(*priced, include_boundary=include)
             assert a.same_points(c)
 
-    def test_oracle_misled_by_conspiring_prices(self, golden_pair):
+    def test_oracle_ignores_conspiring_prices(self, golden_pair):
         # the demo prices satisfy P[4]-P[0] == P[6]-P[3], which zeroes the
-        # coefficient of an extant point; this is the accidental-zero case
-        # the continuous-values precondition exists for
-        report = oracle_detect(*golden_pair, include_boundary=True)
-        assert report.nonextant_2.tolist() == [1, 3, 4]
+        # coefficient of an extant point under those prices; the oracle
+        # prices the points itself
+        for include in (False, True):
+            a = detect_interval_rule(*golden_pair, include_boundary=include)
+            assert a.same_points(oracle_detect(*golden_pair, include_boundary=include))
 
     def test_first_and_last_never_detected(self, golden_pair):
         s1, s2 = golden_pair
@@ -268,6 +269,16 @@ class TestDataLossRatio:
         with pytest.raises(ZeroOverlaps):
             data_loss_ratio(report)
 
+    @pytest.mark.parametrize("trial", range(20))
+    def test_oracle_ratio_at_most_one_on_constant_prices(self, trial):
+        # every coefficient is zero under constant prices, and so would be
+        # every detection of an oracle that read them
+        s1, s2 = adversary_instance(trial)
+        flat = [s.with_values(np.ones(s.n_points)) for s in (s1, s2)]
+        report = oracle_detect(*flat, include_boundary=True)
+        assert report.same_points(detect_interval_rule(s1, s2, include_boundary=True))
+        assert data_loss_ratio(report) <= 1
+
 
 class TestDetectorEquivalence:
     @pytest.mark.parametrize("trial", range(60))
@@ -375,6 +386,18 @@ class TestEqualRangeRule:
         s1 = s1.with_values(rng.standard_normal(s1.n_points))
         s2 = s2.with_values(rng.standard_normal(s2.n_points))
         assert detect_interval_rule(s1, s2, include).same_points(oracle_detect(s1, s2, include))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), include=st.booleans(), levels=st.sampled_from([1, 3]))
+    def test_oracle_ignores_grid_prices(self, seed, include, levels):
+        # prices from a few levels zero the coefficients of extant points
+        rng = np.random.default_rng(seed)
+        for make_pair in (random_tie_free_pair, random_tied_pair):
+            s1, s2 = make_pair(rng, max_points=9)
+            priced = [s.with_values(rng.integers(0, levels, s.n_points).astype(float))
+                      for s in (s1, s2)]
+            assert detect_interval_rule(s1, s2, include).same_points(
+                oracle_detect(*priced, include))
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 10**6), include=st.booleans())
