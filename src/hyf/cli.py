@@ -1,28 +1,16 @@
-"""Command line surface: estimate, detect, simulate, loss-table.
+"""The bodies of the four commands: estimate, detect, simulate, loss-table.
 
-Exit codes are part of the contract so shell pipelines can branch on the
-failure class:
-
-* 0 success
-* 1 usage error (bad flags, bad rate syntax, nonpositive horizon, ...),
-  or output that cannot be delivered (unwritable file, stdout closed early)
-* 2 tick-file parse error (reported with a line number)
-* 3 input validation error (shared timestamps, non-monotone times, ...)
-* 4 detector disagreement under ``--method all``, or in ``loss-table``'s
-  interval-rule cross-check
-* 5 rejection budget exceeded while generating inputs
-
-Tick files are CSV with the exact header ``time,price``.  The default
-seed is :data:`hyf.adversary.DEFAULT_SEED`; the ``HYF_SEED`` environment
-variable overrides it, an explicit ``--seed`` wins over both.
+:mod:`hyf.entry` owns the parser, the exit codes and :func:`main`, and
+imports this module, with numpy and the compute modules, only once argparse
+has chosen a command.  ``main`` and ``build_parser`` stay importable from
+here.  Each body looks up the functions it calls in this module's namespace
+at each call, so a function bound here (a spy, a tracer) takes their place.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
-import sys
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -39,7 +27,9 @@ from .core import (
     tie_mask,
     validate_series,
 )
-from .errors import DetectorDisagreement, RejectionBudgetExceeded, ValidationError
+# build_parser and main stay importable from here
+from .entry import EXIT_OK, _OutputError, _UsageError, _write_stdout, build_parser, main
+from .errors import DetectorDisagreement, ValidationError
 from .estimator import hy_covariance, telescope_rows
 from .montecarlo import check_runs, loss_table
 from .nonextant import (
@@ -48,30 +38,7 @@ from .nonextant import (
     detect_label_rule,
     oracle_detect,
 )
-from .ticks import TickParseError, read_tick_file, write_tick_file
-
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_PARSE = 2
-EXIT_VALIDATION = 3
-EXIT_DISAGREEMENT = 4
-EXIT_REJECTION = 5
-
-DEFAULT_RATE_PAIRS = "1,1;1,1/2;1,1/4;1,1/10"
-
-
-class _UsageError(Exception):
-    pass
-
-
-class _OutputError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 by default; usage problems are exit 1 here
-    def error(self, message):
-        raise _UsageError(message)
+from .ticks import read_tick_file, write_tick_file
 
 
 def _raise_first(outcomes: list) -> list:
@@ -181,11 +148,9 @@ def _parse_horizons(text: str) -> list[float]:
 def _emit(args, payload: dict, text: Iterable[str]) -> None:
     """Write ``payload`` as JSON, or else ``text``, built only here; both
     piece by piece."""
-    write = sys.stdout.write
-    for chunk in _json_chunks(payload) if args.json else text:
-        write(chunk)
+    _write_stdout(_json_chunks(payload) if args.json else text)
     if args.json:
-        write("\n")
+        _write_stdout(("\n",))
 
 
 def _legs_payload(report: NonextantReport, s1: ObservationSeries, s2: ObservationSeries) -> dict:
@@ -399,92 +364,3 @@ def _cmd_loss_table(args) -> int:
     lines.append("".join(["exact".ljust(10)] + exact).rstrip())
     _emit(args, payload, (line + "\n" for line in lines))
     return EXIT_OK
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="hyf",
-        description="Asynchronous covariance estimation and cancelled-data accounting.",
-    )
-    parser.add_argument("--version", action="version", version=f"hyf {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    estimate = sub.add_parser("estimate", help="covariance of two tick files")
-    estimate.add_argument("file_a")
-    estimate.add_argument("file_b")
-    estimate.add_argument("--jitter", action="store_true",
-                          help="break cross-file timestamp ties deterministically")
-    estimate.add_argument("--json", action="store_true")
-    estimate.set_defaults(func=_cmd_estimate)
-
-    detect = sub.add_parser("detect", help="locate cancelled data points")
-    detect.add_argument("file_a")
-    detect.add_argument("file_b")
-    detect.add_argument("--method", choices=["interval", "label", "oracle", "all"],
-                        default="interval")
-    detect.add_argument("--include-boundary", action="store_true")
-    detect.add_argument("--jitter", action="store_true",
-                        help="break cross-file timestamp ties deterministically")
-    detect.add_argument("--json", action="store_true")
-    detect.set_defaults(func=_cmd_detect)
-
-    simulate = sub.add_parser("simulate", help="write a synthetic asynchronous pair")
-    simulate.add_argument("--rate-a", type=float, default=1.0)
-    simulate.add_argument("--rate-b", type=float, default=1.0)
-    simulate.add_argument("--horizon", type=float, required=True)
-    simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument("--out-prefix", required=True)
-    simulate.add_argument("--json", action="store_true")
-    simulate.set_defaults(func=_cmd_simulate)
-
-    table = sub.add_parser("loss-table", help="empirical loss grid over rates and horizons")
-    table.add_argument("--runs", type=int, default=1000)
-    table.add_argument("--horizons", default="100,1000",
-                       help="comma separated, e.g. '100,1000'")
-    table.add_argument("--rates", default=DEFAULT_RATE_PAIRS,
-                       help="semicolon separated pairs, e.g. '1,1;1,1/2'")
-    table.add_argument("--seed", type=int, default=None)
-    table.add_argument("--include-boundary", action="store_true")
-    table.add_argument("--json", action="store_true")
-    table.set_defaults(func=_cmd_loss_table)
-
-    return parser
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        try:
-            args = parser.parse_args(argv)
-            return args.func(args)
-        finally:
-            # a closed stdout surfaces here, not in the flush at exit
-            sys.stdout.flush()
-    except BrokenPipeError:
-        # keep the flush at exit quiet, as the Python docs recommend
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("hyf: error: stdout closed before the output was written", file=sys.stderr)
-        return EXIT_USAGE
-    except _UsageError as exc:
-        print(f"hyf: error: {exc}", file=sys.stderr)
-        print("run 'hyf --help' for usage", file=sys.stderr)
-        return EXIT_USAGE
-    except _OutputError as exc:
-        print(f"hyf: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TickParseError as exc:
-        print(f"hyf: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValidationError as exc:
-        print(f"hyf: invalid input: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except DetectorDisagreement as exc:
-        print(f"hyf: {exc}", file=sys.stderr)
-        return EXIT_DISAGREEMENT
-    except RejectionBudgetExceeded as exc:
-        print(f"hyf: {exc}", file=sys.stderr)
-        return EXIT_REJECTION
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -43,3 +43,16 @@ class RejectionBudgetExceeded(RuntimeError):
 
 class DetectorDisagreement(RuntimeError):
     """Two detectors that must agree gave different answers; a bug."""
+
+
+class TickParseError(Exception):
+    """A tick file that cannot be read (line 0) or parsed, at a 1-based line."""
+
+    def __init__(self, path: str, line: int, message: str):
+        super().__init__(f"{path}:{line}: {message}")
+        self.path, self.line, self.message = path, line, message
+
+    def __reduce__(self):
+        # pickle would rebuild it from its one formatted arg; a forked
+        # reader sends it through a pipe
+        return type(self), (self.path, self.line, self.message)

@@ -20,19 +20,7 @@ import numpy as np
 
 from . import core
 from .core import ObservationSeries
-
-
-class TickParseError(Exception):
-    """A tick file that cannot be read (line 0) or parsed, at a 1-based line."""
-
-    def __init__(self, path: str, line: int, message: str):
-        super().__init__(f"{path}:{line}: {message}")
-        self.path, self.line, self.message = path, line, message
-
-    def __reduce__(self):
-        # pickle would rebuild it from its one formatted arg; a forked
-        # reader sends it through a pipe
-        return type(self), (self.path, self.line, self.message)
+from .errors import TickParseError
 
 
 # bytes a plain numeric tick body is made of; any other byte (space,

@@ -782,6 +782,102 @@ class TestEntryPoints:
         assert code == 1
 
 
+# the modules that bring numpy; hyf.entry and hyf.errors do not
+COMPUTE_MODULES = ("hyf._output", "hyf.adversary", "hyf.cli", "hyf.core", "hyf.estimator",
+                   "hyf.montecarlo", "hyf.nonextant", "hyf.ticks")
+
+_EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()
+
+
+def _run_module(*argv, flags=(), stdout=subprocess.PIPE, unbuffered="1", shell_suffix=None):
+    """``python flags -m hyf argv`` in a fresh interpreter with 80-column
+    help; ``shell_suffix`` runs it through ``sh`` with that redirection."""
+    command = [sys.executable, *flags, "-m", "hyf", *argv]
+    if shell_suffix is not None:
+        command = ["sh", "-c", f'exec "$0" "$@" {shell_suffix}', *command]
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE,
+                          env={**os.environ, "COLUMNS": "80", "PYTHONUNBUFFERED": unbuffered})
+
+
+class TestFrontDoor:
+    """``--version``, ``--help`` and usage errors answer from hyf.entry alone."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--version"], 0), (["--help"], 0), (["estimate", "--help"], 0),
+        (["frobnicate"], 1), (["estimate"], 1),
+    ])
+    def test_answers_without_numpy(self, argv, code):
+        proc = _run_module(*argv, flags=("-X", "importtime"))
+        assert proc.returncode == code
+        imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.decode().splitlines()
+                    if line.startswith("import time:")}
+        assert "hyf.entry" in imported
+        assert sorted(imported & {"numpy", *COMPUTE_MODULES}) == []
+
+    def test_cli_keeps_the_front_door_names(self):
+        from hyf import entry
+
+        assert (cli.main, cli.build_parser) == (entry.main, entry.build_parser)
+
+
+class TestPinnedUsage:
+    """Help text and argparse errors, as (exit code, stdout digest, stderr
+    digest) at 80 columns under Python 3.11: a change to the parser's
+    arguments, help strings or messages changes these digests."""
+
+    HELP_STDOUT = {
+        (): "d2f180bf01512b4ca4d55d15465c2553415ae372f417d7430e44534039f4aeb0",
+        ("estimate",): "a7792911326e4fd9a3ac7718c80014ead60e57755552f7b039b851774c5da6d4",
+        ("detect",): "297601008ba5b5e39a121e21c098db131bcfa470d02737e93d50f25af1d42c2b",
+        ("simulate",): "98ddaffa704da5f6d13ad166d8cedd21c47537ef3924546c65fa483626531c78",
+        ("loss-table",): "29ac610debd42145008a1c86a51e3d854c012091ff2ccf54d9589ad629161286",
+    }
+    ERROR_STDERR = {
+        ("frobnicate",): "459604e5312804728807532e49c0e678c7ca9a9a1887bf107ae17832e5084007",
+        ("estimate",): "08da2f5ddf3653e79b5d2fd748ad9d6e5d4e708764197e92b76957ca841d7214",
+    }
+
+    @staticmethod
+    def _streams(*argv) -> tuple[int, str, str]:
+        proc = _run_module(*argv)
+        return (proc.returncode, hashlib.sha256(proc.stdout).hexdigest(),
+                hashlib.sha256(proc.stderr).hexdigest())
+
+    @pytest.mark.parametrize("command", list(HELP_STDOUT))
+    def test_help(self, command):
+        assert self._streams(*command, "--help") == (0, self.HELP_STDOUT[command], _EMPTY_DIGEST)
+
+    @pytest.mark.parametrize("argv", list(ERROR_STDERR))
+    def test_usage_error(self, argv):
+        assert self._streams(*argv) == (1, _EMPTY_DIGEST, self.ERROR_STDERR[argv])
+
+
+_LOSS_TABLE = ("loss-table", "--runs", "2", "--horizons", "50", "--rates", "1,1")
+
+
+class TestRefusedStdout:
+    """A stdout that is full or closed ends the command with exit 1 and one
+    ``hyf: error:`` line, buffered or not, and a quiet flush at exit."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("command", ["--version", "--help", "estimate", "loss-table"])
+    def test_full_stdout(self, golden_files, command, unbuffered):
+        argv = {"estimate": ("estimate", *golden_files), "loss-table": _LOSS_TABLE}.get(
+            command, (command,))
+        with open("/dev/full", "wb") as full:
+            proc = _run_module(*argv, stdout=full, unbuffered=unbuffered)
+        assert (proc.returncode, proc.stderr.decode()) == (
+            1, f"hyf: error: cannot write to stdout: {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("argv", [("--version",), _LOSS_TABLE])
+    def test_closed_stdout(self, argv, unbuffered):
+        proc = _run_module(*argv, stdout=None, unbuffered=unbuffered, shell_suffix=">&-")
+        assert (proc.returncode, proc.stderr.decode()) == (
+            1, "hyf: error: stdout closed before the output was written\n")
+
+
 def _parsed(parse, *args):
     """Arrays as raw bytes (so -0.0 and 0.0 differ), or the error text."""
     try:
