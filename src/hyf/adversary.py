@@ -286,14 +286,17 @@ def generate_inputs(
 
 
 def attach_random_walk(
-    s1: ObservationSeries,
-    s2: ObservationSeries,
+    s1: ObservationSeries | None,
+    s2: ObservationSeries | None,
     seed: int,
     trial: int = 0,
-) -> tuple[ObservationSeries, ObservationSeries]:
+) -> tuple[ObservationSeries | None, ObservationSeries | None]:
     """Fill both legs with standard-normal random-walk prices.
 
-    Raises :class:`ValueError` unless ``seed`` is a 64-bit unsigned
+    A leg given as None is not drawn and comes back as None.  Each leg
+    draws from a stream of its own, so the other leg's walk is bit-equal
+    to its walk in the pair, and the process that writes a leg can draw
+    that leg's walk alone.  Raises :class:`ValueError` unless ``seed`` is a 64-bit unsigned
     integer and ``trial`` an integer in ``[0, 2**32)``.
     """
     root = np.random.SeedSequence(
@@ -301,6 +304,9 @@ def attach_random_walk(
     child_a, child_b = root.spawn(2)
     legs = []
     for series, child in ((s1, child_a), (s2, child_b)):
+        if series is None:
+            legs.append(None)
+            continue
         values = np.random.default_rng(child).standard_normal(series.n_points)
         np.cumsum(values, out=values)
         # frozen here, the walk is handed over without a copy; the times

@@ -52,7 +52,11 @@ def _tie_jitter(times_a: np.ndarray, times_b: np.ndarray) -> np.ndarray:
     """Deterministically nudge leg-B timestamps that collide with leg A.
 
     Each tied time moves up by ``1e-9`` of the median finite merged gap, or
-    by one ulp where that step is too small to change it (epoch seconds).
+    by one ulp where that step is too small to change it (epoch seconds),
+    and stays below the next merged time: a step that reaches it stops at
+    the float just below it.  So leg B keeps its order and no new tie is
+    made.  Where no float lies between a tied time and the next merged
+    time, raises :class:`ValidationError`.
     """
     sorted_a = np.sort(times_a)
     merged = np.sort(np.concatenate([sorted_a, times_b]))
@@ -65,7 +69,21 @@ def _tie_jitter(times_a: np.ndarray, times_b: np.ndarray) -> np.ndarray:
         out = times_b.copy()
         tied = tie_mask(sorted_a, out)
         t = out[tied]
-        out[tied] = np.maximum(t + eps, np.nextafter(t, np.inf))
+        nudged = np.maximum(t + eps, np.nextafter(t, np.inf))
+        # the next merged time above each tied one, nan where there is
+        # none; nan sorts last, and a nan above holds nothing back either
+        nxt = np.searchsorted(merged, t, side="right")
+        above = np.where(nxt < merged.size, merged[np.minimum(nxt, merged.size - 1)], np.nan)
+        held = nudged >= above
+        below = np.nextafter(above, -np.inf)
+        stuck = held & (below <= t)
+        if stuck.any():
+            k = int(np.argmax(stuck))
+            raise ValidationError(
+                f"--jitter cannot break the tie at time {float(t[k])!r}: no float lies "
+                f"between it and the next time {float(above[k])!r}"
+            )
+        out[tied] = np.where(held, below, nudged)
     return out
 
 
@@ -87,6 +105,13 @@ def _load_pair(args) -> tuple[ObservationSeries, ObservationSeries]:
     s1 = validate_series(times_a, prices_a, "A")
     s2 = validate_series(times_b, prices_b, "B")
     return s1, s2
+
+
+def _unwritten_zeros(n: int) -> np.ndarray:
+    # frozen here, so a series takes the zeros without a copy
+    values = np.zeros(n)
+    values.flags.writeable = False
+    return values
 
 
 def _resolve_seed(args) -> int:
@@ -219,7 +244,10 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    s1, s2 = _load_pair(args)
+    # the detectors and reports read times only: once checked, each leg's
+    # prices give way to frozen zeros that are never written, as in
+    # generate_inputs, and so take no resident memory
+    s1, s2 = (s.with_values(_unwritten_zeros(s.n_points)) for s in _load_pair(args))
     reports: list[NonextantReport] = []
     if args.method in ("interval", "all"):
         reports.append(detect_interval_rule(s1, s2, include_boundary=args.include_boundary))
@@ -268,11 +296,19 @@ def _cmd_simulate(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     s1, s2 = generate_inputs(config)
-    s1, s2 = attach_random_walk(s1, s2, seed=seed)
     path_a = f"{args.out_prefix}_a.csv"
     path_b = f"{args.out_prefix}_b.csv"
+
+    def write_walked(path: str, series: ObservationSeries) -> None:
+        # the process that writes a leg draws that leg's walk alone, so the
+        # walks of both legs are never held at once; both names are this
+        # module's, looked up at each call, like the reader in _load_pair
+        leg = "AB".index(series.label)
+        legs = (series, None) if leg == 0 else (None, series)
+        write_tick_file(path, attach_random_walk(*legs, seed=seed)[leg])
+
     outcomes = list(zip((path_a, path_b),
-                        ticks.write_legs(write_tick_file, path_a, s1, path_b, s2)))
+                        ticks.write_legs(write_walked, path_a, s1, path_b, s2)))
     failed = [(path, outcome) for path, outcome in outcomes if isinstance(outcome, Exception)]
     if failed:
         # no half pair stays behind; an error that names its path came

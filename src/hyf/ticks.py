@@ -44,31 +44,83 @@ def read_tick_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse a ``time,price`` CSV into read-only ``(times, prices)``; any
     malformed content is a parse error.
 
-    A plain numeric body is streamed (:func:`_streamed_columns`): two
-    passes over pieces of about :data:`READ_CHUNK_BYTES`, each parsed by
-    ``np.loadtxt``, so that the reader holds its two columns and a few
-    pieces, never the whole text.  An input that cannot seek (a pipe) is
-    read once and streamed from memory.  Whatever the streamed reader
-    refuses goes through :func:`_read_tick_lines`, which owns all
-    messages.
+    A plain numeric body is streamed in pieces of about
+    :data:`READ_CHUNK_BYTES`, each parsed by ``np.loadtxt``, so that the
+    reader never holds the whole text: a file in two passes
+    (:func:`_streamed_columns`), an input that cannot seek (a pipe) in one
+    (:func:`_read_piped`).  Whatever the streamed reader refuses goes
+    through :func:`_read_tick_lines`, which owns all messages.
     """
     try:
         # unbuffered, so each read makes one bytes object of its own size
         with open(path, "rb", buffering=0) as fh:
-            source = fh if fh.seekable() else io.BytesIO(fh.read())
-            columns = _streamed_columns(source)
+            if not fh.seekable():
+                return _read_piped(path, fh)
+            columns = _streamed_columns(fh)
             if columns is not None:
                 return _frozen_columns(*columns)
-            source.seek(0)
-            raw = source.read()
+            fh.seek(0)
+            raw = fh.read()
     except OSError as exc:
         raise TickParseError(path, 0, f"cannot read file: {exc}") from exc
+    return _read_tick_bytes(path, raw)
+
+
+def _read_piped(path: str, fh) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`read_tick_file` of ``fh``, which cannot seek, in one pass.
+
+    Each piece is parsed as it arrives into a ``(rows, 2)`` array, and the
+    arrays are copied into the two columns at the end.  That holds about
+    one more copy of the columns, where the text is about 2.5 times their
+    size.  From a header or piece the streamed reader refuses on, the rest
+    of the input is parsed line by line, its lines numbered from the start
+    of the file, so a pipe gives the outcome of the same bytes in a file.
+    """
+    header = fh.readline(len(_FAST_HEADERS[-1]))
+    if header not in _FAST_HEADERS:
+        return _read_tick_bytes(path, header + fh.read())
+    parts: list[np.ndarray] = []
+    pieces = _pieces(fh)
+    for piece in pieces:
+        data = _parsed_piece(piece)
+        if data is None:
+            # the pieces left make up the rest of the input
+            rest = b"".join([piece, *pieces])
+            parts.append(np.column_stack(
+                _read_tick_bytes(path, rest, 2 + sum(map(len, parts)))))
+            break
+        del piece
+        parts.append(data)
+    return _frozen_columns(*_joined(parts))
+
+
+def _joined(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The times and prices columns of the ``(rows, 2)`` arrays ``parts``, in
+    order; ``parts`` is emptied.
+
+    The arrays are copied from the last one back and each is freed once
+    copied, so that the heap they were made on in order shrinks from its
+    top, which glibc gives back, while the columns fill.
+    """
+    rows = sum(map(len, parts))
+    times, prices = np.empty(rows), np.empty(rows)
+    while parts:
+        data = parts.pop()
+        rows -= len(data)
+        times[rows:rows + len(data)], prices[rows:rows + len(data)] = data.T
+    return times, prices
+
+
+def _read_tick_bytes(path: str, raw: bytes, first_line: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_read_tick_lines` of ``raw``, which starts at line
+    ``first_line`` of the file; bytes that are not UTF-8 are a parse error
+    at the line of the first bad byte."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        line = first_line + raw.count(b"\n", 0, exc.start)
         raise TickParseError(path, line, f"not UTF-8 text (byte {raw[exc.start]:#04x})") from None
-    return _read_tick_lines(path, text)
+    return _read_tick_lines(path, text, first_line)
 
 
 def _streamed_columns(fh) -> tuple[np.ndarray, np.ndarray] | None:
@@ -155,16 +207,21 @@ def _parsed_piece(piece: bytes) -> np.ndarray | None:
     return data if data.shape == (rows, 2) else None
 
 
-def _read_tick_lines(path: str, text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Line-by-line parse of a decoded tick file; the reference parser."""
+def _read_tick_lines(path: str, text: str, first_line: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Line-by-line parse of decoded tick-file text that starts at line
+    ``first_line`` of the file, with the header from line 1; the reference
+    parser."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    if not lines or lines[0].rstrip("\r") != "time,price":
-        raise TickParseError(path, 1, "header must be exactly 'time,price'")
+    body = 0
+    if first_line == 1:
+        if not lines or lines[0].rstrip("\r") != "time,price":
+            raise TickParseError(path, 1, "header must be exactly 'time,price'")
+        body = 1
     times: list[float] = []
     prices: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines[body:], start=first_line + body):
         fields = line.rstrip("\r").split(",")
         if len(fields) != 2:
             raise TickParseError(path, lineno, f"expected 2 fields, got {len(fields)}")

@@ -24,6 +24,7 @@ from hyf import (
 )
 from hyf.adversary import MAX_RESAMPLES
 from hyf.core import first_shared_time
+from hyf.errors import ValidationError
 
 
 def brute_overlap_pairs(t1, t2) -> list[tuple[int, int]]:
@@ -239,7 +240,9 @@ def reference_generate_poisson(rate: float, horizon: float, rng: np.random.Gener
 
 
 def reference_tie_jitter(times_a: np.ndarray, times_b: np.ndarray) -> np.ndarray:
-    """The CLI's ``--jitter`` nudge with ``np.isin`` finding the tied times."""
+    """The CLI's ``--jitter`` nudge one tied time at a time, with ``np.isin``
+    finding the tied times and the least merged time above each one
+    bounding its nudge."""
     merged = np.sort(np.concatenate([times_a, times_b]))
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = np.diff(merged)
@@ -248,9 +251,16 @@ def reference_tie_jitter(times_a: np.ndarray, times_b: np.ndarray) -> np.ndarray
             return times_b
         eps = 1e-9 * 2 * float(np.median(gaps / 2))
         out = times_b.copy()
-        tied = np.isin(out, times_a)
-        t = out[tied]
-        out[tied] = np.maximum(t + eps, np.nextafter(t, np.inf))
+        for k in np.flatnonzero(np.isin(out, times_a)):
+            t = out[k]
+            out[k] = max(t + eps, np.nextafter(t, np.inf))
+            above = merged[merged > t]
+            if above.size and out[k] >= above.min():
+                out[k] = np.nextafter(above.min(), -np.inf)
+                if out[k] <= t:
+                    raise ValidationError(
+                        f"--jitter cannot break the tie at time {float(t)!r}: no float "
+                        f"lies between it and the next time {float(above.min())!r}")
     return out
 
 

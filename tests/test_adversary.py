@@ -405,6 +405,26 @@ class TestAttachRandomWalk:
         q1, _ = attach_random_walk(s1, s2, seed=11, trial=1)
         assert not np.array_equal(p1.values, q1.values)
 
+    @pytest.mark.parametrize("trial", [0, 3])
+    def test_each_leg_alone_is_its_leg_of_the_pair(self, trial):
+        # each leg draws from its own stream, so the process that writes a
+        # leg can draw that leg's walk alone
+        s1, s2 = generate_inputs(AdversaryConfig(rate_a=1, rate_b=0.5, horizon=5000, seed=11))
+        p1, p2 = attach_random_walk(s1, s2, seed=11, trial=trial)
+        a, none_b = attach_random_walk(s1, None, seed=11, trial=trial)
+        none_a, b = attach_random_walk(None, s2, seed=11, trial=trial)
+        assert none_a is None and none_b is None
+        assert a.values.tobytes() == p1.values.tobytes()
+        assert b.values.tobytes() == p2.values.tobytes()
+        assert a.times is s1.times and b.times is s2.times
+
+    @pytest.mark.parametrize("min_points", [1, 2**62], ids=["forked", "in_process"])
+    def test_simulate_files_at_each_fork_threshold(self, tmp_path, monkeypatch, min_points):
+        # leg B's walk drawn in the forked child or after leg A's in process
+        monkeypatch.setattr(hyf.ticks, "FORK_MIN_POINTS", min_points)
+        digests = TestPinnedStreams._simulate_digests(tmp_path, TestPinnedStreams.SIMULATE_200)
+        assert digests == TestPinnedStreams.DIGESTS_200
+
 
 class TestTheoreticalLoss:
     def test_reference_values(self):

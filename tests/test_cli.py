@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from hyf import __version__, cli, core, detect_interval_rule, ticks
 from hyf._output import _json_chunks
 from hyf.cli import main
+from hyf.errors import ValidationError
 from hyf.ticks import TickParseError, _read_tick_lines, read_tick_file
 
 from _support import reference_tie_jitter
@@ -120,6 +121,25 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", a, b, "--jitter")
         assert code == 3
         assert repr(float(np.nextafter(t, np.inf))) in err
+
+    def test_jitter_stays_below_the_next_leg_a_time(self, capsys, tmp_path):
+        # one ulp past 1 + 1e-9 of the median gap, the nudge of B's 1 would
+        # land on A's 1.000000001; it stops just below it
+        a = write_csv(tmp_path / "a.csv", [0, 1, 1.000000001, 5], [0, 1, 2, 3])
+        b = write_csv(tmp_path / "b.csv", [1, 2, 3, 4], [0, 1, 2, 3])
+        code, out, err = run_cli(capsys, "estimate", a, b, "--jitter")
+        assert (code, err) == (0, "")
+        assert "overlaps 4" in out
+
+    def test_jitter_without_room_below_the_next_time_exits_3(self, capsys, tmp_path):
+        # B's own next time is one ulp above the tie: no float lies between,
+        # and the message names the two times of the files
+        a = write_csv(tmp_path / "a.csv", [0, 1, 3], [0, 1, 2])
+        b = write_csv(tmp_path / "b.csv", [1, 1.0000000000000002, 4], [0, 1, 2])
+        code, _, err = run_cli(capsys, "estimate", a, b, "--jitter")
+        assert code == 3
+        assert err == ("hyf: invalid input: --jitter cannot break the tie at time 1.0: no "
+                       "float lies between it and the next time 1.0000000000000002\n")
 
     def test_bad_header_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -1038,6 +1058,62 @@ class TestPipeInput:
         assert got == expected
 
 
+def _edit_line(raw: bytes, line: int, edit) -> bytes:
+    lines = raw.split(b"\n")
+    lines[line - 1] = edit(lines[line - 1])
+    return b"\n".join(lines)
+
+
+# line 3000 of a simulated leg is about 110 kB in, past the first 64 KiB piece
+_LATE = 3000
+_REFUSED = {
+    "space": lambda raw: _edit_line(raw, 3, lambda row: b" " + row),
+    "late_space": lambda raw: _edit_line(raw, _LATE, lambda row: row.replace(b",", b" , ")),
+    "underscore": lambda raw: _edit_line(raw, _LATE, lambda row: row.split(b",")[0] + b",1_0"),
+    "utf8": lambda raw: _edit_line(raw, _LATE, lambda row: row + b"\xff"),
+    "late_defect": lambda raw: _edit_line(raw, _LATE, lambda row: b"nope," + row),
+    "header": lambda raw: _edit_line(raw, 1, lambda row: row + b"\r\r"),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+class TestPipeRefusals:
+    """A leg from a named pipe is parsed in one pass.  From a header or
+    piece the fast path refuses on, the rest goes to the line parser, its
+    lines numbered from the start of the file, so stdout, stderr and exit
+    code are those of the same bytes in a regular file."""
+
+    @pytest.fixture(scope="class")
+    def simulated(self, tmp_path_factory):
+        # about 150 kB a leg, so line 3000 is in a later piece
+        prefix = tmp_path_factory.mktemp("refused") / "s"
+        assert main(["simulate", "--horizon", "4000", "--seed", "5",
+                     "--out-prefix", str(prefix)]) == 0
+        return tuple(Path(f"{prefix}_{leg}.csv").read_bytes() for leg in "ab")
+
+    @pytest.mark.parametrize("case", list(_REFUSED))
+    @pytest.mark.parametrize("argv", [["estimate", "--json"], ["detect", "--method", "interval"]])
+    def test_pipe_matches_file(self, capsys, tmp_path, simulated, case, argv):
+        raws = (_REFUSED[case](simulated[0]), simulated[1])
+        assert len(raws[0].split(b"\n", _LATE - 1)[-1]) < len(raws[0]) - ticks.READ_CHUNK_BYTES
+        paths = write_pair(tmp_path, raws)
+        expected = run_cli(capsys, argv[0], *paths, *argv[1:])
+        writers = []
+        for path, raw in zip(paths, raws):
+            os.remove(path)
+            os.mkfifo(path)
+            writers.append(threading.Thread(target=_feed, args=(path, raw), daemon=True))
+            writers[-1].start()
+        got = run_cli(capsys, argv[0], *paths, *argv[1:])
+        for writer in writers:
+            writer.join(timeout=10)
+        assert not any(writer.is_alive() for writer in writers)
+        assert got == expected
+        assert expected[0] == (2 if case in ("utf8", "late_defect") else 0)
+        if expected[0]:
+            assert f"{paths[0]}:{_LATE}:" in expected[2]
+
+
 _JSON_TEXT = st.lists(st.sampled_from([", ", '"', "\x00", "a", "\n", "\\", "\u00e9", "1"]),
                       max_size=4).map("".join)
 _JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(),
@@ -1133,9 +1209,22 @@ class TestTieJitter:
     @example(a=[-0.0, 5.0], b=[0.0, 1.0])
     @example(a=[math.nan, 1.0], b=[math.nan, 2.0, 1.0])
     @example(a=[], b=[1.0, 2.0])
+    # a nudge that would reach the next merged time, which is leg A's or leg
+    # B's own, stops below it; with no float between, the tie stays
+    @example(a=[0.0, 1.0, 1.000000001, 5.0], b=[1.0, 2.0, 3.0, 4.0])
+    @example(a=[0.0, 1.0, 3.0], b=[1.0, 1.0000000000000002, 4.0])
+    @example(a=[0.0, 5e-324, 3.0], b=[0.0, 1.0, 2.0])
+    @example(a=[1.0, math.inf], b=[0.0, math.inf])
     def test_matches_isin_reference(self, a, b):
         a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-        assert cli._tie_jitter(a, b).tobytes() == reference_tie_jitter(a, b).tobytes()
+
+        def outcome(jitter):
+            try:
+                return jitter(a, b).tobytes()
+            except ValidationError as exc:
+                return str(exc)
+
+        assert outcome(cli._tie_jitter) == outcome(reference_tie_jitter)
 
 
 _EDGE_PRICE = st.sampled_from([0.0, 1.0, -1.0, 9e307, -9e307, 1e308, -1e308])
@@ -1370,6 +1459,26 @@ class TestForkedLegs:
         assert _open_fds() == before
         # leg B came from the child unless it died, when this process redid it
         assert (len(forks), len(calls)) == (1, 2 if case.endswith("child_dies") else 1)
+
+    @pytest.mark.parametrize("min_points", [1, 2**62], ids=["forked", "in_process"])
+    def test_simulate_draws_each_walk_alone(self, capsys, tmp_path, monkeypatch, min_points):
+        # the process that writes a leg draws its walk, so no process holds
+        # both legs' walks: this one draws leg A's, and leg B's after it
+        # only when leg B is not forked
+        parent, drawn = os.getpid(), []
+        real = cli.attach_random_walk
+
+        def spy(s1, s2, **kwargs):
+            if os.getpid() == parent:
+                drawn.append("A" if s2 is None else "B" if s1 is None else "AB")
+            return real(s1, s2, **kwargs)
+
+        monkeypatch.setattr(cli, "attach_random_walk", spy)
+        monkeypatch.setattr("hyf.ticks.FORK_MIN_POINTS", min_points)
+        code, _, _ = run_cli(capsys, "simulate", "--horizon", "200", "--seed", "9",
+                             "--out-prefix", str(tmp_path / "s"))
+        assert code == 0
+        assert drawn == (["A"] if min_points == 1 else ["A", "B"])
 
     def test_fork_warning_is_not_raised(self, capsys, tmp_path, monkeypatch):
         # Python 3.12+ warns in the parent after fork() when threads run

@@ -20,13 +20,16 @@ in chunks of ``ticks.READ_CHUNK_BYTES``; reading the whole text, it grew
 with the file.
 
 ``tracemalloc`` counts calloc'd zeros that never become resident and does
-not see holes left in the heap, so ``simulate``'s peak resident memory is
-also bounded, on Linux, from its ``wait4`` ``ru_maxrss``.
+not see holes left in the heap or memory given back from its top, so the
+peak resident memory of ``simulate``, of file ``detect`` and of
+``estimate`` on named pipes is also bounded, on Linux, from its ``wait4``
+``ru_maxrss``.
 """
 
 import argparse
 import contextlib
 import gc
+import json
 import os
 import subprocess
 import sys
@@ -270,39 +273,105 @@ def test_detect_all_reports_and_json(pair, pair_bytes):
         assert _transient_peak(detect_all) < 1.48 * pair_bytes
 
 
-# runs argv[1:] and prints its ru_maxrss (KiB on Linux).  A process starts
-# with the peak RSS of the one that spawns it, so the command is spawned
-# from this small interpreter, not from the test process.
-_MAXRSS = """import os, subprocess, sys
-proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+# runs argv[2:] and prints its ru_maxrss (KiB on Linux), while a thread
+# per [fifo, file] pair of the JSON list argv[1] copies the file into the
+# named pipe.  A process starts with the peak RSS of the one that spawns
+# it, so the command is spawned from this small interpreter, not from the
+# test process.
+_MAXRSS = """import json, os, shutil, subprocess, sys, threading
+def feed(fifo, source):
+    with open(source, "rb") as src, open(fifo, "wb") as dst:
+        shutil.copyfileobj(src, dst)
+feeders = [threading.Thread(target=feed, args=pair, daemon=True)
+           for pair in json.loads(sys.argv[1])]
+proc = subprocess.Popen(sys.argv[2:], stdout=subprocess.DEVNULL)
+for feeder in feeders:
+    feeder.start()
 _, status, usage = os.wait4(proc.pid, 0)
 assert os.waitstatus_to_exitcode(status) == 0
 print(usage.ru_maxrss)
 """
 
 
-def _maxrss_bytes(*argv: str) -> int:
+def _maxrss_bytes(*argv: str, feeds: tuple = ()) -> int:
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hyf.__file__))}
-    proc = subprocess.run([sys.executable, "-c", _MAXRSS, sys.executable, *argv],
-                          capture_output=True, text=True, env=env, check=True)
+    proc = subprocess.run([sys.executable, "-c", _MAXRSS, json.dumps(feeds), sys.executable,
+                           *argv], capture_output=True, text=True, env=env, check=True)
     return int(proc.stdout) * 1024
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
+def _least_maxrss_bytes(*argv: str, feeds=lambda: ()) -> int:
+    """The least of three runs' :func:`_maxrss_bytes`: a single run's peak
+    varies by up to 0.6 MiB from run to run on a shared host.  ``feeds``
+    makes each run's named pipes."""
+    return min(_maxrss_bytes(*argv, feeds=feeds()) for _ in range(3))
+
+
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="ru_maxrss in KiB is Linux's")
+
+
+@linux_only
 def test_simulate_peak_rss(tmp_path):
     # above an interpreter that has imported hyf.cli and drawn from
     # numpy.random, simulate holds its two series (one float64 time and value
-    # per point) and little else: 1.33 series bytes at about 200k ticks,
-    # where the merged draw beside both legs, the zero values written on
-    # the heap and the writer's whole blocks of text took 1.6.  Each is the
-    # least of three runs: a single run's peak varies by up to 0.6 MiB (0.2
-    # series bytes) from run to run on a shared host
-    start = min(_maxrss_bytes(
+    # per point) and one leg's walk, drawn by the process that writes that
+    # leg: 1.04-1.05 series bytes at about 200k ticks, where both legs' walks
+    # drawn before the write took 1.33-1.38, and the merged draw beside
+    # both legs, the zero values written on the heap and the writer's whole
+    # blocks of text 1.6
+    start = _least_maxrss_bytes(
         "-c", "import hyf.cli, numpy; numpy.random.default_rng(0).standard_normal(1)")
-        for _ in range(3))
-    peak = min(_maxrss_bytes("-m", "hyf", "simulate", "--horizon", "100000",
-                             "--out-prefix", str(tmp_path / "sim"))
-               for _ in range(3))
+    peak = _least_maxrss_bytes("-m", "hyf", "simulate", "--horizon", "100000",
+                               "--out-prefix", str(tmp_path / "sim"))
     points = sum((tmp_path / f"sim_{leg}.csv").read_bytes().count(b"\n") - 1 for leg in "ab")
     assert 190_000 < points < 210_000
-    assert (peak - start) / (16 * points) < 1.45
+    assert (peak - start) / (16 * points) < 1.22
+
+
+@pytest.fixture(scope="module")
+def files_200k(tmp_path_factory):
+    """A simulated pair of about 200k ticks as two tick files, and its
+    series bytes (one float64 time and price per point)."""
+    config = AdversaryConfig(1.0, 1.0, 100_000.0, seed=1729)
+    legs = attach_random_walk(*generate_inputs(config), seed=1729)
+    directory = tmp_path_factory.mktemp("files_200k")
+    paths = [str(directory / f"{leg}.csv") for leg in "ab"]
+    for path, series in zip(paths, legs):
+        ticks.write_tick_file(path, series)
+    return paths, 16 * sum(s.n_points for s in legs)
+
+
+@linux_only
+@pytest.mark.parametrize("method", ["interval", "label"])
+def test_detect_peak_rss(files_200k, method):
+    # above an interpreter that has imported hyf.cli, detect holds the
+    # pair's times once the prices are checked: 1.22-1.31 series bytes at
+    # about 200k ticks, where holding the prices to the end took 1.73-1.79
+    paths, series_bytes = files_200k
+    start = _least_maxrss_bytes("-c", "import hyf.cli")
+    peak = _least_maxrss_bytes("-m", "hyf", "detect", *paths, "--method", method, "--json")
+    assert (peak - start) / series_bytes < 1.5
+
+
+@linux_only
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_piped_estimate_peak_rss(files_200k, tmp_path):
+    # legs from named pipes, read one after the other in process: each
+    # piece's rows are parsed as they arrive, not the whole text read
+    # first.  1.50-1.59 series bytes above an interpreter that has imported
+    # hyf.cli at about 200k ticks, as from the files (1.55-1.66), where
+    # holding each leg's text took 2.61-2.65
+    paths, series_bytes = files_200k
+    fifos = [str(tmp_path / f"{leg}.pipe") for leg in "ab"]
+
+    def feeds():
+        for fifo in fifos:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(fifo)
+            os.mkfifo(fifo)
+        return list(zip(fifos, paths))
+
+    start = _least_maxrss_bytes("-c", "import hyf.cli")
+    peak = _least_maxrss_bytes("-m", "hyf", "estimate", *fifos, "--json", feeds=feeds)
+    assert (peak - start) / series_bytes < 1.8
