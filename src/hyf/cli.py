@@ -56,18 +56,18 @@ def _tie_jitter(times_a: np.ndarray, times_b: np.ndarray) -> np.ndarray:
     and stays below the next merged time: a step that reaches it stops at
     the float just below it.  So leg B keeps its order and no new tie is
     made.  Where no float lies between a tied time and the next merged
-    time, raises :class:`ValidationError`.
+    time, raises :class:`ValidationError`.  Both legs' times are checked:
+    finite and ascending.
     """
-    sorted_a = np.sort(times_a)
-    merged = np.sort(np.concatenate([sorted_a, times_b]))
+    merged = np.sort(np.concatenate([times_a, times_b]))
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = np.diff(merged)
         gaps = gaps[(gaps > 0) & (gaps < np.inf)]
-        if gaps.size == 0 or sorted_a.size == 0:
+        if gaps.size == 0:
             return times_b
         eps = 1e-9 * safe_median(gaps)
         out = times_b.copy()
-        tied = tie_mask(sorted_a, out)
+        tied = tie_mask(times_a, out)
         t = out[tied]
         nudged = np.maximum(t + eps, np.nextafter(t, np.inf))
         # the next merged time above each tied one, nan where there is
@@ -92,18 +92,18 @@ def _load_pair(args) -> tuple[ObservationSeries, ObservationSeries]:
     # function bound to it here (a spy, a tracer) reads both legs
     (times_a, prices_a), (times_b, prices_b) = _raise_first(
         ticks.read_legs(read_tick_file, args.file_a, args.file_b))
+    s1 = validate_series(times_a, prices_a, "A")
+    s2 = validate_series(times_b, prices_b, "B")
     if getattr(args, "jitter", False):
-        times_b = _tie_jitter(times_a, times_b)
+        s2 = validate_series(_tie_jitter(s1.times, s2.times), s2.values, "B")
     # a fully synchronous pair is well defined for the interval algebra;
     # a partial timestamp collision is ambiguous data and gets rejected
-    shared = first_shared_time(times_a, times_b)
-    if shared is not None and not np.array_equal(times_a, times_b):
+    shared = first_shared_time(s1.times, s2.times)
+    if shared is not None and not np.array_equal(s1.times, s2.times):
         raise ValidationError(
             f"time {float(shared)!r} appears in both files; asynchronous inputs "
             "must not share timestamps (rerun with --jitter to break ties)"
         )
-    s1 = validate_series(times_a, prices_a, "A")
-    s2 = validate_series(times_b, prices_b, "B")
     return s1, s2
 
 

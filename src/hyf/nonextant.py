@@ -53,8 +53,6 @@ from .core import (
 from .errors import EmptyPattern, IndexOutOfRange, ValidationError, ZeroOverlaps
 from .estimator import point_coefficients
 
-_METHODS = ("interval_rule", "label_rule", "oracle")
-
 
 @dataclass(frozen=True, eq=False)
 class NonextantReport:
@@ -110,8 +108,6 @@ def _build_report(leg1: tuple[np.ndarray, np.ndarray], leg2: tuple[np.ndarray, n
                   m: int, method: str, include_boundary: bool) -> NonextantReport:
     """Report of each leg's (containment, other) index arrays, which are
     ascending and disjoint."""
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
 
     def indices(leg: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         interior, boundary = leg

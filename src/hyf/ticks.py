@@ -1,10 +1,11 @@
 """Tick files, the ``time,price`` CSV the CLI reads and writes, and the
 two legs' tick work run side by side.
 
-:func:`read_tick_file` parses a file or a pipe, :func:`write_tick_file`
-writes a series; :func:`read_legs` and :func:`write_legs` run a reader or
-writer they are given on both legs of a pair, leg B in a forked child when
-the pair is large enough to gain from it.
+:func:`read_tick_file` parses a file or a pipe in one pass,
+:func:`write_tick_file` writes a series; :func:`read_legs` and
+:func:`write_legs` run a reader or writer they are given on both legs of
+a pair, leg B in a forked child when the pair is large enough to gain
+from it.
 """
 
 from __future__ import annotations
@@ -34,81 +35,56 @@ _FAST_HEADERS = (b"time,price\n", b"time,price\r\n")
 
 # bytes of a tick file's body read at a time by the streamed reader, the
 # size of a block of float64 (see core.BLOCK_POINTS).  The reader holds
-# about 2.5 chunks beside its columns; a chunk is about 1700 rows of
+# about 1.5 chunks beside its columns; a chunk is about 1700 rows of
 # simulated text, and np.loadtxt costs about 3 µs per call, so 1 MiB
 # chunks would hold 16 times the memory for no measurable gain in time.
 READ_CHUNK_BYTES = 1 << 16
 
 
 def read_tick_file(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a ``time,price`` CSV into read-only ``(times, prices)``; any
-    malformed content is a parse error.
+    """Parse a ``time,price`` CSV, a file or a pipe, into read-only
+    ``(times, prices)``; any malformed content is a parse error.
 
-    A plain numeric body is streamed in pieces of about
-    :data:`READ_CHUNK_BYTES`, each parsed by ``np.loadtxt``, so that the
-    reader never holds the whole text: a file in two passes
-    (:func:`_streamed_columns`), an input that cannot seek (a pipe) in one
-    (:func:`_read_piped`).  Whatever the streamed reader refuses goes
-    through :func:`_read_tick_lines`, which owns all messages.
+    The input is read once, in pieces of about :data:`READ_CHUNK_BYTES`,
+    so that the reader never holds the whole text.  Each piece of a plain
+    numeric body is parsed by ``np.loadtxt``, and its rows go into two
+    columns that grow to exactly the rows parsed so far.  From a header or
+    piece the fast path refuses on, the rest of the input goes to
+    :func:`_read_tick_lines`, which owns all messages, its lines numbered
+    from the start of the file.
     """
     try:
         # unbuffered, so each read makes one bytes object of its own size
         with open(path, "rb", buffering=0) as fh:
-            if not fh.seekable():
-                return _read_piped(path, fh)
-            columns = _streamed_columns(fh)
-            if columns is not None:
-                return _frozen_columns(*columns)
-            fh.seek(0)
-            raw = fh.read()
+            header = fh.readline(len(_FAST_HEADERS[-1]))
+            if header not in _FAST_HEADERS:
+                return _read_tick_bytes(path, header + fh.read())
+            times, prices = np.empty(0), np.empty(0)
+            pieces = _pieces(fh)
+            for piece in pieces:
+                data = _parsed_piece(piece)
+                if data is None:
+                    # the pieces left make up the rest of the input
+                    _extend((times, prices),
+                            _read_tick_bytes(path, b"".join([piece, *pieces]), 2 + times.size))
+                    break
+                # the piece and its rows go before the next chunk is read
+                del piece
+                _extend((times, prices), data.T)
+                del data
     except OSError as exc:
         raise TickParseError(path, 0, f"cannot read file: {exc}") from exc
-    return _read_tick_bytes(path, raw)
+    return _frozen_columns(times, prices)
 
 
-def _read_piped(path: str, fh) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`read_tick_file` of ``fh``, which cannot seek, in one pass.
-
-    Each piece is parsed as it arrives into a ``(rows, 2)`` array, and the
-    arrays are copied into the two columns at the end.  That holds about
-    one more copy of the columns, where the text is about 2.5 times their
-    size.  From a header or piece the streamed reader refuses on, the rest
-    of the input is parsed line by line, its lines numbered from the start
-    of the file, so a pipe gives the outcome of the same bytes in a file.
-    """
-    header = fh.readline(len(_FAST_HEADERS[-1]))
-    if header not in _FAST_HEADERS:
-        return _read_tick_bytes(path, header + fh.read())
-    parts: list[np.ndarray] = []
-    pieces = _pieces(fh)
-    for piece in pieces:
-        data = _parsed_piece(piece)
-        if data is None:
-            # the pieces left make up the rest of the input
-            rest = b"".join([piece, *pieces])
-            parts.append(np.column_stack(
-                _read_tick_bytes(path, rest, 2 + sum(map(len, parts)))))
-            break
-        del piece
-        parts.append(data)
-    return _frozen_columns(*_joined(parts))
-
-
-def _joined(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The times and prices columns of the ``(rows, 2)`` arrays ``parts``, in
-    order; ``parts`` is emptied.
-
-    The arrays are copied from the last one back and each is freed once
-    copied, so that the heap they were made on in order shrinks from its
-    top, which glibc gives back, while the columns fill.
-    """
-    rows = sum(map(len, parts))
-    times, prices = np.empty(rows), np.empty(rows)
-    while parts:
-        data = parts.pop()
-        rows -= len(data)
-        times[rows:rows + len(data)], prices[rows:rows + len(data)] = data.T
-    return times, prices
+def _extend(columns, tails) -> None:
+    """Grow each owned column in place by the values of its tail.  The
+    resize moves the column's buffer, so no view of a column may outlive
+    it."""
+    for column, tail in zip(columns, tails):
+        rows = column.size
+        column.resize(rows + tail.size, refcheck=False)
+        column[rows:] = tail
 
 
 def _read_tick_bytes(path: str, raw: bytes, first_line: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -121,37 +97,6 @@ def _read_tick_bytes(path: str, raw: bytes, first_line: int = 1) -> tuple[np.nda
         line = first_line + raw.count(b"\n", 0, exc.start)
         raise TickParseError(path, line, f"not UTF-8 text (byte {raw[exc.start]:#04x})") from None
     return _read_tick_lines(path, text, first_line)
-
-
-def _streamed_columns(fh) -> tuple[np.ndarray, np.ndarray] | None:
-    """The columns of ``fh``'s plain numeric body, parsed a piece at a
-    time, or None where the line parser must decide.
-
-    The header is read a byte at a time, no further than the longest
-    header the fast path takes.  Pass 1 counts the body's rows; pass 2
-    reads it again and writes each piece's rows straight into the two
-    columns.  Both passes check every piece, and pass 2's pieces must fill
-    the columns exactly, so a file that changes between the passes is
-    refused rather than read in part.  The pieces go through ``map``, so
-    no loop variable keeps the last one while the next is read.
-    """
-    if fh.readline(len(_FAST_HEADERS[-1])) not in _FAST_HEADERS:
-        return None
-    start = fh.tell()
-    rows = 0
-    for count in map(_piece_rows, _pieces(fh)):
-        if count is None:
-            return None
-        rows += count
-    fh.seek(start)
-    times, prices = np.empty(rows), np.empty(rows)
-    filled = 0
-    for data in map(_parsed_piece, _pieces(fh)):
-        if data is None or filled + len(data) > rows:
-            return None
-        times[filled:filled + len(data)], prices[filled:filled + len(data)] = data.T
-        filled += len(data)
-    return (times, prices) if filled == rows else None
 
 
 def _pieces(fh) -> Iterator[bytes]:

@@ -93,6 +93,16 @@ class TestEstimate:
         assert "2.0" in err
         assert "np." not in err
 
+    @pytest.mark.parametrize("flags", [[], ["--jitter"]])
+    def test_non_finite_time_in_both_files_is_not_a_tie(self, capsys, tmp_path, flags):
+        # both legs are checked before the shared-timestamp check, which
+        # takes ascending finite times; inf is the defect, not a tie
+        a = write_csv(tmp_path / "a.csv", [0.0, 1.0, math.inf], [0, 0, 0])
+        b = write_csv(tmp_path / "b.csv", [0.5, math.inf], [0, 0])
+        code, out, err = run_cli(capsys, "estimate", a, b, *flags)
+        assert (code, out) == (3, "")
+        assert err == "hyf: invalid input: leg A: non-finite observation time\n"
+
     def test_empty_file_exits_3(self, capsys, tmp_path):
         a = write_csv(tmp_path / "a.csv", [], [])
         b = write_csv(tmp_path / "b.csv", [2.0, 4.0], [0, 0])
@@ -965,8 +975,7 @@ class TestTickParsing:
                     assert _parsed(read_tick_file, str(path)) == expected, chunk
             if not hasattr(os, "mkfifo"):
                 return
-            # the same bytes from a named pipe at the same path, which is
-            # read once and streamed from memory
+            # the same bytes from a named pipe at the same path
             path.unlink()
             os.mkfifo(path)
             for chunk in _CHUNKS:
@@ -978,38 +987,6 @@ class TestTickParsing:
                 assert not writer.is_alive()
                 assert got == expected, chunk
 
-    @pytest.mark.parametrize("change", ["line_end", "mid_row", "header_only", "grown",
-                                        "blank_line", "space", "same_rows"])
-    def test_file_changed_between_passes(self, tmp_path, monkeypatch, change):
-        # a file that changes after the streamed reader has counted its
-        # rows gives what the line parser gives on its new content
-        raw = b"time,price\n" + b"".join(b"%d,%d.5\n" % (k, -k) for k in range(40))
-        changed = {
-            "line_end": raw[:raw.index(b"\n30,")],
-            "mid_row": raw[:raw.index(b"\n30,") + 3],
-            "header_only": b"time,price\n",
-            "grown": raw + b"40,1\n41,2\n",
-            "blank_line": raw.replace(b"\n30,-30.5\n", b"\n\n30,-30.\n"),
-            "space": raw.replace(b"30,-30.5", b"30,-30 5"),
-            "same_rows": raw.replace(b"30,-30.5", b"30,-30.7"),
-        }[change]
-        path = tmp_path / "t.csv"
-        path.write_bytes(raw)
-        real, passes = ticks._pieces, []
-
-        def pieces(fh):
-            passes.append(fh.tell())
-            if len(passes) == 2:
-                path.write_bytes(changed)
-            return real(fh)
-
-        monkeypatch.setattr(ticks, "_pieces", pieces)
-        monkeypatch.setattr(ticks, "READ_CHUNK_BYTES", 16)
-        expected = _parsed(_read_tick_lines, str(path), changed.decode("ascii"))
-        assert _parsed(read_tick_file, str(path)) == expected
-        # pass 1 took the first content, and pass 2 began
-        assert passes == [len(b"time,price\n")] * 2
-
 
 def _feed(path: str, raw: bytes) -> None:
     with open(path, "wb") as fh:
@@ -1018,8 +995,8 @@ def _feed(path: str, raw: bytes) -> None:
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 class TestPipeInput:
-    """Legs read from named pipes, which cannot seek and so are read whole,
-    give the outcome of the same bytes in regular files."""
+    """Legs read from named pipes give the outcome of the same bytes in
+    regular files."""
 
     @pytest.fixture(scope="class")
     def simulated(self, tmp_path_factory):
@@ -1198,23 +1175,23 @@ class TestJsonOutput:
 
 _JITTER_TIME = st.one_of(
     st.integers(-3, 6).map(float),
-    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 1.5e9]),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, 5e-324, 1.5e9]),
 )
+# the times of a checked leg: finite, ascending, at least two points
+_JITTER_LEG = st.lists(_JITTER_TIME, min_size=2, max_size=8, unique=True).map(sorted)
 
 
 class TestTieJitter:
     @settings(max_examples=400, deadline=None)
-    @given(a=st.lists(_JITTER_TIME, max_size=8), b=st.lists(_JITTER_TIME, max_size=8))
+    @given(a=_JITTER_LEG, b=_JITTER_LEG)
     @example(a=[1.0, 2.0], b=[2.0, 3.0])
     @example(a=[-0.0, 5.0], b=[0.0, 1.0])
-    @example(a=[math.nan, 1.0], b=[math.nan, 2.0, 1.0])
-    @example(a=[], b=[1.0, 2.0])
+    @example(a=[-1e308, 1e308], b=[-1e308, 1e308])
     # a nudge that would reach the next merged time, which is leg A's or leg
     # B's own, stops below it; with no float between, the tie stays
     @example(a=[0.0, 1.0, 1.000000001, 5.0], b=[1.0, 2.0, 3.0, 4.0])
     @example(a=[0.0, 1.0, 3.0], b=[1.0, 1.0000000000000002, 4.0])
     @example(a=[0.0, 5e-324, 3.0], b=[0.0, 1.0, 2.0])
-    @example(a=[1.0, math.inf], b=[0.0, math.inf])
     def test_matches_isin_reference(self, a, b):
         a, b = np.array(a, dtype=float), np.array(b, dtype=float)
 

@@ -99,18 +99,25 @@ def test_pair_is_about_100k_ticks(pair):
     assert 99_000 < pair[0].n_points + pair[1].n_points < 101_000
 
 
-def test_read_tick_file(sized, tmp_path, monkeypatch):
+@pytest.mark.parametrize("last_row", ["plain", "spaced"])
+def test_read_tick_file(sized, tmp_path, monkeypatch, last_row):
     # above its two columns the streamed reader holds a chunk and the piece
-    # cut from it, or a piece, its newline mask and the previous piece's
-    # rows: 2.5 chunks at 50k and 100k ticks, where reading the whole text
-    # took 22 and 45 chunks of 64 KiB (one leg's text is about 1.2 pair
-    # bytes, its columns 0.5)
+    # cut from it, or a piece and its parse: 1.6 and 1.4 chunks at 50k and
+    # 100k ticks, where reading the whole text took 22 and 45 chunks of 64
+    # KiB (one leg's text is about 1.2 pair bytes, its columns 0.5).  A
+    # leading space on the last row sends only the last piece to the line
+    # parser, which holds its text, lines and floats: 1.6 and 3.1 chunks,
+    # where parsing the whole file line by line took 89 and 179
     _, (s1, s2) = sized
-    path = str(tmp_path / "a.csv")
-    ticks.write_tick_file(path, s1)
+    path = tmp_path / "a.csv"
+    ticks.write_tick_file(str(path), s1)
+    if last_row == "spaced":
+        raw = path.read_bytes()
+        last = raw.rindex(b"\n", 0, len(raw) - 1) + 1
+        path.write_bytes(raw[:last] + b" " + raw[last:])
     chunk = 1 << 16
     monkeypatch.setattr(ticks, "READ_CHUNK_BYTES", chunk)
-    peak, columns = _peak_and_result(ticks.read_tick_file, path)
+    peak, columns = _peak_and_result(ticks.read_tick_file, str(path))
     assert (peak - sum(c.nbytes for c in columns)) / chunk < 4
     pair_bytes = sum(s.times.nbytes + s.values.nbytes for s in (s1, s2))
     assert peak < 1.0 * pair_bytes
@@ -170,10 +177,10 @@ def test_merge_labels_and_label_rule_blocks(sized):
 
 def test_hy_covariance_blocks(sized):
     _, (s1, s2) = sized
-    # above the increments and opposite sums its one np.dot takes (one
-    # leg-1 vector each): 5.1 blocks; whole-leg ranges took 9 and 18
-    operands = 2 * 8 * s1.n_intervals
-    assert _blocks(_transient_peak(hy_covariance, s1, s2) - operands) < 6
+    # a block's opposite sums, its products and their list of Python
+    # floats, which math.fsum adds up: 8.1 blocks at 50k and 100k ticks;
+    # two whole leg-1 vectors would take 6 and 12 more
+    assert _blocks(_transient_peak(hy_covariance, s1, s2)) < 10
 
 
 @pytest.mark.parametrize("anchoring", ["row", "alternative"])

@@ -27,7 +27,6 @@ from hyf import (
     overlap_count,
     validate_series,
 )
-from hyf.nonextant import _build_report
 
 from _support import (
     adversary_instance,
@@ -246,14 +245,6 @@ class TestNonextantInterval:
             window = nonextant_interval(s1, s2, i)
             covered |= {k for k, t in enumerate(s2.times) if t in window}
         assert covered == set(oracle.nonextant_2)
-
-
-class TestBuildReport:
-    def test_unknown_method_raises_value_error(self):
-        # a ValueError, not an assert, so the check survives python -O
-        with pytest.raises(ValueError, match="method"):
-            _build_report(([], []), ([], []), m=1, method="bogus",
-                          include_boundary=False)
 
 
 class TestDataLossRatio:
