@@ -943,6 +943,29 @@ def _near_valid_csv(draw):
 _CHUNKS = (1, 2, 3, 5, 7, ticks.READ_CHUNK_BYTES)
 
 
+def _tick_lines(n: int) -> list[bytes]:
+    return [b"%d,%d.5\n" % (k, -k) for k in range(n)]
+
+
+def _spaced(n: int, row: int) -> bytes:
+    """A tick file of ``n`` rows whose row ``row`` has a leading space,
+    which the fast path refuses and the line parser takes."""
+    lines = _tick_lines(n)
+    lines[row] = b" " + lines[row]
+    return b"time,price\n" + b"".join(lines)
+
+
+# tick files of about 30 pieces at 64-byte chunks
+_ONE_PASS_INPUTS = {
+    "plain": b"time,price\n" + b"".join(_tick_lines(200)),
+    "header_only": b"time,price\n",
+    "bad_header": b"time;price\n" + b"".join(_tick_lines(200)),
+    "refused_first": _spaced(200, 0),
+    "refused_mid": _spaced(200, 100),
+    "refused_last": _spaced(200, 199),
+}
+
+
 class TestTickParsing:
     """``read_tick_file``'s fast path against the line-by-line reference."""
 
@@ -986,6 +1009,60 @@ class TestTickParsing:
                 writer.join(timeout=10)
                 assert not writer.is_alive()
                 assert got == expected, chunk
+
+    @pytest.mark.parametrize("name", sorted(_ONE_PASS_INPUTS))
+    def test_reads_file_once(self, tmp_path, monkeypatch, name):
+        # every byte of a file is read once, in order, with no seek, whether
+        # the fast path takes the whole body or hands its rest on
+        raw = _ONE_PASS_INPUTS[name]
+        path = tmp_path / "t.csv"
+        path.write_bytes(raw)
+        reads: list[bytes] = []
+        seeks: list[tuple] = []
+
+        class Spy(io.FileIO):
+            def read(self, size=-1):
+                data = super().read(size)
+                reads.append(data)
+                return data
+
+            def seek(self, *args):
+                seeks.append(args)
+                return super().seek(*args)
+
+        def spy_open(file, mode="r", buffering=-1, **kwargs):
+            assert (mode, buffering, kwargs) == ("rb", 0, {})
+            return Spy(file, mode)
+
+        monkeypatch.setattr(ticks, "open", spy_open, raising=False)
+        monkeypatch.setattr(ticks, "READ_CHUNK_BYTES", 64)
+        expected = _parsed(_read_tick_lines, str(path), raw.decode("ascii"))
+        assert _parsed(read_tick_file, str(path)) == expected
+        assert (b"".join(reads), seeks) == (raw, [])
+
+    @pytest.mark.parametrize("source", ["file", "fifo"])
+    @pytest.mark.parametrize("bad_line", [2, 150, 301])
+    def test_error_line_counts_from_file_start(self, tmp_path, monkeypatch, source, bad_line):
+        # a row refused after many streamed pieces is numbered from line 1
+        lines = _tick_lines(300)
+        lines[bad_line - 2] = b"%d,x\n" % (bad_line - 2)
+        raw = b"time,price\n" + b"".join(lines)
+        path = tmp_path / "t.csv"
+        monkeypatch.setattr(ticks, "READ_CHUNK_BYTES", 64)
+        expected = f"{path}:{bad_line}: not a number: '{bad_line - 2},x'"
+        if source == "file":
+            path.write_bytes(raw)
+            assert _parsed(read_tick_file, str(path)) == expected
+            return
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("needs os.mkfifo")
+        os.mkfifo(path)
+        writer = threading.Thread(target=_feed, args=(str(path), raw), daemon=True)
+        writer.start()
+        got = _parsed(read_tick_file, str(path))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert got == expected
 
 
 def _feed(path: str, raw: bytes) -> None:
