@@ -10,10 +10,12 @@ from it.
 
 from __future__ import annotations
 
+import array
 import gc
 import io
 import os
 import pickle
+import re
 import warnings
 from typing import Iterator
 
@@ -29,10 +31,6 @@ from .errors import TickParseError
 # line-by-line parser
 _NUMERIC_BODY_BYTES = b"0123456789eE.+-,\r\n"
 
-# header lines the fast path takes, the longest last
-_FAST_HEADERS = (b"time,price\n", b"time,price\r\n")
-
-
 # bytes of a tick file's body read at a time by the streamed reader, the
 # size of a block of float64 (see core.BLOCK_POINTS).  The reader holds
 # about 1.5 chunks beside its columns; a chunk is about 1700 rows of
@@ -46,32 +44,26 @@ def read_tick_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     ``(times, prices)``; any malformed content is a parse error.
 
     The input is read once, in pieces of about :data:`READ_CHUNK_BYTES`,
-    so that the reader never holds the whole text.  Each piece of a plain
-    numeric body is parsed by ``np.loadtxt``, and its rows go into two
-    columns that grow to exactly the rows parsed so far.  From a header or
-    piece the fast path refuses on, the rest of the input goes to
-    :func:`_read_tick_lines`, which owns all messages, its lines numbered
-    from the start of the file.
+    each parsed alone into two columns that grow to exactly the rows so
+    far, so the reader never holds the whole text.  A plain numeric piece
+    goes to ``np.loadtxt``; the first piece, which holds the header, and
+    any piece the fast path refuses go to :func:`_read_tick_lines`, which
+    owns the header rule and all messages.
     """
     try:
         # unbuffered, so each read makes one bytes object of its own size
         with open(path, "rb", buffering=0) as fh:
-            header = fh.readline(len(_FAST_HEADERS[-1]))
-            if header not in _FAST_HEADERS:
-                return _read_tick_bytes(path, header + fh.read())
             times, prices = np.empty(0), np.empty(0)
+            line = 1  # of the file, where the next piece starts
             pieces = _pieces(fh)
             for piece in pieces:
-                data = _parsed_piece(piece)
-                if data is None:
-                    # the pieces left make up the rest of the input
-                    _extend((times, prices),
-                            _read_tick_bytes(path, b"".join([piece, *pieces]), 2 + times.size))
-                    break
+                data = _parsed_piece(piece) if line > 1 else None
+                rows = _read_piece_lines(path, piece, line, pieces) if data is None else data.T
                 # the piece and its rows go before the next chunk is read
-                del piece
-                _extend((times, prices), data.T)
-                del data
+                del piece, data
+                _extend((times, prices), rows)
+                del rows
+                line = 2 + times.size
     except OSError as exc:
         raise TickParseError(path, 0, f"cannot read file: {exc}") from exc
     return _frozen_columns(times, prices)
@@ -87,23 +79,38 @@ def _extend(columns, tails) -> None:
         column[rows:] = tail
 
 
-def _read_tick_bytes(path: str, raw: bytes, first_line: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_read_tick_lines` of ``raw``, which starts at line
-    ``first_line`` of the file; bytes that are not UTF-8 are a parse error
-    at the line of the first bad byte."""
+def _read_piece_lines(path: str, piece: bytes, line: int, pieces) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_read_tick_lines` of ``piece``, from line ``line`` of the file.
+    A byte that is not UTF-8 anywhere ranks above a line defect, so the
+    defect is raised once the ``pieces`` left are decoded, one at a time."""
+    text = _decoded(path, piece, line)
     try:
-        text = raw.decode("utf-8")
+        return _read_tick_lines(path, text, line)
+    except TickParseError as exc:
+        # a copy without the traceback, which would hold the parse's text
+        defect = TickParseError(exc.path, exc.line, exc.message)
+    del text
+    line += piece.count(b"\n")
+    for piece in pieces:
+        _decoded(path, piece, line)
+        line += piece.count(b"\n")
+        del piece
+    raise defect
+
+
+def _decoded(path: str, raw: bytes, first_line: int) -> str:
+    """Whole lines from line ``first_line`` as text; bad UTF-8 is an error."""
+    try:
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = first_line + raw.count(b"\n", 0, exc.start)
         raise TickParseError(path, line, f"not UTF-8 text (byte {raw[exc.start]:#04x})") from None
-    return _read_tick_lines(path, text, first_line)
 
 
 def _pieces(fh) -> Iterator[bytes]:
-    """The rest of ``fh`` as whole lines, read :data:`READ_CHUNK_BYTES` at a
-    time: a piece ends at a chunk's last newline, the text after it is
-    carried into the next piece, and a last line with no newline is a
-    piece of its own."""
+    """``fh`` in pieces of whole lines, read :data:`READ_CHUNK_BYTES` at a
+    time: a piece ends at a chunk's last newline, and the last piece is
+    the text after the input's last newline, empty where there is none."""
     carry: list[bytes] = []
     while chunk := fh.read(READ_CHUNK_BYTES):
         cut = chunk.rfind(b"\n") + 1
@@ -117,9 +124,7 @@ def _pieces(fh) -> Iterator[bytes]:
         del chunk
         yield piece
         del piece
-    rest = b"".join(carry)
-    if rest:
-        yield rest
+    yield b"".join(carry)
 
 
 def _piece_rows(piece: bytes) -> int | None:
@@ -155,18 +160,13 @@ def _parsed_piece(piece: bytes) -> np.ndarray | None:
 def _read_tick_lines(path: str, text: str, first_line: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Line-by-line parse of decoded tick-file text that starts at line
     ``first_line`` of the file, with the header from line 1; the reference
-    parser."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    body = 0
-    if first_line == 1:
-        if not lines or lines[0].rstrip("\r") != "time,price":
-            raise TickParseError(path, 1, "header must be exactly 'time,price'")
-        body = 1
-    times: list[float] = []
-    prices: list[float] = []
-    for lineno, line in enumerate(lines[body:], start=first_line + body):
+    parser.  It cuts one line at a time and keeps float64 values, so it
+    holds little beside the text."""
+    lines = (match[0].rstrip("\n") for match in re.finditer(".*\n|.+", text))
+    if first_line == 1 and next(lines, "").rstrip("\r") != "time,price":
+        raise TickParseError(path, 1, "header must be exactly 'time,price'")
+    times, prices = array.array("d"), array.array("d")
+    for lineno, line in enumerate(lines, start=max(first_line, 2)):
         fields = line.rstrip("\r").split(",")
         if len(fields) != 2:
             raise TickParseError(path, lineno, f"expected 2 fields, got {len(fields)}")

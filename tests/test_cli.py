@@ -949,7 +949,8 @@ def _tick_lines(n: int) -> list[bytes]:
 
 def _spaced(n: int, row: int) -> bytes:
     """A tick file of ``n`` rows whose row ``row`` has a leading space,
-    which the fast path refuses and the line parser takes."""
+    which the fast path refuses and the line parser takes, for that row's
+    piece alone."""
     lines = _tick_lines(n)
     lines[row] = b" " + lines[row]
     return b"time,price\n" + b"".join(lines)
@@ -963,6 +964,7 @@ _ONE_PASS_INPUTS = {
     "refused_first": _spaced(200, 0),
     "refused_mid": _spaced(200, 100),
     "refused_last": _spaced(200, 199),
+    "bad_mid": b"time,price\n" + b"".join(_tick_lines(200)).replace(b"\n100,", b"\nx100,"),
 }
 
 
@@ -981,6 +983,12 @@ class TestTickParsing:
     @example(raw=b"time,price\n1_0,2\n")
     @example(raw=b"time,price\n")
     @example(raw=b"time,price\n\n")
+    # a non-UTF-8 byte after a row defect or a header defect is the one
+    # reported; a header with no newline; no bytes at all
+    @example(raw=b"time,price\n1,x\n\xff\n")
+    @example(raw=b"time;price\n1,2\n\xff\n")
+    @example(raw=b"time,price")
+    @example(raw=b"")
     def test_matches_line_parser(self, tmp_path_factory, raw):
         path = tmp_path_factory.mktemp("ticks") / "t.csv"
         path.write_bytes(raw)
@@ -1013,7 +1021,8 @@ class TestTickParsing:
     @pytest.mark.parametrize("name", sorted(_ONE_PASS_INPUTS))
     def test_reads_file_once(self, tmp_path, monkeypatch, name):
         # every byte of a file is read once, in order, with no seek, whether
-        # the fast path takes the whole body or hands its rest on
+        # the fast path takes the whole body or refuses pieces of it, and
+        # after a bad row mid-file
         raw = _ONE_PASS_INPUTS[name]
         path = tmp_path / "t.csv"
         path.write_bytes(raw)
@@ -1132,10 +1141,11 @@ _REFUSED = {
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 class TestPipeRefusals:
-    """A leg from a named pipe is parsed in one pass.  From a header or
-    piece the fast path refuses on, the rest goes to the line parser, its
-    lines numbered from the start of the file, so stdout, stderr and exit
-    code are those of the same bytes in a regular file."""
+    """A leg from a named pipe is parsed in one pass, a piece at a time.
+    The header's piece and each piece the fast path refuses go alone to the
+    line parser, their lines numbered from the start of the file, so
+    stdout, stderr and exit code are those of the same bytes in a regular
+    file."""
 
     @pytest.fixture(scope="class")
     def simulated(self, tmp_path_factory):

@@ -41,6 +41,7 @@ import hyf
 from hyf import AdversaryConfig, attach_random_walk, generate_inputs, merge_labels
 from hyf import cli, core, ticks
 from hyf.adversary import draw_labels
+from hyf.errors import TickParseError
 from hyf.estimator import hy_covariance, telescope_rows
 from hyf.nonextant import detect_interval_rule, detect_label_rule, oracle_detect
 
@@ -99,25 +100,53 @@ def test_pair_is_about_100k_ticks(pair):
     assert 99_000 < pair[0].n_points + pair[1].n_points < 101_000
 
 
-@pytest.mark.parametrize("last_row", ["plain", "spaced"])
-def test_read_tick_file(sized, tmp_path, monkeypatch, last_row):
+def _space_last_row(raw: bytes) -> bytes:
+    last = raw.rindex(b"\n", 0, len(raw) - 1) + 1
+    return raw[:last] + b" " + raw[last:]
+
+
+# a written leg's text as is, or edited so that the fast path refuses the
+# pieces that hold the edit
+_TICK_EDITS = {
+    "plain": lambda raw: raw,
+    "spaced": _space_last_row,
+    "comma_space": lambda raw: raw.replace(b",", b", ").replace(b"time, price", b"time,price"),
+    "first_row_spaced": lambda raw: raw.replace(b"\n", b"\n ", 1),
+    "header_crcrlf": lambda raw: raw.replace(b"\n", b"\r\r\n", 1),
+    "bad_line_2": lambda raw: raw.replace(b"\n", b"\nx", 1),
+}
+
+
+def _read_or_error(path: str):
+    try:
+        return ticks.read_tick_file(path)
+    except TickParseError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("edit", list(_TICK_EDITS))
+def test_read_tick_file(sized, tmp_path, monkeypatch, edit):
     # above its two columns the streamed reader holds a chunk and the piece
     # cut from it, or a piece and its parse: 1.6 and 1.4 chunks at 50k and
     # 100k ticks, where reading the whole text took 22 and 45 chunks of 64
-    # KiB (one leg's text is about 1.2 pair bytes, its columns 0.5).  A
-    # leading space on the last row sends only the last piece to the line
-    # parser, which holds its text, lines and floats: 1.6 and 3.1 chunks,
-    # where parsing the whole file line by line took 89 and 179
+    # KiB (one leg's text is about 1.2 pair bytes, its columns 0.5).  Each
+    # refused piece goes alone to the line parser, which cuts one line at a
+    # time and holds the piece's text and float64 values: a leading space
+    # on the last or first row or \r\r\n after the header read 1.6 and 1.4
+    # chunks, ", " between the fields of every row 1.9 and 2.1, where
+    # parsing the rest of the file line by line took 89 to 182.  A bad row
+    # on line 2 raises at 3.0 chunks, after the pieces left are decoded, one
+    # at a time; handing the rest of the file on took 68 and 136
     _, (s1, s2) = sized
     path = tmp_path / "a.csv"
     ticks.write_tick_file(str(path), s1)
-    if last_row == "spaced":
-        raw = path.read_bytes()
-        last = raw.rindex(b"\n", 0, len(raw) - 1) + 1
-        path.write_bytes(raw[:last] + b" " + raw[last:])
+    path.write_bytes(_TICK_EDITS[edit](path.read_bytes()))
     chunk = 1 << 16
     monkeypatch.setattr(ticks, "READ_CHUNK_BYTES", chunk)
-    peak, columns = _peak_and_result(ticks.read_tick_file, str(path))
+    peak, columns = _peak_and_result(_read_or_error, str(path))
+    if edit == "bad_line_2":
+        assert isinstance(columns, TickParseError) and columns.line == 2
+        columns = ()
     assert (peak - sum(c.nbytes for c in columns)) / chunk < 4
     pair_bytes = sum(s.times.nbytes + s.values.nbytes for s in (s1, s2))
     assert peak < 1.0 * pair_bytes
