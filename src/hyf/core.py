@@ -358,10 +358,8 @@ def overlap_ranges(
 
     These are strict endpoint comparisons, exact for the half-open
     convention even when the legs share timestamps.  Every overlap,
-    coefficient and containment test in the package derives from this
-    one range, except the label rule's, which reads labels only; the
-    overlap count ``m`` needs no range, only the times inside the legs'
-    common span.
+    count, coefficient and containment test in the package derives from
+    this one range, except the label rule's, which reads labels only.
     """
     return (
         np.searchsorted(t_opp, starts, side="right"),
@@ -425,6 +423,19 @@ def first_shared_time(sorted_a: np.ndarray, sorted_b: np.ndarray):
     return None if k is None else sorted_b[k]
 
 
+def _met_ranges(
+    s1: ObservationSeries, s2: ObservationSeries
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The leg-1 intervals (0-based) that meet leg 2 and their :func:`clip_ranges`,
+    ``met, lo, count``: the staircase's columns of overlap pairs, in order."""
+    t1 = s1.times
+    lo, count = clip_ranges(*overlap_ranges(s2.times, t1[:-1], t1[1:]), s2.n_intervals)
+    met = np.flatnonzero(count)
+    if met.size < count.size:
+        lo, count = lo[met], count[met]
+    return met, lo, count
+
+
 def enumerate_overlaps(s1: ObservationSeries, s2: ObservationSeries) -> OverlapSet:
     """Every pair ``(i, j)`` of intersecting intervals, in staircase order.
 
@@ -433,12 +444,8 @@ def enumerate_overlaps(s1: ObservationSeries, s2: ObservationSeries) -> OverlapS
     repeated out per ``i``, written straight into the one array the
     returned set holds.  Runs in O((|s1| + m) + |s1| log |s2|).
     """
-    t1 = s1.times
-    lo, count = clip_ranges(*overlap_ranges(s2.times, t1[:-1], t1[1:]), s2.n_intervals)
-    # the leg-1 intervals (0-based) that meet leg 2; each opens a run of pairs
-    met = np.flatnonzero(count)
-    if met.size < count.size:
-        lo, count = lo[met], count[met]
+    # each met leg-1 interval opens a run of pairs
+    met, lo, count = _met_ranges(s1, s2)
     ends = np.cumsum(count)
     pairs = np.empty((int(ends[-1]) if ends.size else 0, 2), dtype=np.int64)
     i, j = pairs.T

@@ -9,11 +9,13 @@ overlapping intervals::
 It is affine in every individual observation value, and grouping the sum
 by a fixed anchor interval telescopes the opposite-leg increments into a
 single endpoint difference; :func:`telescope_rows` returns that grouping
-and the term values as arrays.  The pairs step from one to the next
-across the merged events, the distinct times strictly inside the legs'
-common span, so ``m`` is the number of events plus one, and the grouping
-telescopes along the runs of one leg's events.  Some observations drop
-out of the telescoped form entirely; :mod:`hyf.nonextant` locates them.
+and the term values as arrays.  Each leg-1 interval meets a range of
+leg-2 intervals (:func:`hyf.core.overlap_ranges`), so the pairs form a
+staircase: a column of pairs per leg-1 interval, each joined to the next
+by a row step or a step of both.  ``m`` is the sum of the ranges'
+lengths, and the grouping telescopes along the runs of row and column
+steps.  Some observations drop out of the telescoped form entirely;
+:mod:`hyf.nonextant` locates them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .core import ObservationSeries, _next, blocks, clip_ranges, enumerate_overlaps, range_blocks
+from .core import (ObservationSeries, _met_ranges, _next, blocks, clip_ranges, enumerate_overlaps,
+                   overlap_ranges, range_blocks)
 from .errors import ValidationError
 
 Anchoring = Literal["row", "alternative"]
@@ -168,63 +171,60 @@ def _merged(kind: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return kind[starts], np.add.reduceat(length, starts)
 
 
-def _event_runs(
+def _step_runs(
     s1: ObservationSeries, s2: ObservationSeries, anchoring: Anchoring = "row"
 ) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """The staircase's step runs as the greedy sweep takes them, a block of
-    leg-2 points at a time: ``(kind, length, taken)``.
+    leg-1 intervals at a time: ``(kind, length, taken)``.
 
-    Step ``k`` leads from overlap pair ``k`` to pair ``k + 1`` across one
-    event, a distinct merged time strictly inside the common span
-    ``(max(t1[0], t2[0]), min(t1[-1], t2[-1]))``: a leg-1 time alone is a
-    row step ``(i + 1, j)`` (kind 0), a leg-2 time alone a column step
-    ``(i, j + 1)`` (kind 1), and a time of both legs moves both (kind 2).
-    One closing kind-2 step ends the last pair, so ``m`` is the number of
-    events plus one.  The runs are the run-length code of the kinds in
-    time order; the leg-1 points between two leg-2 points are one kind-0
-    run.  The last two runs are held back until later events end them.
+    Step ``k`` leads from overlap pair ``k`` to pair ``k + 1``.  A leg-1
+    interval that meets ``count`` leg-2 intervals from ``lo`` on gives
+    ``count - 1`` column steps ``(i, j + 1)`` (kind 1) and one turn to
+    the next interval: a row step ``(i + 1, j)`` (kind 0) where that
+    interval's ``lo`` is this one's last met interval, else a step of
+    both (kind 2).  The last met interval's turn is a closing kind-2 step
+    that ends the last pair, so ``m`` is the number of steps.  The runs
+    are the run-length code of the kinds in staircase order.  One
+    interval of lookahead per block decides each turn, and the last two
+    runs are held back until later intervals end them.
 
     Under ``"alternative"`` anchoring the first kind-1 run goes with its
     row, with the step into the row and the step out of it; unless the
     row came first, one kind-2 step joins the pairs on either side.  The
     block where this happens gives the number of pairs that went as
-    ``taken``, and a kind-2 run may then come in two parts, which count
-    as one.
+    ``taken``.
     """
-    t1, t2 = s1.times, s2.times
-    start, stop = max(t1[0], t2[0]), min(t1[-1], t2[-1])
-    if not start < stop:
-        yield np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int64), 0
-        return
-    inside = t2[np.searchsorted(t2, start, side="right"):np.searchsorted(t2, stop, side="left")]
-    # the held runs, and the leg-1 points up to the last event so far
-    held, passed = ((0, 0), (0, 0)), int(np.searchsorted(t1, start, side="right"))
-    seek = anchoring == "alternative"
-    # the leg-2 events, then the closing one at the span's end
-    for b in blocks(inside.size + 1):
-        closing = b.stop > inside.size
-        t = np.append(inside[b], stop) if closing else inside[b]
-        pos = np.searchsorted(t1, t)
-        tie = t1[pos] == t
-        tie[-1] |= closing
-        # the held runs, then per event a kind-0 run of the leg-1 points
-        # since the event before, and the event
-        kind = np.zeros(2 * t.size + 2, dtype=np.int8)
-        length = np.ones(2 * t.size + 2, dtype=np.int64)
+    t1, t2, m2 = s1.times, s2.times, s2.n_intervals
+    held, seek = ((0, 0), (0, 0)), anchoring == "alternative"
+    for b in blocks(t1.size - 1):
+        # the block's intervals and the one after it, if any
+        t = t1[b.start:b.stop + 2]
+        lo, count = clip_ranges(*overlap_ranges(t2, t[:-1], t[1:]), m2)
+        n = b.stop - b.start
+        # the held runs, then per interval its column steps and its turn;
+        # an interval that meets nothing gives -1 and 0 steps, both dropped
+        kind = np.full(2 * n + 2, 2, dtype=np.int8)
+        length = np.empty(2 * n + 2, dtype=np.int64)
         kind[:2], length[:2] = held
-        kind[3::2] = tie + 1
-        length[2::2] = pos - np.append(passed, pos[:-1] + tie[:-1])
-        passed = int(pos[-1] + tie[-1])
-        del t, pos, tie
+        kind[2::2] = 1
+        np.subtract(count[:n], 1, out=length[2::2])
+        np.minimum(count[:n], 1, out=length[3::2])
+        # each interval's last met interval; the turn is a row step where
+        # the next interval's lo is that one
+        count += lo
+        count -= 1
+        kind[3::2][:lo.size - 1][lo[1:] == count[:-1]] = 0
+        del t, lo, count
         kind, length = _merged(kind, length)
-        r, taken = int(np.argmax(kind == 1)), 0
-        if seek and kind[r] == 1 and r + 1 < kind.size:
+        taken = 0
+        if seek and (kind == 1).any():
+            r = int(np.argmax(kind == 1))
             seek, taken = False, int(length[r]) + 1
             length[r + 1] -= 1
             length[r - 1] -= r > 0
             kind[r], length[r] = 2, r > 0
             kind, length = _merged(kind, length)
-        n = kind.size if closing else max(kind.size - 2, 0)
+        n = kind.size if b.stop == t1.size - 1 else max(kind.size - 2, 0)
         yield kind[:n], length[:n], taken
         held = tuple(np.pad(x[n:], (2 - x.size + n, 0)) for x in (kind, length))
 
@@ -281,54 +281,52 @@ def _group_count(kind: np.ndarray, length: np.ndarray, first: int) -> tuple[int,
 def _groups(s1: ObservationSeries, s2: ObservationSeries, anchoring: Anchoring) -> np.ndarray:
     """:attr:`TermList.groups`, from all the runs at once.
 
-    Pair ``k`` is the first pair moved on by the ``k`` steps before it.
-    Under ``"alternative"`` anchoring the sweep's pairs from the left-out
-    column's first pair on come after the column's, and the column comes
-    before the first group that starts there.
+    Pair ``k`` lies in the first met leg-1 interval whose pairs reach past
+    ``k`` (:func:`~hyf.core._met_ranges`).  Under ``"alternative"``
+    anchoring the sweep's pairs from the left-out column's first pair on
+    come after the column's, and the column comes before the first group
+    that starts there.
     """
-    def runs(anchoring: Anchoring) -> tuple[np.ndarray, np.ndarray, int]:
-        kind, length, taken = zip(*_event_runs(s1, s2, anchoring))
-        return np.concatenate(kind), np.concatenate(length), sum(taken)
-
-    steps, step_length, _ = runs("row")
-    kind, length, taken = (steps, step_length, 0) if anchoring == "row" else runs(anchoring)
-    first_time = max(s1.times[0], s2.times[0])
-    first_pair = [int(np.searchsorted(s.times, first_time, side="right")) for s in (s1, s2)]
-    ends = np.cumsum(step_length)
-
-    def pair(k: np.ndarray) -> list[np.ndarray]:
-        r = np.searchsorted(ends, k, side="right")
-        # the steps of run r still ahead of pair k
-        ahead = ends[r] - k
-        # i moves on the steps of kinds 0 and 2, j on those of kinds 1 and 2
-        return [first + np.cumsum(step_length * moves)[r] - ahead * moves[r]
-                for first, moves in zip(first_pair, (steps != 1, steps != 0))]
-
-    # the pairs before the first kind-1 run, and those the sweep leaves out
-    ones = np.flatnonzero(steps == 1)
-    cut = int(step_length[:ones[0]].sum()) if ones.size else 0
+    kind, length, taken = zip(*_step_runs(s1, s2, anchoring))
+    kind, length, taken = np.concatenate(kind), np.concatenate(length), sum(taken)
     swallowed = _swallowed(kind, length)
     # a row or column run with an open step is one group, from its first
     # open pair to its last pair; any other run is a one-pair group per
     # open step
     telescoping = kind < 2
-    # not in place: under "row" anchoring length is step_length
-    length = length - swallowed
+    length -= swallowed
     per_run = np.where(telescoping, np.minimum(length, 1), length)
     # group g of run r starts at r's first open pair + g - (groups before r)
     start = np.repeat(np.cumsum(length + swallowed) - length + per_run - np.cumsum(per_run), per_run)
     start += np.arange(start.size)
     end = start + np.repeat(np.where(telescoping, length, 0), per_run)
     axis = np.repeat(np.where(telescoping, kind, 0), per_run)
-    del swallowed, telescoping, per_run, length
-    (i, j), (i_end, j_end) = (pair(k + (k >= cut) * taken) for k in (start, end))
+    del kind, length, swallowed, telescoping, per_run
+    met, lo, count = _met_ranges(s1, s2)
+    ends = np.cumsum(count)
+    if taken:
+        # the left-out column is the first of two pairs or more
+        r = int(np.argmax(count > 1))
+        cut = int(ends[r] - count[r])
+        for k in (start, end):
+            np.add(k, taken, out=k, where=k >= cut)
+        at = np.searchsorted(start, cut)
+        start, end, axis = (np.insert(x, at, v)
+                            for x, v in ((start, cut), (end, cut + taken - 1), (axis, 1)))
+    # pair k of met interval r is (met[r] + 1, k + lo[r] - the pairs before r)
+    lo -= ends
+    lo += count
+    del count
+
+    def pair(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r = np.searchsorted(ends, k, side="right")
+        return met[r] + 1, lo[r] + k
+
+    (i, j), (i_end, j_end) = pair(start), pair(end)
+    del start, end
     # axis 0 anchors on leg-2 interval j and sweeps i, axis 1 the other way
     row = axis == 0
-    groups = np.stack([axis, np.where(row, j, i), np.where(row, i, j), np.where(row, i_end, j_end)], 1)
-    if taken:
-        i, j = (int(x[0]) for x in pair(np.array([cut])))
-        groups = np.insert(groups, np.searchsorted(start, cut), (1, i, j, j + taken - 1), axis=0)
-    return groups
+    return np.stack([axis, np.where(row, j, i), np.where(row, i, j), np.where(row, i_end, j_end)], 1)
 
 
 def telescope_rows(
@@ -338,11 +336,10 @@ def telescope_rows(
 ) -> TermList:
     """Group the double sum into telescoped anchor terms.
 
-    ``m`` is the number of distinct merged times strictly inside the
-    legs' common span plus one (:func:`_event_runs`), and a row (column)
-    group telescopes along a run of leg-1 (leg-2) events.  ``"row"``
-    applies the longest-run greedy sweep (rows preferred on ties).
-    ``"alternative"`` first factors out the full column at the first
+    ``m`` is the number of the staircase's steps (:func:`_step_runs`),
+    and a row (column) group telescopes along a run of row (column)
+    steps.  ``"row"`` applies the longest-run greedy sweep (rows
+    preferred on ties).  ``"alternative"`` first factors out the full column at the first
     upward corner of the staircase and then sweeps the remainder; it
     generally produces one more group than ``"row"`` and the same total
     value.  Neither grouping is claimed to be minimal.  The terms come
@@ -352,7 +349,7 @@ def telescope_rows(
     if anchoring not in ("row", "alternative"):
         raise ValueError(f"unknown anchoring {anchoring!r}")
     raw = groups = swallowed = 0
-    for kind, length, taken in _event_runs(s1, s2, anchoring):
+    for kind, length, taken in _step_runs(s1, s2, anchoring):
         raw += int(length.sum()) + taken
         closed, swallowed = _group_count(kind, length, swallowed)
         groups += closed + (taken > 0)

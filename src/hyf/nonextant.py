@@ -48,7 +48,6 @@ from .core import (
     clip_ranges,
     overlap_ranges,
     range_blocks,
-    tie_mask,
 )
 from .errors import EmptyPattern, IndexOutOfRange, ValidationError, ZeroOverlaps
 from .estimator import point_coefficients
@@ -127,21 +126,14 @@ def _build_report(leg1: tuple[np.ndarray, np.ndarray], leg2: tuple[np.ndarray, n
 def overlap_count(s1: ObservationSeries, s2: ObservationSeries) -> int:
     """Number of overlapping interval pairs, without materialising them.
 
-    The intersections of the pairs are the pieces into which the distinct
-    times strictly inside the legs' common span ``(lo, hi]`` cut it, so
-    there is one pair more than such times, and none when the span is
-    empty.  Two ``searchsorted`` calls per leg find the times inside; the
-    shorter leg's are looked up in the longer one's a block at a time to
-    count the shared ones once.
+    Each interval of one leg overlaps the opposite intervals of its
+    clipped range, so ``m`` is the sum of the clipped counts.  They come
+    a block at a time, for the shorter leg's intervals, which need the
+    fewer lookups in the other leg.
     """
-    t1, t2 = s1.times, s2.times
-    lo, hi = max(t1[0], t2[0]), min(t1[-1], t2[-1])
-    if not lo < hi:
-        return 0
-    short, long = sorted((t[np.searchsorted(t, lo, side="right"):np.searchsorted(t, hi)]
-                          for t in (t1, t2)), key=len)
-    shared = sum(int(np.count_nonzero(tie_mask(long, short[b]))) for b in blocks(short.size))
-    return 1 + short.size + long.size - shared
+    short, long = sorted((s1, s2), key=lambda s: s.n_points)
+    return sum(int(clip_ranges(first, last, long.n_intervals)[1].sum())
+               for _, first, last in range_blocks(long.times, short.times))
 
 
 # a raw range that clips to no interval and contains no span: the range of

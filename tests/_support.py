@@ -10,6 +10,7 @@ import itertools
 import math
 
 import numpy as np
+from hypothesis import example
 
 from hyf import (
     AdversaryConfig,
@@ -136,6 +137,45 @@ def random_tied_pair(rng: np.random.Generator, max_points: int = 14):
         validate_series(ta.astype(float), va, "A"),
         validate_series(tb.astype(float), vb, "B"),
     )
+
+
+# staircases at the edges, as leg-A and leg-B times
+EDGE_STAIRCASES = {
+    "touching": ([0, 1], [1, 2]),
+    "disjoint": ([0, 1], [2, 3]),
+    "inside_one": ([0, 10], [1, 2, 3]),
+    "synchronous": ([0, 1, 2, 3], [0, 1, 2, 3]),
+    "shared_ends": ([0, 1, 3, 5, 9], [0, 2, 4, 9]),
+    "last_met": ([0, 1, 2, 3, 4], [3.5, 4.5, 6]),
+}
+
+
+def edge_pairs(name: str) -> list[tuple[ObservationSeries, ObservationSeries]]:
+    """The edge staircase ``name`` with either leg as leg 1, on prices 0, 1, 2, ..."""
+    ta, tb = (np.array(t, dtype=float) for t in EDGE_STAIRCASES[name])
+    a, b = (validate_series(t, np.arange(t.size, dtype=float), lab) for t, lab in ((ta, "A"), (tb, "B")))
+    return [(a, b), (b, a)]
+
+
+def staircase_pairs(seed, max_points: int = 14) -> list[tuple[ObservationSeries, ObservationSeries]]:
+    """A random tie-free pair and a random tied pair from ``seed``, or for
+    the name of an edge staircase its :func:`edge_pairs`."""
+    if isinstance(seed, str):
+        return edge_pairs(seed)
+    rng = np.random.default_rng(seed)
+    return [make_pair(rng, max_points) for make_pair in (random_tie_free_pair, random_tied_pair)]
+
+
+def edge_examples(**choices):
+    """One Hypothesis ``@example`` per edge staircase (as ``seed``), at
+    ``BLOCK_POINTS`` 1 and 2 (as ``block``), so that the interval after a
+    block falls in the next, and for every combination of ``choices``,
+    which name further arguments and their values."""
+    def decorate(test):
+        for name, block, *values in itertools.product(EDGE_STAIRCASES, (1, 2), *choices.values()):
+            test = example(seed=name, block=block, **dict(zip(choices, values)))(test)
+        return test
+    return decorate
 
 
 def _runs(pairs: list[tuple[int, int]], k: int) -> tuple[int, int]:

@@ -32,6 +32,8 @@ from hyf.errors import CrossSeriesTie
 
 from _support import (
     boundary_aligned,
+    edge_examples,
+    edge_pairs,
     full_array_aligned_labels,
     full_array_counts,
     full_array_covariance,
@@ -78,14 +80,15 @@ def test_covariance_bits_and_overlap_count(seed, block, tied):
 @settings(max_examples=150, deadline=None)
 @given(seed=SEEDS, block=BLOCKS, tied=st.booleans(),
        anchoring=st.sampled_from(["row", "alternative"]))
+@edge_examples(tied=[False], anchoring=["row", "alternative"])
 def test_telescope_counts_and_groups(seed, block, tied, anchoring):
-    s1, s2 = _pair(seed, tied)
-    with _blocked(block):
-        terms = telescope_rows(s1, s2, anchoring)
-        counts = terms.raw_count, terms.grouped_count
-        groups = terms.groups
-    assert counts == full_array_counts(s1, s2, anchoring)
-    np.testing.assert_array_equal(groups, telescope_rows(s1, s2, anchoring).groups)
+    for s1, s2 in edge_pairs(seed) if isinstance(seed, str) else [_pair(seed, tied)]:
+        with _blocked(block):
+            terms = telescope_rows(s1, s2, anchoring)
+            counts = terms.raw_count, terms.grouped_count
+            groups = terms.groups
+        assert counts == full_array_counts(s1, s2, anchoring)
+        np.testing.assert_array_equal(groups, telescope_rows(s1, s2, anchoring).groups)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1074,7 +1074,7 @@ class TestTickParsing:
         assert got == expected
 
 
-def _feed(path: str, raw: bytes) -> None:
+def _feed(path: str | int, raw: bytes) -> None:
     with open(path, "wb") as fh:
         fh.write(raw)
 
@@ -1182,10 +1182,18 @@ _JSON_TEXT = st.lists(st.sampled_from([", ", '"', "\x00", "a", "\n", "\\", "\u00
                       max_size=4).map("".join)
 _JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(),
                          st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _json_containers(inner):
+    # a def, not a lambda: Hypothesis checks that ``extend`` uses its
+    # argument by parsing its inspect.getsource, and a def's source is
+    # its whole block
+    return st.one_of(st.lists(inner, max_size=4), st.dictionaries(_JSON_TEXT, inner, max_size=4))
+
+
 _JSON_VALUE = st.recursive(
     st.one_of(_JSON_SCALAR, _JSON_TEXT, st.lists(_JSON_SCALAR, min_size=1, max_size=8)),
-    lambda inner: st.one_of(st.lists(inner, max_size=4),
-                            st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    _json_containers,
     max_leaves=20,
 )
 
@@ -1583,6 +1591,78 @@ class TestForkedLegs:
                 "('multiprocessing', 'concurrent.futures') if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+def _dev_mode(*argv: str, input: bytes | None = None, pass_fds=()):
+    """``python -X dev -W error -m hyf argv``, where any warning, the fork
+    warning of Python 3.12 included, fails the command: (exit code, stdout,
+    stderr).  ``input`` goes to its stdin through a pipe."""
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "hyf", *argv],
+                          input=input, capture_output=True, pass_fds=pass_fds)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _dev_mode_fd_pipes(command: str, raws, *options: str):
+    """:func:`_dev_mode` with the legs' bytes in pipes named ``/dev/fd/N``, as
+    bash's ``<(cat file)`` passes them."""
+    pipes = [os.pipe() for _ in raws]
+    feeders = [threading.Thread(target=_feed, args=(w, raw), daemon=True)
+               for (_, w), raw in zip(pipes, raws)]
+    for feeder in feeders:
+        feeder.start()
+    try:
+        return _dev_mode(command, *(f"/dev/fd/{r}" for r, _ in pipes), *options,
+                         pass_fds=[r for r, _ in pipes])
+    finally:
+        for r, _ in pipes:
+            os.close(r)
+        for feeder in feeders:
+            feeder.join(timeout=10)
+
+
+def _without_paths(out: bytes) -> list[bytes]:
+    """``--json`` output without the lines that echo the input paths."""
+    return [line for line in out.splitlines() if not re.search(rb'"file_[ab]":', line)]
+
+
+@pytest.fixture(scope="module")
+def forked_files(tmp_path_factory):
+    """``simulate --horizon 30000`` under :func:`_dev_mode`: about 30k points
+    a leg, so it forks its writer, and files of about 1.1 MB, so reading
+    them forks too."""
+    prefix = tmp_path_factory.mktemp("forked") / "forked"
+    code, _, err = _dev_mode("simulate", "--horizon", "30000", "--out-prefix", str(prefix))
+    assert (code, err) == (0, b"")
+    paths = [f"{prefix}_{leg}.csv" for leg in "ab"]
+    raws = [Path(path).read_bytes() for path in paths]
+    assert min(raw.count(b"\n") - 1 for raw in raws) >= ticks.FORK_MIN_POINTS
+    assert min(len(raw) for raw in raws) >= ticks.FORK_MIN_BYTES
+    return paths, raws
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestDevModeCommands:
+    """The pair commands under ``-X dev -W error`` on :func:`forked_files`,
+    from the files, with leg B piped to ``/dev/stdin`` and with both legs
+    in ``/dev/fd`` pipes: each exits 0 with nothing on stderr, and the
+    outputs differ only in the input paths they echo."""
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--json"],
+        ["detect", "--method", "all", "--include-boundary", "--json"],
+    ])
+    def test_piped_legs_match_files(self, forked_files, argv):
+        (path_a, path_b), raws = forked_files
+        command, *options = argv
+        outcomes = [
+            _dev_mode(command, path_a, path_b, *options),
+            _dev_mode(command, path_a, "/dev/stdin", *options, input=raws[1]),
+            _dev_mode_fd_pipes(command, raws, *options),
+        ]
+        assert [(code, err) for code, _, err in outcomes] == [(0, b"")] * 3
+        files, stdin, fd_pipes = (_without_paths(out) for _, out, _ in outcomes)
+        assert files == stdin == fd_pipes
+        assert len(files) > 10
 
 
 def _exit_code_case(case: str, tmp_path, golden_files) -> list[str]:

@@ -1,6 +1,7 @@
 import math
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from hyf import (
     ValidationError,
+    core,
     enumerate_overlaps,
     hy_covariance,
     overlap_count,
@@ -19,10 +21,12 @@ from hyf import (
 
 from _support import (
     brute_hy,
+    edge_examples,
     finite_difference_coefficient,
     loop_groups,
     random_tie_free_pair,
     random_tied_pair,
+    staircase_pairs,
 )
 from conftest import GOLDEN_COVARIANCE
 
@@ -125,27 +129,27 @@ class TestTelescopeRows:
                 assert terms.grouped_total() == pytest.approx(raw, rel=1e-9, abs=1e-9)
 
     @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 10**6))
-    def test_groups_match_loop_reference(self, seed):
-        # tie-free, partly tied and fully synchronous staircases
-        rng = np.random.default_rng(seed)
-        for make_pair in (random_tie_free_pair, random_tied_pair):
-            s1, s2 = make_pair(rng, max_points=30)
+    @given(seed=st.integers(0, 10**6), block=st.just(core.BLOCK_POINTS))
+    @edge_examples()
+    def test_groups_match_loop_reference(self, seed, block):
+        # tie-free, partly tied and fully synchronous staircases, and the edge ones
+        for s1, s2 in staircase_pairs(seed, max_points=30):
             pairs = [tuple(p) for p in enumerate_overlaps(s1, s2).pairs.tolist()]
             for anchoring in ("row", "alternative"):
-                groups = telescope_rows(s1, s2, anchoring=anchoring).groups.tolist()
+                with mock.patch.object(core, "BLOCK_POINTS", block):
+                    groups = telescope_rows(s1, s2, anchoring=anchoring).groups.tolist()
                 got = [(("row", "col")[axis], *rest) for axis, *rest in groups]
                 assert got == loop_groups(pairs, anchoring)
 
     @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 10**6))
-    def test_counts_match_built_arrays(self, seed):
+    @given(seed=st.integers(0, 10**6), block=st.just(core.BLOCK_POINTS))
+    @edge_examples()
+    def test_counts_match_built_arrays(self, seed, block):
         # the counts come without building the pairs or the groups
-        rng = np.random.default_rng(seed)
-        for make_pair in (random_tie_free_pair, random_tied_pair):
-            s1, s2 = make_pair(rng)
+        for s1, s2 in staircase_pairs(seed):
             for anchoring in ("row", "alternative"):
-                terms = telescope_rows(s1, s2, anchoring=anchoring)
+                with mock.patch.object(core, "BLOCK_POINTS", block):
+                    terms = telescope_rows(s1, s2, anchoring=anchoring)
                 assert "pairs" not in vars(terms) and "groups" not in vars(terms)
                 assert terms.raw_count == len(terms.pairs) == overlap_count(s1, s2)
                 assert terms.grouped_count == len(terms.groups)

@@ -162,7 +162,8 @@ def test_write_tick_file(sized, tmp_path):
 
 def test_telescope_rows(pair, pair_bytes):
     # the groups, built from per-interval ranges without the (m, 2) pairs,
-    # peak at 2.8 pair bytes; the pairs alone are one pair byte more
+    # peak at 2.6 pair bytes (2.8 under "alternative"); the pairs alone
+    # are one pair byte more
     assert _transient_peak(lambda: telescope_rows(*pair).groups) < 3.5 * pair_bytes
 
 
@@ -171,8 +172,8 @@ def test_estimate_counts(pair, pair_bytes):
         terms = telescope_rows(*pair)
         return hy_covariance(*pair), terms.raw_count, terms.grouped_count
 
-    # the covariance's two leg-1 vectors (0.5 pair bytes) and blocks (0.71
-    # in all); the per-interval ranges of a leg alone are 0.5 more
+    # the covariance's and the counts' blocks, 0.34 pair bytes; the
+    # per-interval ranges of a leg alone are 0.5 more
     assert _transient_peak(counts) < 1.0 * pair_bytes
 
 
@@ -186,7 +187,7 @@ def test_merge_labels_and_detect_label_rule(pair, pair_bytes):
 def test_detect_interval_rule_blocks(sized):
     _, pair = sized
     peak, report = _peak_and_result(detect_interval_rule, *pair, True)
-    # 6.3 blocks; whole-leg ranges took 12 at 50k ticks and 24 at 100k
+    # 6.1 blocks; whole-leg ranges took 12 at 50k ticks and 24 at 100k
     assert _blocks(peak - _report_bytes(report)) < 8
 
 
@@ -220,7 +221,8 @@ def test_telescope_counts_blocks(sized, anchoring):
         terms = telescope_rows(*pair, anchoring)
         return terms.raw_count, terms.grouped_count
 
-    # 9.7 blocks; whole-staircase rows and runs took 16-19 and 31-37
+    # a block of ranges and its runs: 7.6 blocks at 50k and 100k ticks;
+    # whole-staircase rows and runs took 16-19 and 31-37
     assert _blocks(_transient_peak(counts)) < 12
 
 
