@@ -339,12 +339,12 @@ def telescope_rows(
     ``m`` is the number of the staircase's steps (:func:`_step_runs`),
     and a row (column) group telescopes along a run of row (column)
     steps.  ``"row"`` applies the longest-run greedy sweep (rows
-    preferred on ties).  ``"alternative"`` first factors out the full column at the first
-    upward corner of the staircase and then sweeps the remainder; it
-    generally produces one more group than ``"row"`` and the same total
-    value.  Neither grouping is claimed to be minimal.  The terms come
-    back with their counts, from the runs a block at a time; pairs and
-    groups are built when read.
+    preferred on ties).  ``"alternative"`` first factors out the full
+    column at the first upward corner of the staircase and then sweeps
+    the remainder; it generally produces one more group than ``"row"``
+    and the same total value.  Neither grouping is claimed to be
+    minimal.  The terms come back with their counts, from the runs a
+    block at a time; pairs and groups are built when read.
     """
     if anchoring not in ("row", "alternative"):
         raise ValueError(f"unknown anchoring {anchoring!r}")

@@ -1650,7 +1650,7 @@ class TestDevModeCommands:
     @pytest.mark.parametrize("argv", [
         ["estimate", "--json"],
         ["detect", "--method", "all", "--include-boundary", "--json"],
-    ])
+    ], ids=["estimate", "detect_all"])
     def test_piped_legs_match_files(self, forked_files, argv):
         (path_a, path_b), raws = forked_files
         command, *options = argv
