@@ -36,7 +36,9 @@ _VALUE_STREAM_KEY = 1 << 32
 _BATCH_STREAM_KEY = 1 << 33
 
 # largest expected point count (a+b)·T one draw may ask for; a draw of
-# 1e8 points holds several 800 MB float64 arrays at once
+# 1e8 points holds its 800 MB of float64 times and 100 MB of labels, and
+# then the legs' 800 MB, in each process that draws it: both writers of a
+# forked simulate
 MAX_EXPECTED_POINTS = 1e8
 
 # draws per trial before RejectionBudgetExceeded
@@ -102,21 +104,63 @@ class AdversaryConfig:
         total = self.rate_a + self.rate_b
         if not math.isfinite(total):
             raise ValueError(f"rate_a + rate_b must be finite, got {total}")
-        if not total * self.horizon <= MAX_EXPECTED_POINTS:
-            raise ValueError(
-                f"expected point count (rate_a + rate_b) * horizon = {total * self.horizon:g} "
-                f"exceeds the generator cap of {MAX_EXPECTED_POINTS:g}"
-            )
+        _check_cap(total * self.horizon, "(rate_a + rate_b) * horizon")
         _index(self.seed, "seed", 64)
+
+
+def _check_cap(expected: float, what: str) -> None:
+    """Raise :class:`ValueError` unless the expected point count ``what`` is
+    at most :data:`MAX_EXPECTED_POINTS`.  Both print by ``repr``, the
+    shortest text that reads back as the same float, so a count above the
+    cap never reads equal to it."""
+    if not expected <= MAX_EXPECTED_POINTS:
+        raise ValueError(f"expected point count {what} = {expected!r} "
+                         f"exceeds the generator cap of {MAX_EXPECTED_POINTS!r}")
+
+
+def _chunk_points(expected: float) -> int:
+    """Arrivals :func:`generate_poisson` draws at a time: the expected count
+    plus ten standard deviations, so one chunk almost always passes the
+    horizon."""
+    return max(16, int(expected + 10.0 * math.sqrt(expected) + 10.0))
+
+
+def _fill_arrivals(rng: np.random.Generator, rate: float, out: np.ndarray,
+                   carry: float, reached: float) -> float:
+    """Fill ``out`` with the next arrivals of a chunk and return their running
+    sum of gaps.
+
+    Each gap is ``-ln(u)/rate``; the gaps are summed from ``carry``, the sum
+    of the chunk's gaps before ``out``, and each arrival is ``reached``
+    plus that sum.  The uniforms are the stream's next ones, and the sum
+    adds one gap at a time, so a chunk filled a block at a time holds the
+    doubles it holds when filled at once.
+    """
+    # a uniform is 0 or at least 2**-53, so the maximum moves only zeros,
+    # and takes no mask the size of the draw
+    rng.random(out=out)
+    np.maximum(out, _TINY, out=out)
+    np.log(out, out=out)
+    np.negative(out, out=out)
+    out /= rate
+    out[0] += carry
+    np.cumsum(out, out=out)
+    carry = float(out[-1])
+    out += reached
+    return carry
 
 
 def generate_poisson(rate: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
     """First ``horizon`` time units of a homogeneous Poisson process.
 
     Inter-arrival times are inverse-CDF exponentials ``-ln(u)/rate`` with
-    ``u`` uniform on the open unit interval; arrivals past the horizon
-    are dropped.  May return an empty array when ``rate * horizon`` is
-    tiny.
+    ``u`` uniform on the open unit interval, drawn in chunks of the
+    expected count plus ten standard deviations, each chunk's arrivals
+    summed from the last arrival before it; arrivals past the horizon are
+    dropped.  The times are a prefix of the array they were drawn in, so
+    the draw can be replayed from the same stream a block at a time (see
+    :func:`generate_inputs`).  May return an empty array when
+    ``rate * horizon`` is tiny.
 
     Raises :class:`NonPositiveRate` unless ``rate`` is positive and
     finite, and :class:`ValueError` unless ``horizon`` is, or when the
@@ -126,32 +170,17 @@ def generate_poisson(rate: float, horizon: float, rng: np.random.Generator) -> n
         raise NonPositiveRate(f"rate must be positive and finite, got {rate}")
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    expected = rate * horizon
-    if not expected <= MAX_EXPECTED_POINTS:
-        raise ValueError(
-            f"expected point count rate * horizon = {expected:g} "
-            f"exceeds the generator cap of {MAX_EXPECTED_POINTS:g}"
-        )
-    chunk = max(16, int(expected + 10.0 * math.sqrt(expected) + 10.0))
+    _check_cap(rate * horizon, "rate * horizon")
+    chunk = _chunk_points(rate * horizon)
     parts: list[np.ndarray] = []
     reached = 0.0
     # below a rate of about 1e-306 a gap overflows to inf, past any horizon
     with np.errstate(over="ignore"):
-        while True:
-            # reached + cumsum(-log(u) / rate), computed in the draw's array;
-            # a uniform is 0 or at least 2**-53, so the maximum moves only
-            # zeros, and takes no mask the size of the draw
-            arrivals = rng.random(chunk)
-            np.maximum(arrivals, _TINY, out=arrivals)
-            np.log(arrivals, out=arrivals)
-            np.negative(arrivals, out=arrivals)
-            arrivals /= rate
-            np.cumsum(arrivals, out=arrivals)
-            arrivals += reached
+        while reached <= horizon:
+            arrivals = np.empty(chunk)
+            _fill_arrivals(rng, rate, arrivals, 0.0, reached)
             parts.append(arrivals)
             reached = float(arrivals[-1])
-            if reached > horizon:
-                break
     times = np.concatenate(parts) if len(parts) > 1 else parts[0]
     # arrivals never decrease, so those within the horizon are a prefix
     return times[:np.searchsorted(times, horizon, side="right")]
@@ -174,12 +203,20 @@ def draw_labels(config: AdversaryConfig, trial: int = 0) -> tuple[np.ndarray, np
     :data:`MAX_RESAMPLES` draws has four merged points (typically a sign
     that ``rate * horizon`` is too small).
     """
-    trial = _index(trial, "trial")
+    times, is_a, _ = _draw(config, _index(trial, "trial"))
+    return times, is_a
+
+
+def _attempt_stream(config: AdversaryConfig, trial: int, attempt: int) -> np.random.Generator:
+    """The stream of one attempt of one trial, keyed by ``(seed, trial, attempt)``."""
+    return np.random.default_rng(np.random.SeedSequence([int(config.seed), trial, attempt]))
+
+
+def _draw(config: AdversaryConfig, trial: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`draw_labels`' pair and the attempt that drew it."""
     p = config.rate_a / (config.rate_a + config.rate_b)
     for attempt in range(MAX_RESAMPLES):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(config.seed), trial, attempt])
-        )
+        rng = _attempt_stream(config, trial, attempt)
         times = generate_poisson(config.rate_a + config.rate_b, config.horizon, rng)
         # the tie check a block at a time: a freed mask the size of the
         # draw would raise glibc's mmap threshold, and the labels would
@@ -187,7 +224,7 @@ def draw_labels(config: AdversaryConfig, trial: int = 0) -> tuple[np.ndarray, np
         if times.size < 4 or _first_true(times.size - 1,
                                          lambda b: times[_next(b)] <= times[b]) is not None:
             continue
-        return times, _aligned_labels(rng, np.array([times.size]), p)
+        return times, _aligned_labels(rng, np.array([times.size]), p), attempt
     raise _budget_exceeded(config)
 
 
@@ -253,36 +290,65 @@ def generate_inputs(
 ) -> tuple[ObservationSeries, ObservationSeries]:
     """One accepted input pair: :func:`draw_labels` split by label.
 
-    Leg B's times are copied out of the merged draw; leg A's are moved to
-    the front of the draw's own buffer, a block at a time, and the buffer
-    is shrunk to them, so the draw and both legs are never held at once.
-    Values are zero, as the cancellation structure depends on the times
-    only; :func:`attach_random_walk` fills in continuous prices.  They are
-    allocated after the split, and never written.  Raises what
-    :func:`draw_labels` raises.
+    The merged draw's own buffer is shrunk to leg A's length, and a new
+    array of leg B's length is made.  The times are then drawn again: the
+    accepted attempt's stream is replayed a block at a time by the
+    arithmetic and chunks of :func:`generate_poisson`, which give the
+    same doubles, and each arrival goes to its leg.  So the draw and a
+    copy of a leg are never held at once, and the peak is the draw and
+    its labels.  Values are zero, as the cancellation structure depends
+    on the times only; :func:`attach_random_walk` fills in continuous
+    prices.  They are allocated after the split, and never written.
+    Raises what :func:`draw_labels` raises.
     """
-    times, is_a = draw_labels(config, trial)
-    is_b = np.logical_not(is_a, out=is_a)
-    leg_b = times[is_b]
-    # generate_poisson's times are a prefix of the array it drew, which
-    # owns its memory
-    leg_a = times.base
-    n_a = 0
-    for block in blocks(times.size):
-        # a copy, so the block is read before any of it is overwritten
-        part = times[block][~is_b[block]]
-        leg_a[n_a:n_a + part.size] = part
-        n_a += part.size
-    del times, is_a, is_b
-    # the view of the buffer is gone, and the buffer stays owned
-    leg_a.resize(n_a, refcheck=False)
     legs = []
-    for label, leg in (("A", leg_a), ("B", leg_b)):
+    for label, leg in zip("AB", _leg_times(config, _index(trial, "trial"))):
         # frozen here, the new arrays are handed over without a copy
         values = np.zeros(leg.size)
         leg.flags.writeable = values.flags.writeable = False
         legs.append(ObservationSeries(leg, values, label))
     return legs[0], legs[1]
+
+
+def _leg_times(config: AdversaryConfig, trial: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leg A's and leg B's times of :func:`draw_labels`' pair, split as
+    :func:`generate_inputs` says."""
+    times, is_a, attempt = _draw(config, trial)
+    # generate_poisson's times are a prefix of the array it drew, which
+    # owns its memory; once the view is gone the buffer stays owned, and
+    # shrinks to leg A, which the replay writes over it
+    leg_a, n = times.base, times.size
+    del times
+    leg_a.resize(int(np.count_nonzero(is_a)), refcheck=False)
+    leg_b = np.empty(n - leg_a.size)
+    _replay(config, _attempt_stream(config, trial, attempt), is_a, leg_a, leg_b)
+    return leg_a, leg_b
+
+
+def _replay(config: AdversaryConfig, rng: np.random.Generator, is_a: np.ndarray,
+            leg_a: np.ndarray, leg_b: np.ndarray) -> None:
+    """Fill ``leg_a`` and ``leg_b`` with the first ``is_a.size`` arrivals of
+    :func:`generate_poisson`'s draw from ``rng``, those ``is_a`` marks and
+    the others, drawn again a block at a time in the draw's own chunks."""
+    rate = config.rate_a + config.rate_b
+    chunk = _chunk_points(rate * config.horizon)
+    n_a = n_b = 0
+    reached = 0.0
+    with np.errstate(over="ignore"):
+        for first in range(0, is_a.size, chunk):
+            carry = 0.0
+            for block in blocks(min(chunk, is_a.size - first)):
+                arrivals = np.empty(block.stop - block.start)
+                carry = _fill_arrivals(rng, rate, arrivals, carry, reached)
+                marks = is_a[first + block.start:first + block.stop]
+                part = arrivals[marks]
+                leg_a[n_a:n_a + part.size] = part
+                n_a += part.size
+                part = arrivals[~marks]
+                leg_b[n_b:n_b + part.size] = part
+                n_b += part.size
+            # a chunk before the last is replayed whole, so this is its end
+            reached = float(arrivals[-1])
 
 
 def attach_random_walk(

@@ -295,20 +295,28 @@ def _cmd_simulate(args) -> int:
         config = AdversaryConfig(args.rate_a, args.rate_b, args.horizon, seed)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    s1, s2 = generate_inputs(config)
     path_a = f"{args.out_prefix}_a.csv"
     path_b = f"{args.out_prefix}_b.csv"
+    # leg B is written by a forked child when the smaller leg is expected
+    # to reach FORK_MIN_POINTS; then each writer draws the pair in its own
+    # process and keeps its own leg, so this process never holds leg B's
+    # times while it writes leg A.  Without a fork the pair is drawn once
+    fork = min(config.rate_a, config.rate_b) * config.horizon >= ticks.FORK_MIN_POINTS
+    pair = None if fork else generate_inputs(config)
+    points: list[int] = []
 
-    def write_walked(path: str, series: ObservationSeries) -> None:
+    def write_walked(path: str, leg: int) -> None:
         # the process that writes a leg draws that leg's walk alone, so the
-        # walks of both legs are never held at once; both names are this
+        # walks of both legs are never held at once; the names are this
         # module's, looked up at each call, like the reader in _load_pair
-        leg = "AB".index(series.label)
-        legs = (series, None) if leg == 0 else (None, series)
+        drawn = pair or generate_inputs(config)
+        points[:] = [s.n_points for s in drawn]
+        legs = (drawn[0], None) if leg == 0 else (None, drawn[1])
+        del drawn
         write_tick_file(path, attach_random_walk(*legs, seed=seed)[leg])
 
     outcomes = list(zip((path_a, path_b),
-                        ticks.write_legs(write_walked, path_a, s1, path_b, s2)))
+                        ticks.write_legs(write_walked, path_a, path_b, fork)))
     failed = [(path, outcome) for path, outcome in outcomes if isinstance(outcome, Exception)]
     if failed:
         # no half pair stays behind; an error that names its path came
@@ -321,11 +329,13 @@ def _cmd_simulate(args) -> int:
         if isinstance(exc, OSError):
             raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise exc
+    # counted by leg A's writer, which runs in this process
+    points_a, points_b = points
     results = {
         "file_a": path_a,
         "file_b": path_b,
-        "points_a": s1.n_points,
-        "points_b": s2.n_points,
+        "points_a": points_a,
+        "points_b": points_b,
     }
     payload = {
         "command": "simulate",
@@ -340,8 +350,8 @@ def _cmd_simulate(args) -> int:
         "version": __version__,
     }
     _emit(args, payload, [
-        f"wrote {path_a} ({s1.n_points} points)\n",
-        f"wrote {path_b} ({s2.n_points} points)\n",
+        f"wrote {path_a} ({points_a} points)\n",
+        f"wrote {path_b} ({points_b} points)\n",
     ])
     return EXIT_OK
 

@@ -203,8 +203,9 @@ def write_tick_file(path: str, series: ObservationSeries) -> None:
 
 
 # Leg B's text work moves to a forked child, beside leg A in this process,
-# when the smaller leg holds at least this many bytes (reads) or points
-# (writes).  Forking and reaping a child costs 2-3 ms at 100-130 MB RSS;
+# when the smaller leg holds at least this many bytes (reads) or is
+# expected to hold this many points (writes, decided before the pair is
+# drawn).  Forking and reaping a child costs 2-3 ms at 100-130 MB RSS;
 # parsing costs 20-35 ns per byte and writing about 3 µs per point, so
 # the break-even is near 100 kB, and at 1 MiB (about 25k rows of
 # simulated text) the saving is ten times the cost.  A 10k-tick leg
@@ -223,12 +224,11 @@ def read_legs(read, path_a: str, path_b: str) -> list:
     return _both_legs(read, (path_a,), (path_b,), fork)
 
 
-def write_legs(write, path_a: str, s1: ObservationSeries,
-               path_b: str, s2: ObservationSeries) -> list:
-    """``[write(path_a, s1), write(path_b, s2)]`` by :func:`_both_legs`, leg B
-    in a forked child when both legs hold at least :data:`FORK_MIN_POINTS`."""
-    return _both_legs(write, (path_a, s1), (path_b, s2),
-                      min(s1.n_points, s2.n_points) >= FORK_MIN_POINTS)
+def write_legs(write, path_a: str, path_b: str, fork: bool) -> list:
+    """``[write(path_a, 0), write(path_b, 1)]`` by :func:`_both_legs`, leg B
+    in a forked child with ``fork``.  A writer gets its leg's index, not
+    the leg, so a forked one can make its leg in its own process."""
+    return _both_legs(write, (path_a, 0), (path_b, 1), fork)
 
 
 def _outcome(task, args):

@@ -108,6 +108,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="finite"):
             AdversaryConfig(rate_a=1e308, rate_b=1e308, horizon=1.0)
 
+    def test_count_above_the_cap_never_reads_as_the_cap(self):
+        # by %g both read 1e+08
+        with pytest.raises(ValueError) as excinfo:
+            AdversaryConfig(rate_a=1.0, rate_b=1e-9, horizon=1e8)
+        assert str(excinfo.value) == (
+            "expected point count (rate_a + rate_b) * horizon = 100000000.10000001 "
+            "exceeds the generator cap of 100000000.0")
+
 
 class TestGeneratePoisson:
     def test_strictly_increasing_within_horizon(self):
@@ -148,6 +156,14 @@ class TestGeneratePoisson:
         assert generate_poisson(1.0, 100.0, np.random.default_rng(0)).size > 50
         with pytest.raises(ValueError, match="cap of 100"):
             generate_poisson(1.0, 101.0, np.random.default_rng(0))
+
+    def test_count_one_ulp_above_the_cap_reads_above_it(self):
+        cap = hyf.adversary.MAX_EXPECTED_POINTS
+        with pytest.raises(ValueError) as excinfo:
+            generate_poisson(1.0, math.nextafter(cap, math.inf), np.random.default_rng(0))
+        assert str(excinfo.value) == ("expected point count rate * horizon = "
+                                      "100000000.00000001 exceeds the generator cap of "
+                                      "100000000.0")
 
     @pytest.mark.parametrize("rate, horizon, seed", [(2.0, 500.0, 0), (0.3, 7.0, 1), (5.0, 1e4, 2)])
     def test_matches_inverse_cdf_formula(self, rate, horizon, seed):
@@ -222,6 +238,56 @@ class TestGenerateInputs:
         with pytest.raises(RejectionBudgetExceeded):
             generate_inputs(AdversaryConfig(rate_a=1, rate_b=1, horizon=0.001, seed=5))
         assert len(calls) == 20
+
+
+class TestReplayedLegB:
+    """``generate_inputs`` moves leg A into the draw's buffer and draws leg
+    B's times again from the accepted attempt's stream, a block at a time;
+    its legs must be the draw split by label, bit for bit."""
+
+    @staticmethod
+    def _assert_split(config, trial=0):
+        times, is_a = draw_labels(config, trial)
+        s1, s2 = generate_inputs(config, trial)
+        assert s1.times.tobytes() == times[is_a].tobytes()
+        assert s2.times.tobytes() == times[~is_a].tobytes()
+
+    @pytest.mark.parametrize("rate_b", [1.0, 0.25, 0.1])
+    def test_many_seeds(self, rate_b):
+        for seed in range(25):
+            self._assert_split(AdversaryConfig(1.0, rate_b, 400.0, seed=seed), trial=seed % 3)
+
+    def test_attempts_rejected_for_fewer_than_four_points(self):
+        # about 3 merged points expected, so most trials redraw, and leg B
+        # must come from the accepted attempt's stream
+        config = AdversaryConfig(1.0, 0.5, 2.0, seed=7)
+        attempts = [hyf.adversary._draw(config, trial)[2] for trial in range(40)]
+        assert max(attempts) >= 2
+        for trial in range(40):
+            self._assert_split(config, trial)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_small_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(hyf.core, "BLOCK_POINTS", block)
+        for rate_b in (1.0, 0.25, 0.1):
+            self._assert_split(AdversaryConfig(1.0, rate_b, 60.0, seed=3))
+
+    @pytest.mark.parametrize("chunk, block", [(7, 3), (16, 5), (24, 24), (9, 2**13)])
+    def test_draw_of_several_chunks(self, monkeypatch, chunk, block):
+        # a chunk holds ten standard deviations above the expected count, so
+        # a draw of two or more almost never occurs unforced; block edges
+        # fall inside and at the ends of the chunks
+        monkeypatch.setattr(hyf.adversary, "_chunk_points", lambda expected: chunk)
+        monkeypatch.setattr(hyf.core, "BLOCK_POINTS", block)
+        sizes = []
+        for seed in range(40):
+            config = AdversaryConfig(1.0, 0.25, 60.0, seed=seed)
+            sizes.append(draw_labels(config)[0].size)
+            self._assert_split(config)
+        assert min(sizes) > 2 * chunk
+        if chunk == 7:
+            # a draw whose last chunk holds no arrival within the horizon
+            assert any(size % chunk == 0 for size in sizes)
 
 
 class TestStreamIndices:

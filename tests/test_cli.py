@@ -539,7 +539,20 @@ class TestSimulate:
         assert code == 1
         assert err.startswith("hyf: error: ")
 
-    def test_rejection_budget_exits_5_without_writing(self, capsys, tmp_path):
+    def test_count_above_the_cap_reads_above_it(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "simulate", "--rate-a", "1", "--rate-b", "1e-9",
+                                 "--horizon", "1e8", "--out-prefix", str(tmp_path / "x"))
+        assert (code, out) == (1, "")
+        assert err.splitlines()[0] == (
+            "hyf: error: expected point count (rate_a + rate_b) * horizon = "
+            "100000000.10000001 exceeds the generator cap of 100000000.0")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("min_points", [10**9, 0], ids=["in_process", "forked"])
+    def test_rejection_budget_exits_5_without_writing(self, capsys, tmp_path, monkeypatch,
+                                                      min_points):
+        # forked, each writer draws the pair and runs out of resamples
+        monkeypatch.setattr("hyf.ticks.FORK_MIN_POINTS", min_points)
         prefix = tmp_path / "x"
         code, out, err = run_cli(capsys, "simulate", "--horizon", "0.001",
                                  "--out-prefix", str(prefix))
@@ -548,6 +561,7 @@ class TestSimulate:
         assert err == ("hyf: no accepted draw in 1000 resamples "
                        "(rates 1.0, 1.0, horizon 0.001)\n")
         assert list(tmp_path.iterdir()) == []
+        _assert_no_child()
 
     @pytest.mark.parametrize("leg", ["", "a", "b"])
     def test_unwritable_out_prefix_exits_1(self, capsys, tmp_path, monkeypatch, leg):
@@ -1602,19 +1616,21 @@ def _dev_mode(*argv: str, input: bytes | None = None, pass_fds=()):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def _dev_mode_fd_pipes(command: str, raws, *options: str):
-    """:func:`_dev_mode` with the legs' bytes in pipes named ``/dev/fd/N``, as
-    bash's ``<(cat file)`` passes them."""
-    pipes = [os.pipe() for _ in raws]
-    feeders = [threading.Thread(target=_feed, args=(w, raw), daemon=True)
-               for (_, w), raw in zip(pipes, raws)]
+def _dev_mode_fd_pipes(command: str, legs, *options: str):
+    """:func:`_dev_mode` with each leg given as bytes in a pipe named
+    ``/dev/fd/N``, as bash's ``<(cat file)`` passes it; a leg given as a
+    path is passed as is."""
+    pipes = {k: os.pipe() for k, leg in enumerate(legs) if isinstance(leg, bytes)}
+    feeders = [threading.Thread(target=_feed, args=(w, legs[k]), daemon=True)
+               for k, (_, w) in pipes.items()]
     for feeder in feeders:
         feeder.start()
     try:
-        return _dev_mode(command, *(f"/dev/fd/{r}" for r, _ in pipes), *options,
-                         pass_fds=[r for r, _ in pipes])
+        return _dev_mode(command, *(f"/dev/fd/{pipes[k][0]}" if k in pipes else leg
+                                    for k, leg in enumerate(legs)),
+                         *options, pass_fds=[r for r, _ in pipes.values()])
     finally:
-        for r, _ in pipes:
+        for r, _ in pipes.values():
             os.close(r)
         for feeder in feeders:
             feeder.join(timeout=10)
@@ -1643,8 +1659,8 @@ def forked_files(tmp_path_factory):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestDevModeCommands:
     """The pair commands under ``-X dev -W error`` on :func:`forked_files`,
-    from the files, with leg B piped to ``/dev/stdin`` and with both legs
-    in ``/dev/fd`` pipes: each exits 0 with nothing on stderr, and the
+    from the files, with leg B piped to ``/dev/stdin`` and with legs in
+    ``/dev/fd`` pipes: each exits 0 with nothing on stderr, and the
     outputs differ only in the input paths they echo."""
 
     @pytest.mark.parametrize("argv", [
@@ -1663,6 +1679,46 @@ class TestDevModeCommands:
         files, stdin, fd_pipes = (_without_paths(out) for _, out, _ in outcomes)
         assert files == stdin == fd_pipes
         assert len(files) > 10
+
+    def test_text_detect_with_leg_b_piped_matches_files(self, forked_files):
+        # the text report echoes no path
+        (path_a, path_b), raws = forked_files
+        files = _dev_mode("detect", path_a, path_b)
+        assert files[0] == 0 and files[2] == b"" and files[1].count(b"\n") > 3
+        assert _dev_mode_fd_pipes("detect", [path_a, raws[1]]) == files
+
+    def test_spaced_row_from_a_pipe_matches_the_file(self, forked_files, tmp_path):
+        # a row with a space past the first 64 KiB: the fast path refuses
+        # its piece and the line parser takes that piece alone, from a pipe
+        # as from the file
+        (path_a, _), raws = forked_files
+        rows = raws[1].split(b"\n")
+        assert len(b"\n".join(rows[:3000])) > ticks.READ_CHUNK_BYTES
+        rows[2999] = rows[2999].replace(b",", b" ,")
+        spaced = b"\n".join(rows)
+        spaced_b = tmp_path / "spaced_b.csv"
+        spaced_b.write_bytes(spaced)
+        files = _dev_mode("estimate", path_a, str(spaced_b), "--json")
+        pipe = _dev_mode_fd_pipes("estimate", [path_a, spaced], "--json")
+        assert (pipe[0], pipe[2]) == (files[0], files[2])
+        assert _without_paths(pipe[1]) == _without_paths(files[1])
+        assert files[0] == 0 and len(_without_paths(files[1])) > 10
+
+    def test_all_methods_agree_on_integer_prices(self, forked_files, tmp_path):
+        # integer prices zero the coefficients of extant points under those
+        # prices; the oracle prices the points itself, so the three
+        # detectors must still agree (exit 0)
+        _, raws = forked_files
+        paths = []
+        for leg, raw in zip("ab", raws):
+            header, *rows = raw.decode().splitlines()
+            lines = [header] + [f"{t},{float(p):.0f}" for t, p in (r.split(",") for r in rows)]
+            path = tmp_path / f"rounded_{leg}.csv"
+            path.write_text("\n".join(lines) + "\n")
+            paths.append(str(path))
+        code, out, err = _dev_mode("detect", *paths, "--method", "all", "--include-boundary")
+        assert (code, err) == (0, b"")
+        assert out.endswith(b"agreement ok\n")
 
 
 def _exit_code_case(case: str, tmp_path, golden_files) -> list[str]:

@@ -40,7 +40,7 @@ import pytest
 import hyf
 from hyf import AdversaryConfig, attach_random_walk, generate_inputs, merge_labels
 from hyf import cli, core, ticks
-from hyf.adversary import draw_labels
+from hyf.adversary import _leg_times, draw_labels
 from hyf.errors import TickParseError
 from hyf.estimator import hy_covariance, telescope_rows
 from hyf.nonextant import detect_interval_rule, detect_label_rule, oracle_detect
@@ -244,16 +244,20 @@ def test_generate_inputs_and_random_walk_blocks(sized):
     draw = _owned_bytes(times) + is_a.nbytes
     del times, is_a
     assert _blocks(peak - draw) < 3
-    # leg B is copied out of the draw and leg A moved into its buffer, which
-    # shrinks to it before the legs are checked: 0.3 and -0.6 blocks above
-    # the larger of draw plus legs' times and the result, where checking
-    # whole legs beside the draw took 13 and 27.  tracemalloc counts the
-    # zero values in full, though they are never written, so the result
-    # is the peak here; test_simulate_peak_rss bounds the resident memory
+    # the draw's buffer shrinks to leg A, and both legs are replayed from
+    # the draw's stream a block at a time: 2.2 blocks above the draw,
+    # where copying leg B out beside the draw took half a draw more (4.2
+    # and 7.3)
+    peak, leg_times = _peak_and_result(_leg_times, config, 0)
+    assert _blocks(peak - max(draw, sum(t.nbytes for t in leg_times))) < 3
+    del leg_times
+    # tracemalloc counts the zero values in full, though they are never
+    # written, so the result sets generate_inputs' peak: 1.4 blocks above
+    # it, where checking whole legs beside the draw took 13 and 27.
+    # test_simulate_peak_rss bounds the resident memory
     peak, legs = _peak_and_result(generate_inputs, config)
-    leg_times = sum(s.times.nbytes for s in legs)
-    result = leg_times + sum(s.values.nbytes for s in legs)
-    assert _blocks(peak - max(draw + leg_times, result)) < 3
+    result = sum(s.times.nbytes + s.values.nbytes for s in legs)
+    assert _blocks(peak - max(draw, result)) < 3
     # 1.3 blocks above the new values; checking whole legs took 6.5 and 13
     peak, walk = _peak_and_result(attach_random_walk, *legs, 1729)
     assert _blocks(peak - sum(s.values.nbytes for s in walk)) < 3
@@ -352,19 +356,21 @@ linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
 @linux_only
 def test_simulate_peak_rss(tmp_path):
     # above an interpreter that has imported hyf.cli and drawn from
-    # numpy.random, simulate holds its two series (one float64 time and value
-    # per point) and one leg's walk, drawn by the process that writes that
-    # leg: 1.04-1.05 series bytes at about 200k ticks, where both legs' walks
-    # drawn before the write took 1.33-1.38, and the merged draw beside
-    # both legs, the zero values written on the heap and the writer's whole
-    # blocks of text 1.6
+    # numpy.random, each writer of simulate draws the pair in its own
+    # process, keeps its own leg and draws that leg's walk: 0.87-0.96
+    # series bytes (one float64 time and value per point) at about 200k
+    # ticks, where one process drawing the pair, copying leg B out beside
+    # the draw and holding it while it wrote leg A took 1.14-1.17, both
+    # legs' walks drawn before the write 1.33-1.38, and the merged draw
+    # beside both legs, the zero values written on the heap and the
+    # writer's whole blocks of text 1.6
     start = _least_maxrss_bytes(
         "-c", "import hyf.cli, numpy; numpy.random.default_rng(0).standard_normal(1)")
     peak = _least_maxrss_bytes("-m", "hyf", "simulate", "--horizon", "100000",
                                "--out-prefix", str(tmp_path / "sim"))
     points = sum((tmp_path / f"sim_{leg}.csv").read_bytes().count(b"\n") - 1 for leg in "ab")
     assert 190_000 < points < 210_000
-    assert (peak - start) / (16 * points) < 1.22
+    assert (peak - start) / (16 * points) < 1.05
 
 
 @pytest.fixture(scope="module")
